@@ -231,6 +231,24 @@ def invert(mapfile, translate, **kw):
          [f"{meta['name']}: inverse to order {cfg.order}, residual {result['roundtrip_residual']}"])
 
 
+def _report(F, cfg):
+    return exc.exceptional_report(F, samples=cfg.samples, seed=cfg.seed,
+                                  trials=cfg.trials, tol=cfg.tol)
+
+
+def _curve_and_degree(F, curve, cfg):
+    """A_F and its DegreeReport from one pipeline pass, or a supplied curve
+    and None (its degree is left to `_degree`, when it is needed)."""
+    if curve is not None:
+        return curve, None
+    rep = _report(F, cfg)
+    return rep.curve, rep.degree
+
+
+def _degree(F, cfg):
+    return exc.topological_degree(F, trials=cfg.trials, seed=cfg.seed + 1, tol=cfg.tol)
+
+
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
 @with_config
@@ -239,26 +257,21 @@ def exceptional(mapfile, **kw):
     cfg = _config(kw)
     F, _, meta = _load(mapfile)
     try:
-        cand = exc.nonproper_candidates(F)
-        crit = exc.critical_values(F)
-        deg = exc.topological_degree(F, trials=cfg.trials, seed=cfg.seed + 1, tol=cfg.tol)
-        verdicts = exc.certify_nonproper(F, cand, samples=cfg.samples,
-                                         seed=cfg.seed, deg_geo=deg.deg_geo)
-        full = exc.exceptional_set(F, samples=cfg.samples, seed=cfg.seed)
+        rep = _report(F, cfg)
     except (exc.ExceptionalError, ValueError) as e:
         click.echo(f"error: {e}", file=sys.stderr)
         sys.exit(1)
     result = {
-        "defining": str(full.defining),
-        "degree": full.degree,
-        "components": verdicts,
-        "nonproper_candidates": cand.to_json(),
-        "critical_values": crit.to_json(),
-        "deg_geo": deg.to_json(),
+        "defining": str(rep.curve.defining),
+        "degree": rep.curve.degree,
+        "components": rep.verdicts,
+        "nonproper_candidates": rep.candidates.to_json(),
+        "critical_values": rep.critical.to_json(),
+        "deg_geo": rep.degree.to_json(),
         "certification": f"certified by sampling ({cfg.samples} points, tolerance {cfg.tol})",
     }
     emit("exceptional", meta, cfg, result, not kw["output_json"],
-         [f"{meta['name']}: A_F defined by {result['defining']} (deg_geo = {deg.deg_geo})"])
+         [f"{meta['name']}: A_F defined by {result['defining']} (deg_geo = {rep.degree.deg_geo})"])
 
 
 @main.command()
@@ -279,10 +292,10 @@ def fibers(mapfile, k_text, **kw):
     result = fset.to_json()
     bounds = None
     try:
-        if curve is None:
-            curve = exc.exceptional_set(F, samples=cfg.samples, seed=cfg.seed)
+        curve, deg = _curve_and_degree(F, curve, cfg)
         if not curve.is_empty():
-            deg = exc.topological_degree(F, trials=cfg.trials, seed=cfg.seed + 1, tol=cfg.tol)
+            if deg is None:
+                deg = _degree(F, cfg)
             b4, b5 = lat.fiber_count_bounds(F, deg.deg_geo, curve)
             bounds = {"bound4": b4, "bound5": b5}
     except (exc.ExceptionalError, ValueError):
@@ -303,8 +316,7 @@ def verify(mapfile, which, **kw):
     F, curve, meta = _load(mapfile)
     box = lat.LatticeBox(cfg.box, cfg.ring_m)
     try:
-        if curve is None:
-            curve = exc.exceptional_set(F, samples=cfg.samples, seed=cfg.seed)
+        curve, deg = _curve_and_degree(F, curve, cfg)
     except (exc.ExceptionalError, ValueError) as e:
         click.echo(f"error: {e}", file=sys.stderr)
         sys.exit(1)
@@ -323,7 +335,8 @@ def verify(mapfile, which, **kw):
         line = f"{meta['name']}: dhat sweep B={cfg.box}, {bad} violations of {result['checked']}"
     else:
         try:
-            deg = exc.topological_degree(F, trials=cfg.trials, seed=cfg.seed + 1, tol=cfg.tol)
+            if deg is None:
+                deg = _degree(F, cfg)
             b4, b5 = lat.fiber_count_bounds(F, deg.deg_geo, curve)
         except (exc.ExceptionalError, ValueError) as e:
             click.echo(f"error: {e}", file=sys.stderr)

@@ -9,6 +9,7 @@ divisibility both ways rather than factorization.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -336,24 +337,29 @@ def _preimage_count_numeric(F, u0, v0, tol=1e-7):
             except RootFindingError:
                 pass
         for y0 in candidates:
-            try:
-                rp = abs(_ev(F.p, x0, y0) - u0)
-                rq = abs(_ev(F.q, x0, y0) - v0)
-                sp = abs(u0) + _term_magnitude_bound(F.p, x0, y0)
-                sq = abs(v0) + _term_magnitude_bound(F.q, x0, y0)
-                if rp <= 1e-9 * sp and rq <= 1e-9 * sq:
-                    # already at the roundoff bound; Newton can only be
-                    # destabilized by ill conditioning here
-                    x1, y1 = x0, y0
-                else:
-                    x1, y1 = _polish(x0, y0)
-                    rp = abs(_ev(F.p, x1, y1) - u0)
-                    rq = abs(_ev(F.q, x1, y1) - v0)
-            except (OverflowError, ZeroDivisionError):
+            # a far-out candidate overflows in complex128: its residuals or
+            # bounds come out inf or NaN, and it is rejected below
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    rp = abs(_ev(F.p, x0, y0) - u0)
+                    rq = abs(_ev(F.q, x0, y0) - v0)
+                    sp = abs(u0) + _term_magnitude_bound(F.p, x0, y0)
+                    sq = abs(v0) + _term_magnitude_bound(F.q, x0, y0)
+                    if rp <= 1e-9 * sp and rq <= 1e-9 * sq:
+                        # already at the roundoff bound; Newton can only be
+                        # destabilized by ill conditioning here
+                        x1, y1 = x0, y0
+                    else:
+                        x1, y1 = _polish(x0, y0)
+                        rp = abs(_ev(F.p, x1, y1) - u0)
+                        rq = abs(_ev(F.q, x1, y1) - v0)
+                except (OverflowError, ZeroDivisionError):
+                    continue
+                sp = abs(u0) + _term_magnitude_bound(F.p, x1, y1)
+                sq = abs(v0) + _term_magnitude_bound(F.q, x1, y1)
+            if not all(map(math.isfinite, (rp, rq, sp, sq))):
                 continue
-            sp = abs(u0) + _term_magnitude_bound(F.p, x1, y1)
-            sq = abs(v0) + _term_magnitude_bound(F.q, x1, y1)
-            if rp > tol * sp or rq > tol * sq:
+            if not (rp <= tol * sp and rq <= tol * sq):
                 continue
             if all(max(abs(x1 - xs_), abs(y1 - ys_)) >
                    1e-6 * (1 + max(abs(x1), abs(y1)))
@@ -379,18 +385,21 @@ def _random_rational(rng, lo=-9, hi=9):
     return GaussianRational(a, b, d)
 
 
-def topological_degree(F, trials=3, seed=0, tol=1e-9, max_retries=60):
+def topological_degree(F, trials=3, seed=0, tol=1e-9, max_retries=60, avoid=None):
     """deg_geo F: the common preimage count at `trials` random Gaussian-rational
-    targets drawn with rejection against the candidate exceptional locus."""
+    targets drawn with rejection against the candidate exceptional locus.
+    `avoid` is that locus's defining polynomial in (u, v) when the caller has
+    it; otherwise it is computed from the candidates and critical values."""
     if trials < 3:
         raise ValueError("need at least 3 trials")
     if jacobian(F).is_zero():
         raise ExceptionalError("map is not dominant")
-    avoid = nonproper_candidates(F).defining
-    try:
-        avoid = avoid * critical_values(F).defining
-    except ExceptionalError:
-        pass
+    if avoid is None:
+        avoid = nonproper_candidates(F).defining
+        try:
+            avoid = avoid * critical_values(F).defining
+        except ExceptionalError:
+            pass
     rng = random.Random(seed)
     samples = []
     attempts = 0
@@ -614,15 +623,31 @@ def critical_values(F):
 
 # --------------------------------------------------------------------------
 
-def exceptional_set(F, samples=5, seed=0):
-    """Square-free product of the confirmed non-proper components and the
-    critical-value components, with provenance."""
+@dataclass
+class ExceptionalReport:
+    """One pass of the exceptional pipeline over a map: each stage's result,
+    and A_F itself as `curve`."""
+
+    candidates: PlaneCurveSet
+    critical: PlaneCurveSet
+    degree: DegreeReport
+    verdicts: list
+    curve: PlaneCurveSet
+
+
+def exceptional_report(F, samples=5, seed=0, trials=3, tol=1e-9):
+    """Run each stage once: candidates and critical values, the degree with
+    their product as its avoid locus, then the certification verdicts.  A_F
+    is the square-free product of the confirmed non-proper components and
+    the critical-value components, with provenance."""
     if jacobian(F).is_zero():
         raise ExceptionalError("map is not dominant")
     cand = nonproper_candidates(F)
     crit = critical_values(F)
-    deg_geo = topological_degree(F, trials=3, seed=seed + 1).deg_geo
-    verdicts = certify_nonproper(F, cand, samples=samples, seed=seed, deg_geo=deg_geo)
+    degree = topological_degree(F, trials=trials, seed=seed + 1, tol=tol,
+                                avoid=cand.defining * crit.defining)
+    verdicts = certify_nonproper(F, cand, samples=samples, seed=seed,
+                                 deg_geo=degree.deg_geo)
     product = Poly.const(1, UV)
     provenance = []
     comps = []
@@ -636,9 +661,15 @@ def exceptional_set(F, samples=5, seed=0):
         provenance.append("critical-value")
         comps.extend(crit.component_polys)
     if product.is_constant():
-        return _empty_curve(provenance)
-    curve = PlaneCurveSet(product, provenance, comps)
-    return curve
+        curve = _empty_curve(provenance)
+    else:
+        curve = PlaneCurveSet(product, provenance, comps)
+    return ExceptionalReport(cand, crit, degree, verdicts, curve)
+
+
+def exceptional_set(F, samples=5, seed=0):
+    """A_F: the curve of ``exceptional_report``."""
+    return exceptional_report(F, samples, seed).curve
 
 
 def line_intersections(curve, k):

@@ -815,7 +815,8 @@ def squarefree_part(f):
 
 def sylvester_matrix(a, b, name):
     """Sylvester matrix with a-coefficient rows on top, coefficients listed
-    from highest degree."""
+    from highest degree.  Its determinant (``det_bareiss``) is the definition
+    ``resultant`` is checked against."""
     ca = a.coeffs_in(name)
     cb = b.coeffs_in(name)
     m = max(ca)
@@ -869,9 +870,44 @@ def det_bareiss(matrix):
     return -d if sign < 0 else d
 
 
+def _strip_zeros(cl):
+    i = 0
+    while i < len(cl) and cl[i].is_zero():
+        i += 1
+    return cl[i:]
+
+
+def _pseudo_rem_list(a, b):
+    """Exact pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b of
+    descending coefficient lists (deg a >= deg b), leading zeros stripped."""
+    lb, db = b[0], len(b) - 1
+    e = len(a) - len(b) + 1
+    r = a
+    while len(r) > db:
+        lr = r[0]
+        r = [lb * c for c in r[1:]]
+        for k in range(1, db + 1):
+            r[k - 1] = r[k - 1] - lr * b[k]
+        e -= 1
+        r = _strip_zeros(r)
+    if e:
+        f = lb ** e
+        r = [f * c for c in r]
+    return r
+
+
+def _div_or_raise(num, den):
+    q = exact_div(num, den)
+    if q is None:
+        raise ArithmeticError("subresultant exact division failed")
+    return q
+
+
 def resultant(a, b, eliminate):
-    """Resultant eliminating `eliminate`; Sylvester determinant with the
-    fixed row convention, computed fraction-free."""
+    """Resultant eliminating `eliminate`: the Sylvester determinant with the
+    fixed row convention (a-rows on top), sign included, computed by the
+    subresultant PRS over the polynomial ring of the other variables
+    (Cohen, Alg. 3.3.7, without the content step)."""
     if a.is_zero() or b.is_zero():
         raise ValueError("resultant of a zero polynomial")
     da = a.degree_in(eliminate) if eliminate in a.vars else 0
@@ -879,7 +915,38 @@ def resultant(a, b, eliminate):
     if da <= 0 or db <= 0:
         raise ValueError(f"both inputs must have positive degree in {eliminate}")
     a, b = a._align(b)
-    return det_bareiss(sylvester_matrix(a, b, eliminate))
+    rest = tuple(w for w in a.vars if w != eliminate)
+    zero = Poly(rest)
+    ca, cb = a.coeffs_in(eliminate), b.coeffs_in(eliminate)
+    A = [ca.get(d, zero) for d in range(da, -1, -1)]
+    B = [cb.get(d, zero) for d in range(db, -1, -1)]
+    # Res(b, a) = (-1)^(deg a * deg b) Res(a, b), on the swap and at each step
+    sign = 1
+    if da < db:
+        A, B = B, A
+        if da % 2 and db % 2:
+            sign = -1
+    g = h = Poly.const(1, rest)
+    while True:
+        da, db = len(A) - 1, len(B) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        R = _pseudo_rem_list(A, B)
+        if not R:
+            return zero
+        den = g * h ** delta
+        A, B = B, [_div_or_raise(c, den) for c in R]
+        g = A[0]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = _div_or_raise(g ** delta, h ** (delta - 1))
+        if len(B) == 1:
+            break
+    da = len(A) - 1
+    res = B[0] if da == 1 else _div_or_raise(B[0] ** da, h ** (da - 1))
+    return -res if sign < 0 else res
 
 
 def resultant_allow_constant(a, b, eliminate):

@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from planejac import exceptional as exc
 from planejac.cli import EXIT_VIOLATIONS, MapFileError, load_map_file, main, _schema
 
 MAPS = os.path.join(os.path.dirname(__file__), "..", "maps")
@@ -118,6 +119,50 @@ def test_exceptional_ml(runner):
     assert rep["result"]["defining"] == "u^6 - v^4"
     assert rep["result"]["deg_geo"]["value"] == 4
     assert rep["result"]["components"][0]["confirmed"]
+
+
+STAGES = ("nonproper_candidates", "critical_values", "topological_degree",
+          "certify_nonproper")
+
+
+def _count_stage_calls(monkeypatch):
+    calls = dict.fromkeys(STAGES, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for name in STAGES:
+        monkeypatch.setattr(exc, name, counted(name, getattr(exc, name)))
+    return calls
+
+
+def test_exceptional_runs_each_stage_once(runner, monkeypatch):
+    calls = _count_stage_calls(monkeypatch)
+    r = runner.invoke(main, ["exceptional", _map("makar_limanov.json")])
+    assert r.exit_code == 0
+    assert calls == dict.fromkeys(STAGES, 1)
+    rep = _payload(r)
+    assert rep["result"]["deg_geo"]["value"] == 4
+    assert rep["result"]["defining"] == "u^6 - v^4"
+
+
+def test_verify_without_curve_takes_curve_and_degree_from_one_pass(runner, monkeypatch):
+    calls = _count_stage_calls(monkeypatch)
+    r = runner.invoke(main, ["verify", _map("makar_limanov_printed.json"), "bounds", "-B", "1"])
+    assert r.exit_code == 0
+    assert calls == dict.fromkeys(STAGES, 1)
+    assert _payload(r)["result"]["deg_geo"] == 4
+
+
+def test_fibers_with_supplied_curve_computes_degree_once(runner, monkeypatch):
+    calls = _count_stage_calls(monkeypatch)
+    r = runner.invoke(main, ["fibers", _map("makar_limanov.json"), "-k", "3", "-B", "1"])
+    assert r.exit_code == 0
+    assert calls["topological_degree"] == 1 and calls["certify_nonproper"] == 0
+    assert _payload(r)["result"]["bound4"] == 80
 
 
 def test_exceptional_identity_empty(runner):

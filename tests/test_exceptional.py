@@ -1,12 +1,14 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from planejac.exceptional import (ExceptionalError, PlaneCurveSet,
                                   certify_nonproper, critical_values,
-                                  exceptional_set, line_intersections,
-                                  nonproper_candidates, topological_degree)
+                                  exceptional_report, exceptional_set,
+                                  line_intersections, nonproper_candidates,
+                                  topological_degree)
 from planejac.gaussian import GaussianRational
 from planejac.poly import Poly, PolyMap, compose_maps, jacobian
 from planejac.roots import poly_roots
@@ -80,6 +82,18 @@ def test_certify_vertical_line_confirmed():
     assert all(s["count"] == 0 for s in verdicts[0]["samples"])
 
 
+def test_certify_printed_rejects_overflowing_candidates_without_warnings(ml_map_printed):
+    # the numeric count meets candidate points so far out that F overflows
+    # there; they are rejected explicitly, and no RuntimeWarning escapes
+    cand = nonproper_candidates(ml_map_printed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        verdicts = certify_nonproper(ml_map_printed, cand, samples=5, seed=0, deg_geo=4)
+    assert [v["component"] for v in verdicts] == ["u^3 - v^2"]
+    assert [s["count"] for s in verdicts[0]["samples"]] == [3, 3, 3, 3, 3]
+    assert verdicts[0]["confirmed"]
+
+
 def test_certify_rejects_proper_curve():
     # {u = 0} is not special for the identity: full fibers everywhere on it
     F = PolyMap(pe("x"), pe("y"))
@@ -141,6 +155,14 @@ def test_exceptional_set_ml(ml_map):
     assert exc.defining == pe("u^6 - v^4", UV)
     assert exc.degree == 6
     assert set(exc.provenance) == {"nonproper-candidate", "critical-value"}
+
+
+def test_exceptional_report_reuses_its_stages(ml_map):
+    rep = exceptional_report(ml_map, samples=5, seed=0)
+    assert rep.candidates.defining == pe("u^3 - v^2", UV)
+    assert rep.degree == topological_degree(ml_map, seed=1)
+    assert rep.verdicts == certify_nonproper(ml_map, rep.candidates, seed=0, deg_geo=4)
+    assert rep.curve.defining == exceptional_set(ml_map).defining
 
 
 def test_exceptional_set_elementary_empty():

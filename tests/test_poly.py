@@ -5,9 +5,9 @@ import pytest
 
 from planejac.gaussian import GR_ONE, GaussianRational
 from planejac.poly import (ParseError, Poly, PolyMap, compose_map,
-                           compose_maps, divides, jacobian, parse_expression,
-                           partial_derivative, poly_gcd, resultant,
-                           squarefree_part, sylvester_matrix)
+                           compose_maps, det_bareiss, divides, jacobian,
+                           parse_expression, partial_derivative, poly_gcd,
+                           resultant, squarefree_part, sylvester_matrix)
 
 from conftest import XY, UV, pe, random_point, random_poly
 
@@ -208,6 +208,111 @@ def test_resultant_vanishes_iff_common_root():
         assert vanishes == common, (a, b, t0, rval, common)
         hits += 1
     assert hits >= 20
+
+
+XYU = ("x", "y", "u")
+
+
+def _sylvester_det(a, b, name):
+    return det_bareiss(sylvester_matrix(a, b, name))
+
+
+def _random_coeff(rng, nonconst=False):
+    """A random polynomial in (x, u) of degree <= 1 in each, over Q(i)."""
+    terms = {}
+    for e in ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1)):
+        if rng.random() < 0.5:
+            terms[e] = GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3),
+                                        rng.randint(1, 2))
+    if nonconst:
+        terms[(rng.randint(0, 1), 0, 1)] = GaussianRational(rng.randint(1, 3), rng.randint(-2, 2))
+    return Poly(XYU, terms)
+
+
+def _random_in_y(rng, deg):
+    """Degree `deg` in y with a leading coefficient that involves u."""
+    yv = Poly.var("y", XYU)
+    f = _random_coeff(rng, nonconst=True) * yv ** deg
+    for k in range(deg):
+        f = f + _random_coeff(rng) * yv ** k
+    return f
+
+
+def test_resultant_matches_sylvester_determinant():
+    # the subresultant PRS against the Sylvester determinant itself, over
+    # Q(i)[x, u]: non-constant leading coefficients, both argument orders
+    rng = random.Random(41)
+    for _ in range(40):
+        a = _random_in_y(rng, rng.randint(1, 3))
+        b = _random_in_y(rng, rng.randint(1, 3))
+        r = resultant(a, b, "y")
+        assert r == _sylvester_det(a, b, "y")
+        da, db = a.degree_in("y"), b.degree_in("y")
+        assert resultant(b, a, "y") == (-r if da * db % 2 else r)
+
+
+def test_resultant_defective_prs_matches_sylvester_determinant():
+    # degree gaps: deg a - deg b = 2 at the first step, and a = k*b + r with
+    # deg r = 1 < deg b - 1, so the remainder sequence skips a degree
+    rng = random.Random(43)
+    yv = Poly.var("y", XYU)
+    for _ in range(8):
+        a, b = _random_in_y(rng, 3), _random_in_y(rng, 1)
+        assert resultant(a, b, "y") == _sylvester_det(a, b, "y")
+        assert resultant(b, a, "y") == _sylvester_det(b, a, "y")
+        b3 = _random_in_y(rng, 3)
+        a3 = _random_coeff(rng, nonconst=True) * b3 + _random_coeff(rng) * yv + _random_coeff(rng)
+        assert a3.degree_in("y") == 3
+        assert resultant(a3, b3, "y") == _sylvester_det(a3, b3, "y")
+
+
+def test_resultant_shared_factor_is_zero():
+    rng = random.Random(47)
+    for _ in range(6):
+        c = _random_in_y(rng, 1)
+        a, b = c * _random_in_y(rng, 1), c * _random_in_y(rng, rng.randint(1, 2))
+        assert resultant(a, b, "y").is_zero()
+        assert _sylvester_det(a, b, "y").is_zero()
+
+
+def test_resultant_gaussian_integers_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    y = sympy.Symbol("y")
+
+    def to_sympy(f):
+        return sum((sympy.Integer(c.a) + sympy.I * c.b) / c.d
+                   * sympy.Mul(*(sympy.Symbol(w) ** e for w, e in zip(f.vars, exps)))
+                   for exps, c in f.terms.items())
+
+    rng = random.Random(53)
+    checked = 0
+    while checked < 12:
+        a = random_poly(rng, max_deg=4, n_terms=4, int_coeffs=True)
+        b = random_poly(rng, max_deg=4, n_terms=4, int_coeffs=True)
+        if not a.degree_in("y") or not b.degree_in("y"):
+            continue
+        if a.degree_in("y") < b.degree_in("y"):
+            # sympy drops the sign of the swap there: its resultant of
+            # (y - x, y^3) is -x^3, the Sylvester determinant x^3
+            a, b = b, a
+        ours = to_sympy(resultant(a, b, "y"))
+        ref = sympy.resultant(to_sympy(a), to_sympy(b), y)
+        assert sympy.expand(ours - ref) == 0, (a, b)
+        checked += 1
+
+
+def test_resultant_sheared_makar_limanov_matches_sylvester_determinant(ml_map):
+    # the (10, 15) resultant of the exact fiber count at one target, after
+    # the shear x -> x + y: a 25 x 25 Sylvester determinant, and a remainder
+    # sequence long enough to use h after a degree gap
+    xv, yv = Poly.var("x", XY), Poly.var("y", XY)
+    sub = {"x": xv + yv, "y": yv}
+    p = ml_map.p.evaluate(sub) - Poly.const(GaussianRational(3, 2, 4), XY)
+    q = ml_map.q.evaluate(sub) - Poly.const(GaussianRational(-7, 1, 3), XY)
+    assert (p.degree_in("y"), q.degree_in("y")) == (10, 15)
+    r = resultant(p, q, "y")
+    assert r == _sylvester_det(p, q, "y")
+    assert r.degree_in("x") == 4
 
 
 def test_sylvester_shape():
