@@ -140,36 +140,17 @@ def nonproper_candidates(F):
 # --------------------------------------------------------------------------
 # numeric preimage counting (shared by certification and degree)
 
-def _complex_univariate(f, var, values):
-    """Dense descending complex coefficient list of f viewed in `var`, with
-    every other variable specialized at complex `values`."""
-    cs = f.coeffs_in(var)
-    if not cs:
-        return []
-    top = max(cs)
-    out = []
-    for d in range(top, -1, -1):
-        c = cs.get(d)
-        if c is None:
-            out.append(0j)
-        elif c.is_constant():
-            out.append(complex(c.constant_value()))
-        else:
-            # cover every variable slot (unused ones get 0) so the evaluation
-            # is fully numeric
-            out.append(complex(c.evaluate({w: complex(values.get(w, 0)) for w in c.vars})))
-    return out
-
-
 def _strip_leading(cl, eps):
     nz = [i for i, c in enumerate(cl) if abs(c) > eps]
     return cl[nz[0]:] if nz else []
 
 
 def _specialized_with_bounds(f, var, values):
-    """Like _complex_univariate, but also returns a per-coefficient magnitude
-    bound (sum of |term| at |values|): the roundoff in each specialized
-    coefficient is a tiny multiple of its bound, never of the global scale."""
+    """Dense descending complex coefficient list of f viewed in `var`, with
+    every other variable specialized at complex `values`, and per-coefficient
+    magnitude bounds (sum of |term| at |values|): the roundoff in each
+    specialized coefficient is a tiny multiple of its bound, never of the
+    global scale."""
     cs = f.coeffs_in(var)
     if not cs:
         return [], []
@@ -224,17 +205,18 @@ _SHEAR_LAMBDAS = (
 )
 
 
-def _preimage_count(F, u0, v0, tol=1e-7):
+def _preimage_count(F, u0, v0, tol=1e-7, res_y=None):
     """Number of distinct finite solutions of F = (u0, v0).
 
     Exact Gaussian-rational targets are counted exactly; complex targets
-    (e.g. sampled points on a candidate curve) fall back to a numeric count.
+    (e.g. sampled points on a candidate curve) fall back to a numeric count
+    from Res_y(P-u, Q-v), passed as `res_y` when the caller already has it.
     """
     try:
         ue = GaussianRational.coerce(u0)
         ve = GaussianRational.coerce(v0)
     except TypeError:
-        return _preimage_count_numeric(F, complex(u0), complex(v0), tol)
+        return _preimage_count_numeric(F, complex(u0), complex(v0), tol, res_y)
     return _preimage_count_exact(F, ue, ve)
 
 
@@ -267,7 +249,7 @@ def _preimage_count_exact(F, u0, v0):
     return max(counts)
 
 
-def _preimage_count_numeric(F, u0, v0, tol=1e-7):
+def _preimage_count_numeric(F, u0, v0, tol=1e-7, res_y=None):
     """Numeric count for complex targets.
 
     Candidate solutions come from the exact trivariate resultant
@@ -276,8 +258,8 @@ def _preimage_count_numeric(F, u0, v0, tol=1e-7):
     already sit at the roundoff bound is accepted directly; otherwise it is
     polished by Newton iteration on the full 2x2 system.  Accepted solutions
     are deduplicated."""
-    p, q = _shifted_components(F)
-    r = resultant_allow_constant(p, q, "y")
+    r = res_y if res_y is not None else resultant_allow_constant(
+        *_shifted_components(F), "y")
     if r.is_constant():
         return 0
     cl, cb = _specialized_with_bounds(r, "x", {"u": u0, "v": v0})
@@ -434,6 +416,7 @@ def certify_nonproper(F, curve, samples=5, seed=0, deg_geo=None, tol=1e-9):
     comps = curve.component_polys or (
         [] if curve.is_empty() else [("candidate", curve.defining)]
     )
+    res_y = resultant_allow_constant(*_shifted_components(F), "y") if comps else None
     verdicts = []
     for tag, comp in comps:
         pts = []
@@ -461,7 +444,7 @@ def certify_nonproper(F, curve, samples=5, seed=0, deg_geo=None, tol=1e-9):
                 else:
                     for w in us[: samples - len(pts)]:
                         pts.append((complex(w), complex(v1)))
-        counts = [_preimage_count(F, u0, v0) for u0, v0 in pts]
+        counts = [_preimage_count(F, u0, v0, res_y=res_y) for u0, v0 in pts]
         verdicts.append({
             "tag": tag,
             "component": str(comp),

@@ -205,11 +205,6 @@ def truncate(f, order, vars=("u", "v")):
     terms = {}
     src_vars = f.vars
     for exps, c in f.terms.items():
-        used = [(w, e) for w, e in zip(src_vars, exps) if e != 0]
-        if any(w not in vars and e != 0 for w, e in zip(src_vars, exps)):
-            # rename positionally: a source-variable polynomial becomes a
-            # series in the target variables
-            pass
         eu = ev = 0
         for w, e in zip(src_vars, exps):
             if e == 0:
@@ -225,24 +220,42 @@ def truncate(f, order, vars=("u", "v")):
     return TruncSeries2(order, terms, vars)
 
 
-def _poly_into_series(f, s1, s2, order):
-    """f(x, y) with the two series substituted, truncated at `order`."""
-    result = TruncSeries2(order, {}, s1.vars)
-    pow1 = {0: TruncSeries2(order, {(0, 0): GR_ONE}, s1.vars)}
-    pow2 = {0: TruncSeries2(order, {(0, 0): GR_ONE}, s1.vars)}
+def _poly_into_series(f, s1, s2, order, pow1=None):
+    """f(x, y) with the two series substituted, truncated at `order`.
 
-    def pw(cache, base, e):
-        if e not in cache:
-            cache[e] = pw(cache, base, e - 1) * base
-        return cache[e]
-
+    f is grouped as sum_j c_j(x) y^j: each c_j(s1) is a scalar combination
+    of the powers of s1, and the sum is evaluated by Horner's rule in s2, so
+    the series products number max deg_x f plus max deg_y f.  `pow1` is a
+    cache of the powers of s1 at `order` (index = exponent), shared by calls
+    that substitute the same s1.
+    """
     ix = f.vars.index("x") if "x" in f.vars else None
     iy = f.vars.index("y") if "y" in f.vars else None
+    rows = {}
     for exps, c in f.terms.items():
         ex = exps[ix] if ix is not None else 0
-        ey = exps[iy] if iy is not None else 0
-        term = pw(pow1, s1, ex) * pw(pow2, s2, ey)
-        result = result + TruncSeries2(order, {e: k * c for e, k in term.terms.items()}, s1.vars)
+        row = rows.setdefault(exps[iy] if iy is not None else 0, {})
+        row[ex] = row.get(ex, GR_ZERO) + c
+    if not rows:
+        return TruncSeries2(order, {}, s1.vars)
+    pow1 = [] if pow1 is None else pow1
+    while len(pow1) <= max(max(row) for row in rows.values()):
+        pow1.append(pow1[-1] * s1 if pow1 else TruncSeries2(order, {(0, 0): GR_ONE}, s1.vars))
+
+    def c_of_s1(row):
+        terms = {}
+        for ex, c in row.items():
+            for e, k in pow1[ex].terms.items():
+                s = terms.get(e)
+                terms[e] = k * c if s is None else s + k * c
+        return TruncSeries2(min(pow1[ex].order for ex in row), terms, s1.vars)
+
+    top_y = max(rows)
+    result = c_of_s1(rows[top_y])
+    for j in range(top_y - 1, -1, -1):
+        result = result * s2
+        if j in rows:
+            result = result + c_of_s1(rows[j])
     return result
 
 
@@ -257,9 +270,10 @@ def compose_truncated(G, F, order=None):
         raise ValueError("inner series must fix the origin (constant-term mismatch)")
     g1 = G.g1.truncated(n)
     g2 = G.g2.truncated(n)
+    pow1 = []
     return SeriesMap(
-        _poly_into_series(F.p, g1, g2, n),
-        _poly_into_series(F.q, g1, g2, n),
+        _poly_into_series(F.p, g1, g2, n, pow1),
+        _poly_into_series(F.q, g1, g2, n, pow1),
     )
 
 
@@ -268,18 +282,20 @@ def local_inverse(F, order):
     total degree `order`.
 
     Requires F(0,0) = (0,0) and an invertible linear part.  Splits F = L + H
-    and iterates G <- L^{-1} o (Id - H o G), which fixes one further degree
-    per pass.
+    and iterates G <- L^{-1} o (Id - H o G) on a precision ladder: G starts
+    as L^{-1}, exact through degree 1, and pass k runs at order k + 1.  H has
+    no terms below degree 2, so that pass makes G exact through degree k + 1
+    and no pass computes a coefficient the next one overwrites.
     """
     p00 = F.p.evaluate({"x": 0, "y": 0})
     q00 = F.q.evaluate({"x": 0, "y": 0})
     if p00 or q00:
         raise ValueError("map must fix the origin; translate first")
     # linear part L = [[a, b], [c, d]] acting on (x, y)
-    a = F.p.terms.get(_exps(F.p, 1, 0), GR_ZERO)
-    b = F.p.terms.get(_exps(F.p, 0, 1), GR_ZERO)
-    c = F.q.terms.get(_exps(F.q, 1, 0), GR_ZERO)
-    d = F.q.terms.get(_exps(F.q, 0, 1), GR_ZERO)
+    a = F.p.terms.get(_exps(F.p.vars, 1, 0), GR_ZERO)
+    b = F.p.terms.get(_exps(F.p.vars, 0, 1), GR_ZERO)
+    c = F.q.terms.get(_exps(F.q.vars, 1, 0), GR_ZERO)
+    d = F.q.terms.get(_exps(F.q.vars, 0, 1), GR_ZERO)
     det = a * d - b * c
     if not det:
         raise ValueError("linear part is singular; no formal inverse")
@@ -291,37 +307,28 @@ def local_inverse(F, order):
     hp = F.p - _linear_poly(F.p.vars, a, b)
     hq = F.q - _linear_poly(F.q.vars, c, d)
 
-    u_lin = TruncSeries2(order, {(1, 0): inv[0][0], (0, 1): inv[0][1]})
-    v_lin = TruncSeries2(order, {(1, 0): inv[1][0], (0, 1): inv[1][1]})
     ident_u = TruncSeries2(order, {(1, 0): GR_ONE})
     ident_v = TruncSeries2(order, {(0, 1): GR_ONE})
-
-    g1, g2 = u_lin, v_lin
-    for _ in range(order):
-        h1 = _poly_into_series(hp, g1, g2, order)
-        h2 = _poly_into_series(hq, g1, g2, order)
-        r1 = ident_u - h1
-        r2 = ident_v - h2
-        n1 = r1 * inv[0][0] + r2 * inv[0][1]
-        n2 = r1 * inv[1][0] + r2 * inv[1][1]
-        if n1 == g1 and n2 == g2:
-            break
-        g1, g2 = n1, n2
+    g1 = TruncSeries2(1, {(1, 0): inv[0][0], (0, 1): inv[0][1]})
+    g2 = TruncSeries2(1, {(1, 0): inv[1][0], (0, 1): inv[1][1]})
+    for n in range(2, order + 1):
+        # lift to order n (`truncated` only ever lowers an order)
+        g1 = TruncSeries2(n, g1.terms)
+        g2 = TruncSeries2(n, g2.terms)
+        pow1 = []
+        r1 = ident_u - _poly_into_series(hp, g1, g2, n, pow1)
+        r2 = ident_v - _poly_into_series(hq, g1, g2, n, pow1)
+        g1 = r1 * inv[0][0] + r2 * inv[0][1]
+        g2 = r1 * inv[1][0] + r2 * inv[1][1]
     return SeriesMap(g1, g2)
 
 
-def _exps(f, ex, ey):
-    return tuple(
-        ex if w == "x" else ey if w == "y" else 0 for w in f.vars
-    )
+def _exps(vars, ex, ey):
+    return tuple(ex if w == "x" else ey if w == "y" else 0 for w in vars)
 
 
 def _linear_poly(vars, a, b):
-    return Poly(vars, {_exps_for(vars, 1, 0): a, _exps_for(vars, 0, 1): b})
-
-
-def _exps_for(vars, ex, ey):
-    return tuple(ex if w == "x" else ey if w == "y" else 0 for w in vars)
+    return Poly(vars, {_exps(vars, 1, 0): a, _exps(vars, 0, 1): b})
 
 
 def translate_map(F, a, b):

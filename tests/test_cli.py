@@ -100,6 +100,20 @@ def test_invert_shear_composition(runner):
     assert rep["result"]["roundtrip_residual"] == "0"
 
 
+def test_invert_translated_ml_matches_fixed_point_loop(runner):
+    # the inverse at (1, 1) is not polynomial; the axis series is the one the
+    # full-order fixed-point loop printed before the precision ladder
+    r = runner.invoke(main, ["invert", _map("makar_limanov.json"),
+                             "--translate", "1,1", "-N", "8"])
+    assert r.exit_code == 0
+    res = _payload(r)["result"]
+    assert res["roundtrip_residual"] == "0"
+    assert res["axis_u"]["series"] == (
+        "-48004609/3221225472*u^8 - 714515/50331648*u^7 - 30499/2097152*u^6"
+        " - 2263/131072*u^5 - 275/16384*u^4 - 17/512*u^3 - 23/64*u^2 - 5/4*u"
+        " + O(u^9)")
+
+
 def test_invert_requires_origin_unless_translated(runner, tmp_path):
     mf = tmp_path / "shifted.json"
     mf.write_text(json.dumps({"name": "shifted", "p": "x + 1", "q": "y + x^2"}))

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from planejac import exceptional as exc
 from planejac.exceptional import (ExceptionalError, PlaneCurveSet,
                                   certify_nonproper, critical_values,
                                   exceptional_report, exceptional_set,
@@ -92,6 +93,23 @@ def test_certify_printed_rejects_overflowing_candidates_without_warnings(ml_map_
     assert [v["component"] for v in verdicts] == ["u^3 - v^2"]
     assert [s["count"] for s in verdicts[0]["samples"]] == [3, 3, 3, 3, 3]
     assert verdicts[0]["confirmed"]
+
+
+def test_certify_computes_the_trivariate_resultant_once(ml_map_printed, monkeypatch):
+    # every sample point is counted from one Res_y(P - u, Q - v); before,
+    # each of the 5 points recomputed it
+    cand = nonproper_candidates(ml_map_printed)
+    calls = []
+    real = exc.resultant_allow_constant
+
+    def counting(p, q, name):
+        calls.append(name)
+        return real(p, q, name)
+
+    monkeypatch.setattr(exc, "resultant_allow_constant", counting)
+    verdicts = certify_nonproper(ml_map_printed, cand, samples=5, seed=0, deg_geo=4)
+    assert calls == ["y"]
+    assert [s["count"] for s in verdicts[0]["samples"]] == [3, 3, 3, 3, 3]
 
 
 def test_certify_rejects_proper_curve():

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from planejac import series
 from planejac.gaussian import GaussianRational
 from planejac.poly import Poly, PolyMap, compose_map, jacobian
 from planejac.series import (SeriesMap, TruncSeries1, TruncSeries2,
-                             compose_truncated, detect_polynomial_tail,
-                             local_inverse, restrict_to_axis, translate_map,
-                             truncate)
+                             _poly_into_series, compose_truncated,
+                             detect_polynomial_tail, local_inverse,
+                             restrict_to_axis, translate_map, truncate)
 
 from conftest import (UV, XY, pe, random_automorphism, random_poly,
                       rename_xy_to_uv)
@@ -108,6 +109,128 @@ def test_local_inverse_recovers_exact_automorphism_inverse():
         G = local_inverse(M, n)
         assert G.g1 == truncate(rename_xy_to_uv(Minv.p), n)
         assert G.g2 == truncate(rename_xy_to_uv(Minv.q), n)
+
+
+# ------------------------------------------------- differential: old loops
+
+def _monomial_substitution(f, s1, s2, order):
+    """Oracle for _poly_into_series: one full series product per monomial."""
+    ix = f.vars.index("x") if "x" in f.vars else None
+    iy = f.vars.index("y") if "y" in f.vars else None
+    one = TruncSeries2(order, {(0, 0): _one(1)}, s1.vars)
+    pow1, pow2 = [one], [one]
+    result = TruncSeries2(order, {}, s1.vars)
+    for exps, c in f.terms.items():
+        ex = exps[ix] if ix is not None else 0
+        ey = exps[iy] if iy is not None else 0
+        for pw, s, e in ((pow1, s1, ex), (pow2, s2, ey)):
+            while len(pw) <= e:
+                pw.append(pw[-1] * s)
+        result = result + pow1[ex] * pow2[ey] * c
+    return result
+
+
+def _fixed_point_inverse(F, order):
+    """Oracle for local_inverse: G <- L^{-1}(Id - H o G) at full order until
+    it stops changing, with monomial-by-monomial substitution."""
+    (a, b), (c, d) = ([f.terms.get(e, _one(0)) for e in ((1, 0), (0, 1))]
+                      for f in (F.p, F.q))
+    det = a * d - b * c
+    inv = ((d / det, -b / det), (-c / det, a / det))
+    hp = F.p - Poly(XY, {(1, 0): a, (0, 1): b})
+    hq = F.q - Poly(XY, {(1, 0): c, (0, 1): d})
+    ident_u = TruncSeries2(order, {(1, 0): _one(1)})
+    ident_v = TruncSeries2(order, {(0, 1): _one(1)})
+    g1 = TruncSeries2(order, {(1, 0): inv[0][0], (0, 1): inv[0][1]})
+    g2 = TruncSeries2(order, {(1, 0): inv[1][0], (0, 1): inv[1][1]})
+    for _ in range(order):
+        r1 = ident_u - _monomial_substitution(hp, g1, g2, order)
+        r2 = ident_v - _monomial_substitution(hq, g1, g2, order)
+        n1 = r1 * inv[0][0] + r2 * inv[0][1]
+        n2 = r1 * inv[1][0] + r2 * inv[1][1]
+        if n1 == g1 and n2 == g2:
+            break
+        g1, g2 = n1, n2
+    return SeriesMap(g1, g2)
+
+
+def _random_series(rng, order, density=0.6):
+    return TruncSeries2(order, {
+        (i, j): GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(1, 3))
+        for i in range(order + 1) for j in range(order + 1 - i) if rng.random() < density
+    })
+
+
+def _higher_part(f):
+    return Poly(XY, {e: c for e, c in f.terms.items() if sum(e) >= 2})
+
+
+def _differential_maps(ml_map):
+    rng = random.Random(7)
+    maps = []
+    for _ in range(3):
+        h1 = _higher_part(random_poly(rng, max_deg=4, n_terms=8))
+        h2 = _higher_part(random_poly(rng, max_deg=4, n_terms=8))
+        maps.append(PolyMap(pe("x") + h1, pe("y") + h2))
+    for _ in range(3):
+        maps.append(random_automorphism(rng)[0])
+    # a linear part that is neither the identity nor a permutation
+    h1 = _higher_part(random_poly(rng, max_deg=3, n_terms=4))
+    h2 = _higher_part(random_poly(rng, max_deg=3, n_terms=4))
+    maps.append(PolyMap(pe("2*x + i*y") + h1, pe("x - 3*y") + h2))
+    # the canonical non-invertible map at (1, 1): its inverse is no polynomial
+    maps.append(translate_map(ml_map, _one(1), _one(1)))
+    return maps
+
+
+def test_local_inverse_matches_fixed_point_loop(ml_map):
+    for F in _differential_maps(ml_map):
+        for n in range(1, 11):
+            G = local_inverse(F, n)
+            assert G.order == n
+            assert G == _fixed_point_inverse(F, n)
+
+
+def test_poly_into_series_matches_monomial_substitution():
+    rng = random.Random(13)
+    polys = [random_poly(rng, max_deg=4, n_terms=6) for _ in range(4)]
+    polys += [
+        Poly(("y", "x"), {(3, 1): _one(2), (0, 2): GaussianRational(1, -1, 3), (1, 0): _one(-1)}),
+        pe("x^4 - 3*x^2 + x"),
+        Poly(("x",), {(3,): _one(5), (1,): GaussianRational(0, 1)}),
+        pe("7 + x*y^2"),
+        Poly.const(GaussianRational(2, 3, 5), XY),
+        Poly(XY, {}),
+    ]
+    for n in range(1, 7):
+        for extra in (0, 2):
+            s1 = _random_series(rng, n + extra)
+            s2 = _random_series(rng, n + extra)
+            shared = []
+            for f in polys:
+                want = _monomial_substitution(f, s1, s2, n)
+                assert _poly_into_series(f, s1, s2, n) == want
+                # the powers of s1 cached by one call serve the next
+                assert _poly_into_series(f, s1, s2, n, shared) == want
+
+
+def test_local_inverse_climbs_one_order_per_pass(monkeypatch):
+    # pass k substitutes into both components of H at order k + 1; a loop
+    # that ran every pass at full order would show up here
+    orders = []
+    real = series._poly_into_series
+
+    def recording(f, s1, s2, order, pow1=None):
+        orders.append(order)
+        return real(f, s1, s2, order, pow1)
+
+    monkeypatch.setattr(series, "_poly_into_series", recording)
+    F = PolyMap(pe("x + y^2"), pe("y + x^3"))
+    for n in (1, 2, 9):
+        orders.clear()
+        local_inverse(F, n)
+        assert len(orders) == 2 * (n - 1)
+        assert orders == [k + 1 for k in range(1, n) for _ in range(2)]
 
 
 # ---------------------------------------------------------------- translation
