@@ -205,27 +205,13 @@ _SHEAR_LAMBDAS = (
 )
 
 
-def _preimage_count(F, u0, v0, tol=1e-7, res_y=None):
-    """Number of distinct finite solutions of F = (u0, v0).
-
-    Exact Gaussian-rational targets are counted exactly; complex targets
-    (e.g. sampled points on a candidate curve) fall back to a numeric count
-    from Res_y(P-u, Q-v), passed as `res_y` when the caller already has it.
-    """
-    try:
-        ue = GaussianRational.coerce(u0)
-        ve = GaussianRational.coerce(v0)
-    except TypeError:
-        return _preimage_count_numeric(F, complex(u0), complex(v0), tol, res_y)
-    return _preimage_count_exact(F, ue, ve)
-
-
 def _preimage_count_exact(F, u0, v0):
-    """Exact count: shear to generic coordinates so both components have a
-    constant leading coefficient in y, substitute the target exactly, and
-    read off the squarefree degree of the univariate resultant.  Each shear
-    can only undercount (when two solutions share an x); the maximum over
-    agreeing shears is the fiber size."""
+    """Number of distinct finite solutions of F = (u0, v0) for a
+    Gaussian-rational target.  Shear to generic coordinates so both
+    components have a constant leading coefficient in y, substitute the
+    target exactly, and read off the squarefree degree of the univariate
+    resultant.  Each shear can only undercount (when two solutions share an
+    x); the maximum over agreeing shears is the fiber size."""
     xv = Poly.var("x", ("x", "y"))
     yv = Poly.var("y", ("x", "y"))
     counts = []
@@ -249,20 +235,19 @@ def _preimage_count_exact(F, u0, v0):
     return max(counts)
 
 
-def _preimage_count_numeric(F, u0, v0, tol=1e-7, res_y=None):
-    """Numeric count for complex targets.
+def _preimage_count_numeric(F, u0, v0, res_y, tol=1e-7):
+    """Number of distinct finite solutions of F = (u0, v0) for a complex
+    target (e.g. a sampled point on a candidate curve).
 
     Candidate solutions come from the exact trivariate resultant
-    Res_y(P-u, Q-v) specialized at the target (x-values) and from the two
-    univariate slices at each x (y-values).  A candidate whose residuals
-    already sit at the roundoff bound is accepted directly; otherwise it is
-    polished by Newton iteration on the full 2x2 system.  Accepted solutions
-    are deduplicated."""
-    r = res_y if res_y is not None else resultant_allow_constant(
-        *_shifted_components(F), "y")
-    if r.is_constant():
+    res_y = Res_y(P-u, Q-v) specialized at the target (x-values) and from
+    the two univariate slices at each x (y-values).  A candidate whose
+    residuals already sit at the roundoff bound is accepted directly;
+    otherwise it is polished by Newton iteration on the full 2x2 system.
+    Accepted solutions are deduplicated."""
+    if res_y.is_constant():
         return 0
-    cl, cb = _specialized_with_bounds(r, "x", {"u": u0, "v": v0})
+    cl, cb = _specialized_with_bounds(res_y, "x", {"u": u0, "v": v0})
     cl = _strip_leading_bounded(cl, cb)
     if len(cl) <= 1:
         if not cl:
@@ -394,7 +379,7 @@ def topological_degree(F, trials=3, seed=0, tol=1e-9, max_retries=60, avoid=None
         if not avoid.is_constant():
             if abs(complex(avoid.evaluate({"u": u0, "v": v0}))) < tol:
                 continue
-        samples.append(((u0, v0), _preimage_count(F, u0, v0)))
+        samples.append(((u0, v0), _preimage_count_exact(F, u0, v0)))
     counts = sorted({c for _, c in samples})
     agreed = len(counts) == 1
     if not agreed:
@@ -444,7 +429,7 @@ def certify_nonproper(F, curve, samples=5, seed=0, deg_geo=None, tol=1e-9):
                 else:
                     for w in us[: samples - len(pts)]:
                         pts.append((complex(w), complex(v1)))
-        counts = [_preimage_count(F, u0, v0, res_y=res_y) for u0, v0 in pts]
+        counts = [_preimage_count_numeric(F, u0, v0, res_y) for u0, v0 in pts]
         verdicts.append({
             "tag": tag,
             "component": str(comp),

@@ -220,27 +220,28 @@ def truncate(f, order, vars=("u", "v")):
     return TruncSeries2(order, terms, vars)
 
 
-def _poly_into_series(f, s1, s2, order, pow1=None):
-    """f(x, y) with the two series substituted, truncated at `order`.
+def _map_into_series(p, q, s1, s2, order):
+    """(p(s1, s2), q(s1, s2)) truncated at `order`.
 
-    f is grouped as sum_j c_j(x) y^j: each c_j(s1) is a scalar combination
-    of the powers of s1, and the sum is evaluated by Horner's rule in s2, so
-    the series products number max deg_x f plus max deg_y f.  `pow1` is a
-    cache of the powers of s1 at `order` (index = exponent), shared by calls
-    that substitute the same s1.
+    Each polynomial is grouped as sum_j c_j(x) y^j: each c_j(s1) is a scalar
+    combination of the powers of s1, which both polynomials share, and the
+    sum is evaluated by Horner's rule in s2, so the series products number
+    the larger x-degree plus the y-degree of each polynomial.
     """
-    ix = f.vars.index("x") if "x" in f.vars else None
-    iy = f.vars.index("y") if "y" in f.vars else None
-    rows = {}
-    for exps, c in f.terms.items():
-        ex = exps[ix] if ix is not None else 0
-        row = rows.setdefault(exps[iy] if iy is not None else 0, {})
-        row[ex] = row.get(ex, GR_ZERO) + c
-    if not rows:
-        return TruncSeries2(order, {}, s1.vars)
-    pow1 = [] if pow1 is None else pow1
-    while len(pow1) <= max(max(row) for row in rows.values()):
-        pow1.append(pow1[-1] * s1 if pow1 else TruncSeries2(order, {(0, 0): GR_ONE}, s1.vars))
+    grouped = []
+    for f in (p, q):
+        ix = f.vars.index("x") if "x" in f.vars else None
+        iy = f.vars.index("y") if "y" in f.vars else None
+        rows = {}
+        for exps, c in f.terms.items():
+            ex = exps[ix] if ix is not None else 0
+            row = rows.setdefault(exps[iy] if iy is not None else 0, {})
+            row[ex] = row.get(ex, GR_ZERO) + c
+        grouped.append(rows)
+    top_x = max((ex for rows in grouped for row in rows.values() for ex in row), default=0)
+    pow1 = [TruncSeries2(order, {(0, 0): GR_ONE}, s1.vars)]
+    while len(pow1) <= top_x:
+        pow1.append(pow1[-1] * s1)
 
     def c_of_s1(row):
         terms = {}
@@ -250,13 +251,19 @@ def _poly_into_series(f, s1, s2, order, pow1=None):
                 terms[e] = k * c if s is None else s + k * c
         return TruncSeries2(min(pow1[ex].order for ex in row), terms, s1.vars)
 
-    top_y = max(rows)
-    result = c_of_s1(rows[top_y])
-    for j in range(top_y - 1, -1, -1):
-        result = result * s2
-        if j in rows:
-            result = result + c_of_s1(rows[j])
-    return result
+    out = []
+    for rows in grouped:
+        if not rows:
+            out.append(TruncSeries2(order, {}, s1.vars))
+            continue
+        top_y = max(rows)
+        result = c_of_s1(rows[top_y])
+        for j in range(top_y - 1, -1, -1):
+            result = result * s2
+            if j in rows:
+                result = result + c_of_s1(rows[j])
+        out.append(result)
+    return tuple(out)
 
 
 def compose_truncated(G, F, order=None):
@@ -268,13 +275,7 @@ def compose_truncated(G, F, order=None):
     n = order if order is not None else G.order
     if G.g1.constant() or G.g2.constant():
         raise ValueError("inner series must fix the origin (constant-term mismatch)")
-    g1 = G.g1.truncated(n)
-    g2 = G.g2.truncated(n)
-    pow1 = []
-    return SeriesMap(
-        _poly_into_series(F.p, g1, g2, n, pow1),
-        _poly_into_series(F.q, g1, g2, n, pow1),
-    )
+    return SeriesMap(*_map_into_series(F.p, F.q, G.g1.truncated(n), G.g2.truncated(n), n))
 
 
 def local_inverse(F, order):
@@ -315,9 +316,9 @@ def local_inverse(F, order):
         # lift to order n (`truncated` only ever lowers an order)
         g1 = TruncSeries2(n, g1.terms)
         g2 = TruncSeries2(n, g2.terms)
-        pow1 = []
-        r1 = ident_u - _poly_into_series(hp, g1, g2, n, pow1)
-        r2 = ident_v - _poly_into_series(hq, g1, g2, n, pow1)
+        h1, h2 = _map_into_series(hp, hq, g1, g2, n)
+        r1 = ident_u - h1
+        r2 = ident_v - h2
         g1 = r1 * inv[0][0] + r2 * inv[0][1]
         g2 = r1 * inv[1][0] + r2 * inv[1][1]
     return SeriesMap(g1, g2)

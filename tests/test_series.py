@@ -6,7 +6,7 @@ from planejac import series
 from planejac.gaussian import GaussianRational
 from planejac.poly import Poly, PolyMap, compose_map, jacobian
 from planejac.series import (SeriesMap, TruncSeries1, TruncSeries2,
-                             _poly_into_series, compose_truncated,
+                             _map_into_series, compose_truncated,
                              detect_polynomial_tail, local_inverse,
                              restrict_to_axis, translate_map, truncate)
 
@@ -114,7 +114,7 @@ def test_local_inverse_recovers_exact_automorphism_inverse():
 # ------------------------------------------------- differential: old loops
 
 def _monomial_substitution(f, s1, s2, order):
-    """Oracle for _poly_into_series: one full series product per monomial."""
+    """Oracle for _map_into_series: one full series product per monomial."""
     ix = f.vars.index("x") if "x" in f.vars else None
     iy = f.vars.index("y") if "y" in f.vars else None
     one = TruncSeries2(order, {(0, 0): _one(1)}, s1.vars)
@@ -191,7 +191,7 @@ def test_local_inverse_matches_fixed_point_loop(ml_map):
             assert G == _fixed_point_inverse(F, n)
 
 
-def test_poly_into_series_matches_monomial_substitution():
+def test_map_into_series_matches_monomial_substitution():
     rng = random.Random(13)
     polys = [random_poly(rng, max_deg=4, n_terms=6) for _ in range(4)]
     polys += [
@@ -206,31 +206,30 @@ def test_poly_into_series_matches_monomial_substitution():
         for extra in (0, 2):
             s1 = _random_series(rng, n + extra)
             s2 = _random_series(rng, n + extra)
-            shared = []
-            for f in polys:
-                want = _monomial_substitution(f, s1, s2, n)
-                assert _poly_into_series(f, s1, s2, n) == want
-                # the powers of s1 cached by one call serve the next
-                assert _poly_into_series(f, s1, s2, n, shared) == want
+            # each polynomial once as p and once as q, beside one of another
+            # x-degree: the powers of s1 both share must cover the larger
+            for f, g in zip(polys, polys[1:] + polys[:1]):
+                want = (_monomial_substitution(f, s1, s2, n),
+                        _monomial_substitution(g, s1, s2, n))
+                assert _map_into_series(f, g, s1, s2, n) == want
 
 
 def test_local_inverse_climbs_one_order_per_pass(monkeypatch):
     # pass k substitutes into both components of H at order k + 1; a loop
     # that ran every pass at full order would show up here
     orders = []
-    real = series._poly_into_series
+    real = series._map_into_series
 
-    def recording(f, s1, s2, order, pow1=None):
+    def recording(p, q, s1, s2, order):
         orders.append(order)
-        return real(f, s1, s2, order, pow1)
+        return real(p, q, s1, s2, order)
 
-    monkeypatch.setattr(series, "_poly_into_series", recording)
+    monkeypatch.setattr(series, "_map_into_series", recording)
     F = PolyMap(pe("x + y^2"), pe("y + x^3"))
     for n in (1, 2, 9):
         orders.clear()
         local_inverse(F, n)
-        assert len(orders) == 2 * (n - 1)
-        assert orders == [k + 1 for k in range(1, n) for _ in range(2)]
+        assert orders == list(range(2, n + 1))
 
 
 # ---------------------------------------------------------------- translation
