@@ -102,7 +102,7 @@ def test_invert_shear_composition(runner):
 
 def test_invert_translated_ml_matches_fixed_point_loop(runner):
     # the inverse at (1, 1) is not polynomial; the axis series is the one the
-    # full-order fixed-point loop printed before the precision ladder
+    # full-order fixed-point loop computes
     r = runner.invoke(main, ["invert", _map("makar_limanov.json"),
                              "--translate", "1,1", "-N", "8"])
     assert r.exit_code == 0

@@ -96,8 +96,7 @@ def test_certify_printed_rejects_overflowing_candidates_without_warnings(ml_map_
 
 
 def test_certify_computes_the_trivariate_resultant_once(ml_map_printed, monkeypatch):
-    # every sample point is counted from one Res_y(P - u, Q - v); before,
-    # each of the 5 points recomputed it
+    # every sample point is counted from one Res_y(P - u, Q - v)
     cand = nonproper_candidates(ml_map_printed)
     calls = []
     real = exc.resultant_allow_constant

@@ -111,7 +111,7 @@ def test_local_inverse_recovers_exact_automorphism_inverse():
         assert G.g2 == truncate(rename_xy_to_uv(Minv.q), n)
 
 
-# ------------------------------------------------- differential: old loops
+# ------------------------------------------- differential: reference loops
 
 def _monomial_substitution(f, s1, s2, order):
     """Oracle for _map_into_series: one full series product per monomial."""
