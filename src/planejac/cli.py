@@ -268,7 +268,7 @@ def exceptional(mapfile, **kw):
         "nonproper_candidates": rep.candidates.to_json(),
         "critical_values": rep.critical.to_json(),
         "deg_geo": rep.degree.to_json(),
-        "certification": f"certified by sampling ({cfg.samples} points, tolerance {cfg.tol})",
+        "certification": f"certified by sampling ({cfg.samples} points, tolerance {exc.CERTIFY_TOL})",
     }
     emit("exceptional", meta, cfg, result, not kw["output_json"],
          [f"{meta['name']}: A_F defined by {result['defining']} (deg_geo = {rep.degree.deg_geo})"])

@@ -12,13 +12,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .gaussian import GR_ZERO, GaussianRational
-from .poly import (Poly, PolyMap, divides, jacobian, poly_gcd,
+from .poly import (Poly, PolyMap, cont_pp_static, divides, jacobian, poly_gcd,
                    resultant_allow_constant, squarefree_part)
-from .roots import RootFindingError, cluster_roots, find_roots, poly_roots
+from .roots import SAMPLE_ZERO_REL, RootFindingError, Slice, cluster_roots
+
+#: relative residual under which a polished sample preimage counts as a solution
+CERTIFY_TOL = 1e-7
 
 UV = ("u", "v")
 
@@ -57,6 +61,16 @@ class PlaneCurveSet:
 
     def is_empty(self):
         return self.defining.is_constant()
+
+    @cached_property
+    def u_slice(self):
+        """The defining polynomial as a Slice in u, built once per curve."""
+        return Slice(self.defining, "u")
+
+    @cached_property
+    def v_slice(self):
+        """The defining polynomial as a Slice in v, built once per curve."""
+        return Slice(self.defining, "v")
 
     def contains(self, u0, v0, tol=1e-9):
         if self.is_empty():
@@ -140,52 +154,6 @@ def nonproper_candidates(F):
 # --------------------------------------------------------------------------
 # numeric preimage counting (shared by certification and degree)
 
-def _strip_leading(cl, eps):
-    nz = [i for i, c in enumerate(cl) if abs(c) > eps]
-    return cl[nz[0]:] if nz else []
-
-
-def _specialized_with_bounds(f, var, values):
-    """Dense descending complex coefficient list of f viewed in `var`, with
-    every other variable specialized at complex `values`, and per-coefficient
-    magnitude bounds (sum of |term| at |values|): the roundoff in each
-    specialized coefficient is a tiny multiple of its bound, never of the
-    global scale."""
-    cs = f.coeffs_in(var)
-    if not cs:
-        return [], []
-    mags = {w: abs(complex(values.get(w, 0))) for w in f.vars}
-    top = max(cs)
-    cl, bounds = [], []
-    for d in range(top, -1, -1):
-        c = cs.get(d)
-        if c is None:
-            cl.append(0j)
-            bounds.append(0.0)
-            continue
-        if c.is_constant():
-            cl.append(complex(c.constant_value()))
-            bounds.append(abs(cl[-1]))
-            continue
-        cl.append(complex(c.evaluate({w: complex(values.get(w, 0)) for w in c.vars})))
-        b = 0.0
-        for exps, k in c.terms.items():
-            m = abs(complex(k))
-            for w, e in zip(c.vars, exps):
-                if e:
-                    m *= mags[w] ** e
-            b += m
-        bounds.append(b)
-    return cl, bounds
-
-
-def _strip_leading_bounded(cl, bounds, rel=1e-9):
-    i = 0
-    while i < len(cl) and abs(cl[i]) <= rel * max(1.0, bounds[i]):
-        i += 1
-    return cl[i:]
-
-
 def _term_magnitude_bound(f, x0, y0):
     """1 + sum of |coeff| * |x0|^ex * |y0|^ey over the terms of f."""
     ax, ay = abs(x0), abs(y0)
@@ -235,25 +203,26 @@ def _preimage_count_exact(F, u0, v0):
     return max(counts)
 
 
-def _preimage_count_numeric(F, u0, v0, res_y, tol=1e-7):
+#: the y-roots of a slice whose solve failed: not constant, and no candidates
+_UNSOLVED = ()
+
+
+def _preimage_count_numeric(F, u0, v0, res_x):
     """Number of distinct finite solutions of F = (u0, v0) for a complex
     target (e.g. a sampled point on a candidate curve).
 
     Candidate solutions come from the exact trivariate resultant
-    res_y = Res_y(P-u, Q-v) specialized at the target (x-values) and from
-    the two univariate slices at each x (y-values).  A candidate whose
-    residuals already sit at the roundoff bound is accepted directly;
-    otherwise it is polished by Newton iteration on the full 2x2 system.
-    Accepted solutions are deduplicated."""
-    if res_y.is_constant():
+    Res_y(P-u, Q-v), sliced in x as ``res_x`` and specialized at the target
+    (x-values), and from the two univariate slices at each x (y-values).  A
+    candidate whose residuals already sit at the roundoff bound is accepted
+    directly; otherwise it is polished by Newton iteration on the full 2x2
+    system.  Accepted solutions are deduplicated."""
+    xs = res_x.roots([(u0, v0)], SAMPLE_ZERO_REL)[0]
+    if xs is None:
+        raise ExceptionalError("resultant vanished identically at the target")
+    if len(xs) == 0:
         return 0
-    cl, cb = _specialized_with_bounds(res_y, "x", {"u": u0, "v": v0})
-    cl = _strip_leading_bounded(cl, cb)
-    if len(cl) <= 1:
-        if not cl:
-            raise ExceptionalError("resultant vanished identically at the target")
-        return 0
-    xs = find_roots(cl)
+    in_y = ((Slice(F.p, "y"), u0), (Slice(F.q, "y"), v0))
     fx, fy = F.p.diff("x"), F.p.diff("y")
     gx, gy = F.q.diff("x"), F.q.diff("y")
 
@@ -281,29 +250,25 @@ def _preimage_count_numeric(F, u0, v0, res_y, tol=1e-7):
     count = 0
     solutions = []
     for x0, _ in cluster_roots(xs, tol=1e-6):
-        pcl = _slice_in_y(F.p, x0, u0)
-        qcl = _slice_in_y(F.q, x0, v0)
-        if (pcl is not None and len(pcl) == 1) or (qcl is not None and len(qcl) == 1):
+        # y-roots of P(x0, .) = u0 and Q(x0, .) = v0: None when the equation
+        # holds identically, empty when it never holds; a failed solve
+        # offers no candidates
+        ys = []
+        for sl, target in in_y:
+            try:
+                ys.append(sl.roots([x0], SAMPLE_ZERO_REL, shift=target)[0])
+            except RootFindingError:
+                ys.append(_UNSOLVED)
+        if any(r is not None and r is not _UNSOLVED and len(r) == 0 for r in ys):
             continue  # one equation is a nonzero constant on the slice
-        if pcl is None and qcl is None:
+        if ys[0] is None and ys[1] is None:
             continue  # the whole vertical line maps to the target
-        if pcl is None or qcl is None:
+        if ys[0] is None or ys[1] is None:
             # one equation holds identically on the line: the other alone
             # cuts the fiber there, and its roots are exact by construction
-            single = qcl if pcl is None else pcl
-            try:
-                rs = find_roots(single)
-            except RootFindingError:
-                continue
-            count += len(cluster_roots(rs, tol=1e-6))
+            count += len(cluster_roots(ys[1] if ys[0] is None else ys[0], tol=1e-6))
             continue
-        candidates = []
-        for slice_cl in (pcl, qcl):
-            try:
-                candidates.extend(find_roots(slice_cl))
-            except RootFindingError:
-                pass
-        for y0 in candidates:
+        for y0 in (*ys[0], *ys[1]):
             # a far-out candidate overflows in complex128: its residuals or
             # bounds come out inf or NaN, and it is rejected below
             with np.errstate(over="ignore", invalid="ignore"):
@@ -320,29 +285,19 @@ def _preimage_count_numeric(F, u0, v0, res_y, tol=1e-7):
                         x1, y1 = _polish(x0, y0)
                         rp = abs(_ev(F.p, x1, y1) - u0)
                         rq = abs(_ev(F.q, x1, y1) - v0)
+                    sp = abs(u0) + _term_magnitude_bound(F.p, x1, y1)
+                    sq = abs(v0) + _term_magnitude_bound(F.q, x1, y1)
                 except (OverflowError, ZeroDivisionError):
                     continue
-                sp = abs(u0) + _term_magnitude_bound(F.p, x1, y1)
-                sq = abs(v0) + _term_magnitude_bound(F.q, x1, y1)
             if not all(map(math.isfinite, (rp, rq, sp, sq))):
                 continue
-            if not (rp <= tol * sp and rq <= tol * sq):
+            if not (rp <= CERTIFY_TOL * sp and rq <= CERTIFY_TOL * sq):
                 continue
             if all(max(abs(x1 - xs_), abs(y1 - ys_)) >
                    1e-6 * (1 + max(abs(x1), abs(y1)))
                    for xs_, ys_ in solutions):
                 solutions.append((x1, y1))
     return count + len(solutions)
-
-
-def _slice_in_y(f, x0, target):
-    """Coefficients of f(x0, y) - target in y, stripped by per-coefficient
-    roundoff bounds.  None when the slice is identically the target."""
-    cl, cb = _specialized_with_bounds(f, "y", {"x": x0})
-    cl[-1] -= target
-    cb[-1] += abs(target)
-    cl = _strip_leading_bounded(cl, cb)
-    return None if not cl else cl
 
 
 def _random_rational(rng, lo=-9, hi=9):
@@ -389,10 +344,10 @@ def topological_degree(F, trials=3, seed=0, tol=1e-9, max_retries=60, avoid=None
     return DegreeReport(deg_geo=counts[0], samples=samples, agreed=True)
 
 
-def certify_nonproper(F, curve, samples=5, seed=0, deg_geo=None, tol=1e-9):
+def certify_nonproper(F, curve, samples=5, seed=0, deg_geo=None):
     """Per-component verdicts: a candidate component is confirmed non-proper
     when the finite-preimage count drops strictly below deg_geo at every
-    sampled point of the component."""
+    sampled point of the component (solutions accepted at CERTIFY_TOL)."""
     if samples < 1:
         raise ValueError("need at least one sample")
     if deg_geo is None:
@@ -401,9 +356,12 @@ def certify_nonproper(F, curve, samples=5, seed=0, deg_geo=None, tol=1e-9):
     comps = curve.component_polys or (
         [] if curve.is_empty() else [("candidate", curve.defining)]
     )
-    res_y = resultant_allow_constant(*_shifted_components(F), "y") if comps else None
+    if comps:
+        res_y = resultant_allow_constant(*_shifted_components(F), "y")
+        res_x = Slice(res_y._with_vars(("x", "u", "v")), "x")
     verdicts = []
     for tag, comp in comps:
+        in_v, in_u = Slice(comp, "v"), Slice(comp, "u")
         pts = []
         attempts = 0
         while len(pts) < samples:
@@ -413,7 +371,7 @@ def certify_nonproper(F, curve, samples=5, seed=0, deg_geo=None, tol=1e-9):
                 )
             attempts += 1
             u0 = _random_rational(rng)
-            vs = poly_roots(comp, "v", {"u": u0})
+            vs = in_v.exact_roots([u0])
             if vs is None:
                 # defining(u0, .) vanishes identically: any v works
                 pts.append((complex(u0), complex(_random_rational(rng))))
@@ -423,13 +381,13 @@ def certify_nonproper(F, curve, samples=5, seed=0, deg_geo=None, tol=1e-9):
             else:
                 # no v over this u0 (e.g. a vertical line): solve for u instead
                 v1 = _random_rational(rng)
-                us = poly_roots(comp, "u", {"v": v1})
+                us = in_u.exact_roots([v1])
                 if us is None:
                     pts.append((complex(_random_rational(rng)), complex(v1)))
                 else:
                     for w in us[: samples - len(pts)]:
                         pts.append((complex(w), complex(v1)))
-        counts = [_preimage_count_numeric(F, u0, v0, res_y) for u0, v0 in pts]
+        counts = [_preimage_count_numeric(F, u0, v0, res_x) for u0, v0 in pts]
         verdicts.append({
             "tag": tag,
             "component": str(comp),
@@ -445,37 +403,6 @@ def certify_nonproper(F, curve, samples=5, seed=0, deg_geo=None, tol=1e-9):
 # --------------------------------------------------------------------------
 # critical values
 
-def _content_in(f, keep):
-    """gcd of the coefficients of f viewed in `keep`; a poly in the others."""
-    cs = list(f.coeffs_in(keep).values())
-    g = cs[0]
-    for c in cs[1:]:
-        g = poly_gcd(g, c)
-    return g
-
-
-def _exact_div_or_raise(f, g):
-    from .poly import exact_div
-    q = exact_div(f, g)
-    if q is None:
-        raise ExceptionalError("internal: content division failed")
-    return q
-
-
-def _axis_content(f, var):
-    """gcd of the coefficients of f viewed in the OTHER plane variable; a
-    polynomial in `var` whose roots r are exactly the full lines {var = r}
-    inside {f = 0}."""
-    other = "y" if var == "x" else "x"
-    if (f.degree_in(other) or 0) == 0:
-        return f
-    cs = list(f.coeffs_in(other).values())
-    g = cs[0]
-    for c in cs[1:]:
-        g = poly_gcd(g, c)
-    return g
-
-
 def _line_image_factors(F, d_poly, var):
     """Factors in (u, v) contributed by critical lines {var = r} for the
     numerically-found roots r of the univariate content d_poly.  Point images
@@ -484,18 +411,18 @@ def _line_image_factors(F, d_poly, var):
     factors = []
     if d_poly.is_constant():
         return factors
-    roots = poly_roots(d_poly, var)
+    roots = Slice(d_poly._with_vars((var,)), var).exact_roots(())
     if roots is None:
         raise ExceptionalError("degenerate content in critical-value elimination")
     other = "y" if var == "x" else "x"
+    along = [Slice(comp, other) for comp in (F.p, F.q)]
     for r, _ in cluster_roots(roots, tol=1e-8):
-        # image of the line var = r, parametrized by the other variable
+        # image of the line var = r, parametrized by the other variable: a
+        # coordinate is constant along it when its slice has no root
         imgs = []
-        for comp in (F.p, F.q):
-            cs = comp.coeffs_in(other)
-            top = [complex(cs[d].evaluate({var: r})) if d in cs else 0j
-                   for d in range(max(cs), 0, -1)]
-            imgs.append(all(abs(c) <= 1e-9 for c in top))
+        for sl in along:
+            ys = sl.roots([r], SAMPLE_ZERO_REL)[0]
+            imgs.append(ys is None or len(ys) == 0)
         if imgs[0] and imgs[1]:
             continue  # both coordinates constant along the line: point image
         for const_here, target in ((imgs[0], "u"), (imgs[1], "v")):
@@ -529,12 +456,10 @@ def _eliminate_order(F, pp, first):
         return None
     # strip spurious univariate contents (pp has no line components, so any
     # content in the surviving source variable is an elimination artifact)
-    c1 = _content_in(t1, "u") if not t1.is_constant() and t1.degree_in("u") > 0 else t1
-    c2 = _content_in(t2, "v") if not t2.is_constant() and t2.degree_in("v") > 0 else t2
-    if not c1.is_constant():
-        t1 = _exact_div_or_raise(t1, c1._with_vars(t1.vars))
-    if not c2.is_constant():
-        t2 = _exact_div_or_raise(t2, c2._with_vars(t2.vars))
+    if not t1.is_constant():
+        _, t1 = cont_pp_static(t1, "u")
+    if not t2.is_constant():
+        _, t2 = cont_pp_static(t2, "v")
     if t1.degree_in(second) == 0 and t2.degree_in(second) == 0:
         # the two constraints no longer share a source variable: their common
         # zero set is a finite point set, and isolated image points are not
@@ -563,10 +488,10 @@ def critical_values(F):
     line_factors = []
     pp = jsf
     for var in ("x", "y"):
-        cont = _axis_content(pp, var)
-        if not cont.is_constant():
-            line_factors.extend(_line_image_factors(F, cont, var))
-            pp = _exact_div_or_raise(pp, cont._with_vars(pp.vars))
+        # the content in the other variable is a polynomial in `var` whose
+        # roots r are exactly the full lines {var = r} inside {pp = 0}
+        cont, pp = cont_pp_static(pp, "y" if var == "x" else "x")
+        line_factors.extend(_line_image_factors(F, cont, var))
     curves = []
     if not pp.is_constant():
         for first in ("y", "x"):
@@ -654,12 +579,7 @@ def line_intersections(curve, k):
         raise ExceptionalError(
             f"the line u = {k} is contained in the curve; intersection count undefined"
         )
-    slice_v = curve.defining.evaluate({"u": kq})
-    if hasattr(slice_v, "is_constant") and not slice_v.is_constant():
-        roots = find_roots(slice_v.complex_coeff_list("v"))
-        clustered = cluster_roots(roots, tol=1e-7)
-    else:
-        clustered = []
+    clustered = cluster_roots(curve.v_slice.exact_roots([kq]), tol=1e-7)
     return {
         "k": str(k),
         "roots": [

@@ -18,8 +18,8 @@ import numpy as np
 
 from .gaussian import GaussianInt, GaussianRational, lattice_point
 from .poly import Poly, PolyMap
-from .exceptional import PlaneCurveSet, _strip_leading
-from .roots import RootFindingError, find_roots, find_roots_batch
+from .exceptional import PlaneCurveSet
+from .roots import SLICE_ZERO_REL, RootFindingError, Slice, find_roots
 
 #: tolerance on all <= 1 comparisons; the quantities of interest sit far away
 VIOLATION_TOL = 1e-9
@@ -108,29 +108,6 @@ class MetricValue:
 ROUND_RADIUS = 0.51
 
 
-def _exact_y_coeffs(P, xq, m):
-    """Coefficients of P(x, .) at the exact ring point xq, as exact ring
-    elements, densely from the top degree."""
-    cs = P.coeffs_in("y")
-    top = max(cs)
-    out = []
-    for d in range(top, -1, -1):
-        c = cs.get(d)
-        if c is None:
-            out.append(None)
-        elif c.is_constant():
-            out.append(c.constant_value())
-        else:
-            out.append(c.evaluate({"x": xq}))
-    return out
-
-
-def _is_zero_elem(e):
-    if e is None:
-        return True
-    return not bool(e) if not hasattr(e, "u") else (not e.u and not e.v)
-
-
 def enumerate_fiber_points(P, k, box):
     """All box points (x, y) of the lattice with P(x, y) = k, verified by
     exact evaluation; degenerate slices where P(x, .) - k vanishes identically
@@ -140,30 +117,18 @@ def enumerate_fiber_points(P, k, box):
     kq = GaussianRational.coerce(k)
     m = box.ring_m
     sq = math.sqrt(m)
+    in_y = Slice(P, "y")
     pts = []
     line_xs = []
-    y_free = (P.degree_in("y") or 0) == 0
     for ax, bx in box.coords():
         xq = lattice_point(ax, bx, m)
-        if y_free:
-            val = P.evaluate({"x": xq, "y": lattice_point(0, 0, m)})
-            if _elem_equals(val, kq, m):
-                line_xs.append([ax, bx])
+        coeffs = in_y.exact([xq], shift=kq)
+        if coeffs is None:  # P(x, .) = k identically
+            line_xs.append([ax, bx])
             continue
-        coeffs = _exact_y_coeffs(P, xq, m)
-        ccoeffs = [0j if c is None else complex(c) for c in coeffs]
-        ccoeffs[-1] -= complex(kq)
-        # exact identically-zero test for the slice
-        nonconst_zero = all(_is_zero_elem(c) for c in coeffs[:-1])
-        const_val = coeffs[-1]
-        if nonconst_zero:
-            if (_is_zero_elem(const_val) and not kq) or (
-                    const_val is not None and _elem_equals(const_val, kq, m)):
-                line_xs.append([ax, bx])
+        if len(coeffs) == 1:
             continue
-        cl = _strip_leading(ccoeffs, 1e-12 * max(1.0, max(abs(c) for c in ccoeffs)))
-        if len(cl) <= 1:
-            continue
+        cl = [complex(c) for c in coeffs]
         try:
             roots = find_roots(cl)
         except RootFindingError:
@@ -218,71 +183,6 @@ def brute_force_fiber_points(P, k, box):
 # --------------------------------------------------------------------------
 # metrics
 
-class _CurveSlices:
-    """The defining polynomial f(u, v) of a curve as a dense array in one
-    free variable, built once and specialized at many values of the other
-    (fixed) variable: A[i, j] is the coefficient of free^(top-i) * fixed^j.
-    |A| gives each specialized coefficient a roundoff bound, the sum of its
-    absolute monomial values, so a coefficient is 'numerically zero' only
-    relative to the cancellation that produced it."""
-
-    def __init__(self, f, free_var):
-        if f.is_laurent():
-            raise ValueError("curve slicing needs a non-Laurent defining polynomial")
-        i = f.vars.index(free_var)
-        top = max(exps[i] for exps in f.terms)
-        width = max(sum(exps) - exps[i] for exps in f.terms)
-        self.A = np.zeros((top + 1, width + 1), dtype=np.complex128)
-        for exps, c in f.terms.items():
-            self.A[top - exps[i], sum(exps) - exps[i]] += complex(c)
-        self.absA = np.abs(self.A)
-
-    def coeffs(self, fix_vals):
-        """Descending slice coefficients (n, top+1) at each fixed value, and
-        their roundoff bounds."""
-        t = np.asarray(fix_vals, dtype=np.complex128)
-        powers = np.ones((t.shape[0], self.A.shape[1]), dtype=np.complex128)
-        for j in range(1, self.A.shape[1]):
-            powers[:, j] = powers[:, j - 1] * t
-        return powers @ self.A.T, np.abs(powers) @ self.absA.T
-
-
-def _row_roots(coeffs, bounds):
-    """Roots of one specialized slice, after stripping numerically zero
-    leading coefficients.  None when the slice vanishes identically."""
-    zero = np.abs(coeffs) <= 1e-12 * np.maximum(1.0, bounds)
-    if zero.all():
-        return None
-    cl = coeffs[np.argmin(zero):]
-    if len(cl) == 1:
-        return np.array([], dtype=complex)
-    return find_roots(cl)
-
-
-def _slice_roots(slices, fix_val):
-    """Roots of the curve's slice at one value of the fixed variable.
-    Returns None when the slice vanishes identically (a full line in the
-    curve), else an ndarray (possibly empty)."""
-    coeffs, bounds = slices.coeffs([fix_val])
-    return _row_roots(coeffs[0], bounds[0])
-
-
-def _slice_roots_batch(slices, fix_vals):
-    """_slice_roots at each value, as a list.  Rows whose leading
-    coefficient is numerically nonzero and whose trailing one is nonzero are
-    solved in one find_roots_batch call; the rest take the one-row path."""
-    coeffs, bounds = slices.coeffs(fix_vals)
-    batch = ((np.abs(coeffs[:, 0]) > 1e-12 * np.maximum(1.0, bounds[:, 0]))
-             & (coeffs[:, -1] != 0))
-    out = [None] * len(coeffs)
-    if batch.any():
-        for k, r in zip(np.flatnonzero(batch), find_roots_batch(coeffs[batch])):
-            out[k] = r
-    for k in np.flatnonzero(~batch):
-        out[k] = _row_roots(coeffs[k], bounds[k])
-    return out
-
-
 def dhat(q, curve, tol=VIOLATION_TOL):
     """d-hat(q, V) = max( min{|q1 - u| : (u, q2) in V},
                           min{|q2 - v| : (q1, v) in V} ),
@@ -291,8 +191,8 @@ def dhat(q, curve, tol=VIOLATION_TOL):
     if curve.is_empty():
         raise ValueError("d-hat requires a nonempty curve")
     q1, q2 = complex(q[0]), complex(q[1])
-    us = _slice_roots(_CurveSlices(curve.defining, "u"), q2)
-    vs = _slice_roots(_CurveSlices(curve.defining, "v"), q1)
+    us = curve.u_slice.roots([q2], SLICE_ZERO_REL)[0]
+    vs = curve.v_slice.roots([q1], SLICE_ZERO_REL)[0]
     if us is None:  # the line {v = q2} lies in the curve: q is on it
         m_u, w_u = 0.0, (q1, q2)
     elif len(us) == 0:
@@ -325,7 +225,6 @@ def dist_upper_bound(q, curve, refinement=30):
     if curve.is_empty():
         raise ValueError("Dist bound requires a nonempty curve")
     q1, q2 = complex(q[0]), complex(q[1])
-    in_v = _CurveSlices(curve.defining, "v")
     best_val, best_w = math.inf, None
 
     def consider(u0s):
@@ -333,7 +232,7 @@ def dist_upper_bound(q, curve, refinement=30):
         # best only when strictly closer, so the first of equals wins
         nonlocal best_val, best_w
         vs = [q2 if r is None else r  # None: the whole line {u = u0} is in the curve
-              for r in _slice_roots_batch(in_v, u0s)]
+              for r in curve.v_slice.roots(u0s, SLICE_ZERO_REL)]
         U = np.repeat(u0s, [np.size(r) for r in vs])
         if U.size == 0:
             return
@@ -344,7 +243,7 @@ def dist_upper_bound(q, curve, refinement=30):
             best_val, best_w = float(vals[i]), (complex(U[i]), complex(V[i]))
 
     # slice witnesses in both directions
-    us = _slice_roots(_CurveSlices(curve.defining, "u"), q2)
+    us = curve.u_slice.roots([q2], SLICE_ZERO_REL)[0]
     if us is None:
         return MetricValue(value=0.0, witness=(q1, q2), kind="dist-upper-bound")
     consider(np.concatenate([[q1], us]))

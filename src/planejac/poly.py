@@ -405,19 +405,6 @@ class Poly:
             sub[e] = sub.get(e, GR_ZERO) + c
         return {d: Poly(rest, t) for d, t in out.items() if any(t.values())}
 
-    def complex_coeff_list(self, name):
-        """Dense descending complex coefficient list in `name`; the polynomial
-        must involve no other variables."""
-        if self.used_vars() - {name}:
-            raise ValueError("polynomial is not univariate in " + name)
-        cs = self.coeffs_in(name)
-        if not cs:
-            return []
-        d = max(cs)
-        if min(cs) < 0:
-            raise ValueError("Laurent polynomial has no coefficient list")
-        return [complex(cs[k].constant_value()) if k in cs else 0j for k in range(d, -1, -1)]
-
 
 def _rat_pow(v, e):
     r = GR_ONE
@@ -631,10 +618,6 @@ class PolyMap:
 def jacobian(F):
     """P_x Q_y - P_y Q_x, exactly."""
     return F.p.diff("x") * F.q.diff("y") - F.p.diff("y") * F.q.diff("x")
-
-
-def partial_derivative(f, name):
-    return f.diff(name)
 
 
 def compose_map(f, F):

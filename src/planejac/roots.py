@@ -7,13 +7,19 @@ polish then refines each root against the coefficients themselves.  One
 path serves both entry points: ``find_roots`` is a one-row call of
 ``find_roots_batch``.
 
-Symbolic code never calls this; it only backs fiber enumeration, curve
-slicing, and distance certification.
+``Slice`` is the one way a polynomial is specialized to a univariate slice,
+exactly at ring points or numerically at many complex points, with one
+numeric zero rule for leading coefficients.  Symbolic code never calls this;
+it only backs fiber enumeration, curve slicing, and distance certification.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .gaussian import GR_ZERO, QuadElem
 
 
 class RootFindingError(RuntimeError):
@@ -125,20 +131,107 @@ def cluster_roots(roots, tol=1e-6):
     return out
 
 
-def poly_roots(poly, var, values=None, tol=TOL):
-    """Roots of an exact Poly specialized to a single variable.
+#: numeric zero rule of the lattice curve slices: a specialized coefficient
+#: c with |c| <= SLICE_ZERO_REL * max(1, bound) is zero
+SLICE_ZERO_REL = 1e-12
+#: the same rule in the exceptional layer, whose sample points lie on a
+#: candidate curve only to root-finding accuracy
+SAMPLE_ZERO_REL = 1e-9
 
-    values: exact or complex substitutions for every other variable.  Returns
-    a complex ndarray (empty when the specialized polynomial is a nonzero
-    constant); returns None when it vanishes identically.
-    """
-    spec = poly.evaluate(values) if values else poly
-    if hasattr(spec, "is_zero"):
-        if spec.is_zero():
+
+def _is_zero(c):
+    """Exact zero test of a GaussianRational or QuadElem; a QuadElem with
+    m = 1 is zero when u + v*i is."""
+    return c.equals_gaussian(GR_ZERO) if isinstance(c, QuadElem) else not c
+
+
+class Slice:
+    """A polynomial f viewed in one free variable, compiled once and
+    specialized at many values of the other (fixed) variables.
+
+    ``coeffs`` holds the exact coefficient polynomials in the fixed variables,
+    densely from the top degree (None where absent).  A[i, j] is the complex
+    coefficient of free^(top-i) times the fixed-variable monomial of column
+    j, the columns running flat over the exponents of the fixed variables
+    (with one fixed variable, column j is fixed^j).  |A| gives each
+    specialized coefficient a roundoff bound, the sum of its absolute
+    monomial values, so a coefficient is numerically zero only relative to
+    the cancellation that produced it."""
+
+    def __init__(self, f, free):
+        if f.is_laurent():
+            raise ValueError("slicing needs a non-Laurent polynomial")
+        self.fixed = tuple(w for w in f.vars if w != free)
+        cs = f.coeffs_in(free)
+        top = max(cs, default=0)
+        self.coeffs = [cs.get(d) for d in range(top, -1, -1)]
+        k = len(self.fixed)
+        dims = [max((e[j] for c in cs.values() for e in c.terms), default=0) + 1
+                for j in range(k)]
+        strides = [math.prod(dims[j + 1:]) for j in range(k)]
+        self.dims = dims
+        self.A = np.zeros((top + 1, math.prod(dims)), dtype=np.complex128)
+        for d, c in cs.items():
+            for exps, a in c.terms.items():
+                self.A[top - d, sum(e * s for e, s in zip(exps, strides))] += complex(a)
+        self.absA = np.abs(self.A)
+
+    def exact(self, values, shift=0):
+        """Descending coefficients of f - shift at exact values (GaussianRational
+        or QuadElem) of the fixed variables, exact leading zeros dropped; None
+        when the slice vanishes identically."""
+        point = dict(zip(self.fixed, values))
+        cs = [GR_ZERO if c is None else c.evaluate(point) for c in self.coeffs]
+        if shift:
+            cs[-1] = cs[-1] - shift
+        for i, c in enumerate(cs):
+            if not _is_zero(c):
+                return cs[i:]
+        return None
+
+    def exact_roots(self, values):
+        """Roots of the exact slice at ``values``: None when it vanishes
+        identically, an empty array when it is a nonzero constant."""
+        cs = self.exact(values)
+        if cs is None:
             return None
-        coeffs = spec.complex_coeff_list(var)
-    else:  # full substitution collapsed to a scalar
-        return None if spec == 0 else np.array([], dtype=np.complex128)
-    if len(coeffs) <= 1:
-        return np.array([], dtype=np.complex128)
-    return find_roots(coeffs, tol=tol)
+        if len(cs) == 1:
+            return np.array([], dtype=np.complex128)
+        return find_roots([complex(c) for c in cs])
+
+    def numeric(self, values):
+        """Descending slice coefficients (n, top+1) at n complex points, and
+        their roundoff bounds.  ``values`` is (n, k) for k fixed variables, or
+        (n,) when k = 1."""
+        t = np.asarray(values, dtype=np.complex128).reshape(len(values), -1)
+        powers = None
+        for j, w in enumerate(self.dims):
+            pw = np.ones((t.shape[0], w), dtype=np.complex128)
+            for e in range(1, w):
+                pw[:, e] = pw[:, e - 1] * t[:, j]
+            powers = pw if powers is None else (
+                powers[:, :, None] * pw[:, None, :]).reshape(t.shape[0], -1)
+        return powers @ self.A.T, np.abs(powers) @ self.absA.T
+
+    def roots(self, values, rel, shift=0):
+        """Roots of f - shift at each of n complex points, as a list: None
+        where every coefficient is numerically zero (|c| <= rel * max(1,
+        bound)), else the roots after the numerically zero leading
+        coefficients are dropped (empty for a nonzero constant).  Rows whose
+        leading coefficient is nonzero and whose trailing one is exactly
+        nonzero are solved in one find_roots_batch call."""
+        c, b = self.numeric(values)
+        if shift:
+            c[:, -1] -= shift
+            b[:, -1] += abs(shift)
+        zero = np.abs(c) <= rel * np.maximum(1.0, b)
+        batch = ~zero[:, 0] & (c[:, -1] != 0)
+        out = [None] * len(c)
+        if batch.any():
+            for i, r in zip(np.flatnonzero(batch), find_roots_batch(c[batch])):
+                out[i] = r
+        for i in np.flatnonzero(~batch):
+            if not zero[i].all():
+                cl = c[i, np.argmin(zero[i]):]
+                out[i] = find_roots(cl) if len(cl) > 1 else np.array([], dtype=np.complex128)
+        return out

@@ -133,6 +133,18 @@ def test_exceptional_ml(runner):
     assert rep["result"]["defining"] == "u^6 - v^4"
     assert rep["result"]["deg_geo"]["value"] == 4
     assert rep["result"]["components"][0]["confirmed"]
+    # the tolerance named is the one the preimage counts are accepted at
+    assert rep["result"]["certification"] == \
+        f"certified by sampling (5 points, tolerance {exc.CERTIFY_TOL})"
+    assert exc.CERTIFY_TOL == 1e-7
+
+
+def test_exceptional_printed_seed_30_survives_overflowing_candidates(runner):
+    # a far-out sample candidate overflows in the magnitude bound after the
+    # Newton polish; it is rejected, not raised
+    r = runner.invoke(main, ["exceptional", _map("makar_limanov_printed.json"), "--seed", "30"])
+    assert r.exit_code == 0, r.stderr
+    assert _payload(r)["result"]["deg_geo"]["value"] == 4
 
 
 STAGES = ("nonproper_candidates", "critical_values", "topological_degree",

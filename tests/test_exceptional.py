@@ -12,7 +12,7 @@ from planejac.exceptional import (ExceptionalError, PlaneCurveSet,
                                   topological_degree)
 from planejac.gaussian import GaussianRational
 from planejac.poly import Poly, PolyMap, compose_maps, jacobian
-from planejac.roots import poly_roots
+from planejac.roots import Slice
 
 from conftest import UV, pe, random_automorphism
 
@@ -151,9 +151,10 @@ def test_critical_values_pushforward_oracle(ml_map):
     jf = jacobian(ml_map)
     rng = random.Random(71)
     checked = 0
+    in_y = Slice(jf, "y")
     for _ in range(8):
         xq = GaussianRational(rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3))
-        ys = poly_roots(jf, "y", {"x": xq})
+        ys = in_y.exact_roots([xq])
         x0 = complex(xq)
         for y0 in ys:
             u0 = complex(ml_map.p.evaluate({"x": x0, "y": complex(y0)}))

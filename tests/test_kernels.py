@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from planejac import _kernels
-from planejac.gaussian import GaussianRational
-from planejac.roots import (TOL, RootFindingError, cluster_roots, find_roots,
-                            find_roots_batch, poly_roots)
+from planejac.gaussian import GR_ZERO, GaussianRational, lattice_point
+from planejac.roots import (SAMPLE_ZERO_REL, TOL, RootFindingError, Slice, cluster_roots,
+                            find_roots, find_roots_batch)
 
-from conftest import pe
+from conftest import pe, random_poly
 
 
 # ----------------------------------------------------------------- find_roots
@@ -109,24 +109,80 @@ def test_cluster_roots_tolerance_scales_with_magnitude():
     assert len(out) == 1 and out[0][1] == 2
 
 
-# ----------------------------------------------------------------- poly_roots
+# ------------------------------------------------------------- Slice roots
 
 def test_poly_roots_specialization():
     f = pe("y^2 - x")
-    rs = poly_roots(f, "y", {"x": GaussianRational(4)})
+    rs = Slice(f, "y").exact_roots([GaussianRational(4)])
     assert np.allclose(sorted(rs, key=lambda z: z.real), [-2, 2])
 
 
 def test_poly_roots_vanishing_slice_is_none():
     f = pe("x*y")
-    assert poly_roots(f, "y", {"x": GaussianRational(0)}) is None
+    assert Slice(f, "y").exact_roots([GaussianRational(0)]) is None
 
 
 def test_poly_roots_constant_slice_is_empty():
     f = pe("x*y + 1")
-    rs = poly_roots(pe("x + 1"), "y", {"x": GaussianRational(2)})
+    rs = Slice(pe("x + 1"), "y").exact_roots([GaussianRational(2)])
     assert rs is not None and len(rs) == 0
     del f
+
+
+def _gr(rng):
+    return GaussianRational(rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(1, 3))
+
+
+def test_slice_two_fixed_variables_match_exact_evaluation():
+    # the res_y case: a polynomial in (x, u, v) sliced in x at points (u0, v0)
+    rng = random.Random(211)
+    V = ("x", "u", "v")
+    for _ in range(25):
+        f = random_poly(rng, vars=V, max_deg=4, n_terms=7)
+        sl = Slice(f, "x")
+        u0, v0 = _gr(rng), _gr(rng)
+        spec = f.evaluate({"u": u0, "v": v0})
+        cs = spec.coeffs_in("x")
+        ref = [cs[d].constant_value() if d in cs else GR_ZERO
+               for d in range(max(cs, default=0), -1, -1)]
+        assert sl.exact([u0, v0]) == (ref if cs else None)
+        top = len(sl.coeffs) - 1
+        dense = [cs[d].constant_value() if d in cs else GR_ZERO for d in range(top, -1, -1)]
+        coeffs, bounds = sl.numeric([(complex(u0), complex(v0))])
+        assert coeffs.shape == (1, top + 1)
+        err = np.abs(coeffs[0] - [complex(c) for c in dense])
+        assert np.all(err <= 1e-14 * np.maximum(1.0, bounds[0]))
+        if cs and max(cs) > 0:
+            roots = sl.roots([(complex(u0), complex(v0))], SAMPLE_ZERO_REL)[0]
+            assert len(roots) == len(sl.exact_roots([u0, v0])) == max(cs)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_slice_exact_at_quadratic_ring_points(m):
+    # coefficients at x in Z + Z*i*sqrt(m) recombine, by Horner in the ring,
+    # to the exact value of f at every (x, y); at x = i (m = 1 only) the
+    # leading coefficient x - i vanishes although its T-part does not
+    rng = random.Random(5 + m)
+    polys = [pe("x*y^2 - i*y^2 + x*y + 1"), pe("x^2*y^3 - 2*x*y + y - i")]
+    polys += [random_poly(rng, max_deg=3, n_terms=5, int_coeffs=True) for _ in range(6)]
+    for f in polys:
+        sl = Slice(f, "y")
+        for ax in range(-1, 2):
+            for bx in range(-1, 2):
+                xq = lattice_point(ax, bx, m)
+                cs = sl.exact([xq])
+                for ay, by in ((0, 0), (1, -1), (2, 1)):
+                    yq = lattice_point(ay, by, m)
+                    acc = xq._coerce(0)
+                    for c in cs or ():
+                        acc = acc * yq + c
+                    assert (acc - f.evaluate({"x": xq, "y": yq})).equals_gaussian(0)
+                if cs:
+                    assert not cs[0].equals_gaussian(0)
+                    num, bound = sl.numeric([complex(xq)])
+                    err = np.abs(num[0, -len(cs):] - [complex(c) for c in cs])
+                    assert np.all(err <= 1e-13 * np.maximum(1.0, bound[0, -len(cs):]))
+    assert len(Slice(polys[0], "y").exact([lattice_point(0, 1, m)])) == (2 if m == 1 else 3)
 
 
 # ----------------------------------------------------------------- backends

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from planejac.gaussian import GaussianRational
-from planejac.lattice import (LatticeBox, MetricValue, _CurveSlices, _slice_roots,
-                              _slice_roots_batch, brute_force_fiber_points,
+from planejac.lattice import (LatticeBox, MetricValue, brute_force_fiber_points,
                               dhat, dist_upper_bound, enumerate_fiber_points,
                               fiber_count_bounds, laurent_identity_check,
                               unit_disk_lattice_count, verify_dhat_inequality,
                               verify_dist_inequality)
 from planejac.exceptional import PlaneCurveSet
 from planejac.poly import PolyMap
+from planejac.roots import SLICE_ZERO_REL, Slice
 
 from conftest import UV, pe, random_poly
 
@@ -64,6 +64,20 @@ def test_fiber_matches_brute_force():
         assert fast.points == brute_force_fiber_points(f, k, box)
         hits += 1
     assert hits >= 7
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("p", ["x*y - i*y", "x*y - y"])
+def test_fiber_line_slices_match_brute_force(p, m):
+    # P(x, .) vanishes identically at x = i (a lattice point only for m = 1)
+    # and at x = 1; the line fibers and the points off them together are
+    # exactly the brute-force fiber
+    box = LatticeBox(1, m)
+    out = enumerate_fiber_points(pe(p), 0, box)
+    lines = out.line_fiber["x_values"] if out.line_fiber else []
+    full = out.points + [(tuple(x), y) for x in lines for y in box.coords()]
+    assert sorted(full) == brute_force_fiber_points(pe(p), 0, box)
+    assert out.count() == len(full)
 
 
 def test_fiber_monotone_in_box(ml_map):
@@ -175,14 +189,29 @@ def test_curve_slices_match_exact_specialization():
         for free, fixed in (("u", "v"), ("v", "u")):
             if not f.degree_in(free):
                 continue
-            sl = _CurveSlices(f, free)
+            sl = Slice(f, free)
             t = GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 3))
-            coeffs, bounds = sl.coeffs([complex(t)])
+            coeffs, bounds = sl.numeric([complex(t)])
             cs = f.evaluate({fixed: t}).coeffs_in(free)
             top = len(coeffs[0]) - 1
             ref = [complex(cs[d].constant_value()) if d in cs else 0j
                    for d in range(top, -1, -1)]
             assert np.all(np.abs(coeffs[0] - ref) <= 1e-14 * np.maximum(1.0, bounds[0]))
+
+
+def test_curve_slice_array_is_dense_in_the_fixed_variable():
+    # with one fixed variable, A[i, j] is the coefficient of
+    # free^(top-i) * fixed^j, zero columns included: the layout the sweeps'
+    # floats have always come from
+    rng = random.Random(103)
+    for _ in range(10):
+        f = random_poly(rng, vars=UV, max_deg=4, n_terms=6)
+        for i, free in enumerate(UV):
+            top = max(e[i] for e in f.terms)
+            A = np.zeros((top + 1, max(e[1 - i] for e in f.terms) + 1), dtype=complex)
+            for e, c in f.terms.items():
+                A[top - e[i], e[1 - i]] = complex(c)
+            assert np.array_equal(Slice(f, free).A, A)
 
 
 @pytest.mark.parametrize("curve", ["u^4 - u*v^2", "u*v^2 - u", "u*v^3 + u*v^2 - v^2 + v + u - 2"])
@@ -191,12 +220,12 @@ def test_batched_slices_match_single_slices(curve):
     # one-row slices: also where the slice vanishes (u0 = 0 on the first
     # two curves), or where its leading (u0 = 0) or trailing (u0 = 2)
     # coefficient does on the third
-    sl = _CurveSlices(pe(curve, UV), "v")
+    sl = Slice(pe(curve, UV), "v")
     u0s = np.array([0, 1, -1, 1j, 2, 2.5 - 0.5j, 1e7 + 3e6j, 0.3 + 0.1j, 0])
-    got = _slice_roots_batch(sl, u0s)
+    got = sl.roots(u0s, SLICE_ZERO_REL)
     assert len(got) == len(u0s)
     for u0, roots in zip(u0s, got):
-        ref = _slice_roots(sl, u0)
+        ref = sl.roots([u0], SLICE_ZERO_REL)[0]
         if ref is None:
             assert roots is None
         else:

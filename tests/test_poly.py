@@ -6,7 +6,7 @@ import pytest
 from planejac.gaussian import GR_ONE, GaussianRational
 from planejac.poly import (ParseError, Poly, PolyMap, compose_map,
                            compose_maps, det_bareiss, divides, jacobian,
-                           parse_expression, partial_derivative, poly_gcd,
+                           parse_expression, poly_gcd,
                            resultant, squarefree_part, sylvester_matrix)
 
 from conftest import XY, UV, pe, random_point, random_poly
@@ -77,9 +77,9 @@ def test_jacobian_ml_numeric_oracle(ml_map):
 
 
 def test_partial_derivative_rules():
-    assert partial_derivative(pe("x^2*y"), "x") == pe("2*x*y")
-    assert partial_derivative(pe("x^3"), "y").is_zero()
-    assert partial_derivative(pe("x^-1*y^-1"), "x") == pe("-x^-2*y^-1")
+    assert pe("x^2*y").diff("x") == pe("2*x*y")
+    assert pe("x^3").diff("y").is_zero()
+    assert pe("x^-1*y^-1").diff("x") == pe("-x^-2*y^-1")
 
 
 def test_derivatives_commute():
