@@ -12,14 +12,14 @@ metrics work over C with a fixed 1e-9 comparison tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .gaussian import GaussianInt, GaussianRational, lattice_point
-from .poly import Poly, PolyMap
-from .exceptional import PlaneCurveSet
-from .roots import SLICE_ZERO_REL, RootFindingError, Slice, find_roots
+from .gaussian import GaussianRational, lattice_point
+from .poly import Poly
+from .roots import SLICE_ZERO_REL, Slice, find_roots_grouped, is_exact_zero
 
 #: tolerance on all <= 1 comparisons; the quantities of interest sit far away
 VIOLATION_TOL = 1e-9
@@ -109,32 +109,31 @@ ROUND_RADIUS = 0.51
 
 
 def enumerate_fiber_points(P, k, box):
-    """All box points (x, y) of the lattice with P(x, y) = k, verified by
-    exact evaluation; degenerate slices where P(x, .) - k vanishes identically
-    are recorded on the line_fiber flag with the formulaic (2B+1)^2 count."""
+    """All box points (x, y) of the lattice with P(x, y) = k.  The exact
+    slices P(x, .) - k of the box's x are solved together, one batch per
+    degree, and each candidate y is verified exactly by Horner's rule on its
+    slice; slices that vanish identically are recorded on the line_fiber
+    flag with the formulaic (2B+1)^2 count."""
     if P.is_laurent() or not P.has_gaussian_integer_coeffs():
         raise ValueError("fiber polynomial must be non-Laurent with Gaussian-integer coefficients")
     kq = GaussianRational.coerce(k)
     m = box.ring_m
     sq = math.sqrt(m)
     in_y = Slice(P, "y")
-    pts = []
-    line_xs = []
+    xs, slices, line_xs = [], [], []
     for ax, bx in box.coords():
-        xq = lattice_point(ax, bx, m)
-        coeffs = in_y.exact([xq], shift=kq)
+        coeffs = in_y.exact([lattice_point(ax, bx, m)], shift=kq)
         if coeffs is None:  # P(x, .) = k identically
             line_xs.append([ax, bx])
-            continue
-        if len(coeffs) == 1:
-            continue
-        cl = [complex(c) for c in coeffs]
-        try:
-            roots = find_roots(cl)
-        except RootFindingError:
-            # fall back to numpy's companion-matrix roots; candidates are
-            # still verified exactly afterwards
-            roots = np.roots(cl)
+        elif len(coeffs) > 1:
+            xs.append((ax, bx))
+            slices.append(coeffs)
+    C = np.zeros((len(slices), max(map(len, slices), default=1)), dtype=np.complex128)
+    for row, coeffs in zip(C, slices):
+        row[len(row) - len(coeffs):] = [complex(c) for c in coeffs]
+    flat, counts = find_roots_grouped(C)
+    pts = []
+    for x, coeffs, roots in zip(xs, slices, np.split(flat, np.cumsum(counts)[:-1])):
         cands = set()
         for r in roots:
             a0 = round(r.real)
@@ -146,9 +145,8 @@ def enumerate_fiber_points(P, k, box):
                         cands.add((a, b))
         for a, b in sorted(cands):
             yq = lattice_point(a, b, m)
-            val = P.evaluate({"x": xq, "y": yq})
-            if _elem_equals(val, kq, m):
-                pts.append(((ax, bx), (a, b)))
+            if is_exact_zero(reduce(lambda acc, c: acc * yq + c, coeffs)):
+                pts.append((x, (a, b)))
     pts.sort()
     line = None
     if line_xs:
@@ -183,33 +181,59 @@ def brute_force_fiber_points(P, k, box):
 # --------------------------------------------------------------------------
 # metrics
 
-def dhat(q, curve, tol=VIOLATION_TOL):
+def dhat(q, curve):
+    """``dhat_batch`` of the one target q."""
+    return dhat_batch([q], curve)[0]
+
+
+def dist_upper_bound(q, curve, refinement=30):
+    """``dist_upper_bound_batch`` of the one target q."""
+    return dist_upper_bound_batch([q], curve, refinement)[0]
+
+
+def _metric_values(vals, ws, kind):
+    """MetricValues of n values and (n, 2) witnesses; no witness where infinite."""
+    return [MetricValue(value=float(v), kind=kind,
+                        witness=None if math.isinf(v) else tuple(map(complex, w)))
+            for v, w in zip(vals, ws)]
+
+
+def _first_min(vals, owner):
+    """Index of the first minimal entry of vals for each owner present;
+    owner is nondecreasing."""
+    order = np.lexsort((vals, owner))  # stable: the first of equals leads
+    return order[np.diff(owner[order], prepend=-1) != 0]
+
+
+def _nearest_roots(sl, q, j):
+    """For each target row of q: the root of ``sl`` at the other coordinate
+    nearest to q[:, j] (the first of equals) and its distance; q[:, j] and 0
+    where the slice vanishes, NaN and inf where it has no root."""
+    roots, counts = sl.flat_roots(q[:, 1 - j], SLICE_ZERO_REL)
+    owner = np.repeat(np.arange(len(q)), np.maximum(counts, 0))
+    i = _first_min(np.abs(roots - q[owner, j]), owner)
+    e = roots[i] - q[owner[i], j]
+    dist = np.where(counts < 0, 0.0, math.inf)
+    near = np.where(counts < 0, q[:, j], np.nan)
+    # hypot is the scalar abs(); np.abs of complex arrays can differ in the last bit
+    dist[owner[i]], near[owner[i]] = np.hypot(e.real, e.imag), roots[i]
+    return near, dist
+
+
+def dhat_batch(qs, curve):
     """d-hat(q, V) = max( min{|q1 - u| : (u, q2) in V},
-                          min{|q2 - v| : (q1, v) in V} ),
-    with the empty-set convention min{} = +inf.  Exact-numeric: both minima
-    range over complete finite root sets."""
+                          min{|q2 - v| : (q1, v) in V} )
+    at each target q of qs, with the empty-set convention min{} = +inf.
+    Exact-numeric: both minima range over complete finite root sets, which
+    are solved for all targets in one grouped call per slice direction."""
     if curve.is_empty():
         raise ValueError("d-hat requires a nonempty curve")
-    q1, q2 = complex(q[0]), complex(q[1])
-    us = curve.u_slice.roots([q2], SLICE_ZERO_REL)[0]
-    vs = curve.v_slice.roots([q1], SLICE_ZERO_REL)[0]
-    if us is None:  # the line {v = q2} lies in the curve: q is on it
-        m_u, w_u = 0.0, (q1, q2)
-    elif len(us) == 0:
-        m_u, w_u = math.inf, None
-    else:
-        i = int(np.argmin(np.abs(us - q1)))
-        m_u, w_u = abs(us[i] - q1), (complex(us[i]), q2)
-    if vs is None:
-        m_v, w_v = 0.0, (q1, q2)
-    elif len(vs) == 0:
-        m_v, w_v = math.inf, None
-    else:
-        i = int(np.argmin(np.abs(vs - q2)))
-        m_v, w_v = abs(vs[i] - q2), (q1, complex(vs[i]))
-    if m_u >= m_v:
-        return MetricValue(value=m_u, witness=w_u, kind="dhat-exact-numeric")
-    return MetricValue(value=m_v, witness=w_v, kind="dhat-exact-numeric")
+    q = np.asarray(qs, dtype=np.complex128).reshape(-1, 2)
+    u, m_u = _nearest_roots(curve.u_slice, q, 0)
+    v, m_v = _nearest_roots(curve.v_slice, q, 1)
+    pick = m_u >= m_v
+    w = np.where(pick[:, None], np.column_stack([u, q[:, 1]]), np.column_stack([q[:, 0], v]))
+    return _metric_values(np.where(pick, m_u, m_v), w, "dhat-exact-numeric")
 
 
 #: the 8 unit directions of a descent step
@@ -217,55 +241,61 @@ _DIRECTIONS = np.array([complex(math.cos(2 * math.pi * j / 8), math.sin(2 * math
                         for j in range(8)])
 
 
-def dist_upper_bound(q, curve, refinement=30):
+def _descend(curve, q, u0, owner, best_val, best_w):
+    """Every root of the slices {u = u0} is a candidate witness for target
+    owner; a target's best is replaced only by a strictly closer candidate,
+    the first of equals."""
+    vs, counts = curve.v_slice.flat_roots(u0, SLICE_ZERO_REL)
+    reps = np.where(counts < 0, 1, counts)  # -1: the whole line {u = u0} is in the curve
+    own = np.repeat(owner, reps)
+    U, V = np.repeat(u0, reps), q[own, 1]
+    V[np.repeat(counts >= 0, reps)] = vs
+    vals = np.maximum(np.abs(q[own, 0] - U), np.abs(q[own, 1] - V))
+    i = _first_min(vals, own)
+    i = i[vals[i] < best_val[own[i]]]
+    best_val[own[i]] = vals[i]
+    best_w[own[i]] = np.column_stack([U[i], V[i]])
+
+
+def dist_upper_bound_batch(qs, curve, refinement=30):
     """Certified upper bound on Dist(q, V) = inf over curve points of the
-    coordinate-max distance: best of all slice-root witnesses plus a
-    shrinking-radius descent along the curve (8 directions per step).  The
-    returned witness lies on the curve to 1e-9."""
+    coordinate-max distance, at each target q of qs: best of all slice-root
+    witnesses plus a shrinking-radius descent along the curve (8 directions
+    per step).  Each step is one grouped solve over all targets.  The
+    returned witnesses lie on the curve to 1e-9."""
     if curve.is_empty():
         raise ValueError("Dist bound requires a nonempty curve")
-    q1, q2 = complex(q[0]), complex(q[1])
-    best_val, best_w = math.inf, None
-
-    def consider(u0s):
-        # every root of the slices {u = u0}, in order; a witness replaces the
-        # best only when strictly closer, so the first of equals wins
-        nonlocal best_val, best_w
-        vs = [q2 if r is None else r  # None: the whole line {u = u0} is in the curve
-              for r in curve.v_slice.roots(u0s, SLICE_ZERO_REL)]
-        U = np.repeat(u0s, [np.size(r) for r in vs])
-        if U.size == 0:
-            return
-        V = np.hstack(vs)
-        vals = np.maximum(np.abs(q1 - U), np.abs(q2 - V))
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_w = float(vals[i]), (complex(U[i]), complex(V[i]))
-
-    # slice witnesses in both directions
-    us = curve.u_slice.roots([q2], SLICE_ZERO_REL)[0]
-    if us is None:
-        return MetricValue(value=0.0, witness=(q1, q2), kind="dist-upper-bound")
-    consider(np.concatenate([[q1], us]))
-    # local descent: perturb the u-coordinate of the best witness; the base
+    q = np.asarray(qs, dtype=np.complex128).reshape(-1, 2)
+    best_val = np.full(len(q), math.inf)
+    best_w = np.full((len(q), 2), np.nan, dtype=np.complex128)
+    # slice witnesses in both directions: each target's q1, then its u-roots
+    us, counts = curve.u_slice.flat_roots(q[:, 1], SLICE_ZERO_REL)
+    on_line = counts < 0  # the line {v = q2} lies in the curve: q is on it
+    best_val[on_line], best_w[on_line] = 0.0, q[on_line]
+    pts = np.flatnonzero(~on_line)
+    k = counts[pts]
+    _descend(curve, q, np.insert(us, np.cumsum(k) - k, q[pts, 0]), np.repeat(pts, k + 1),
+             best_val, best_w)
+    # local descent: perturb the u-coordinate of each best witness; the base
     # is fixed within a step, so its 8 directions are solved together
-    radius = max(best_val, 0.5) if best_val < math.inf else 1.0
+    pts = pts[best_val[pts] < math.inf]
+    radius = np.maximum(best_val[pts], 0.5)
     for _ in range(refinement):
-        if best_w is None:
-            break
-        consider(best_w[0] + radius * _DIRECTIONS)
+        u0 = best_w[pts, 0, None] + radius[:, None] * _DIRECTIONS
+        _descend(curve, q, u0.ravel(), np.repeat(pts, 8), best_val, best_w)
         radius *= 0.65
-    return MetricValue(value=best_val, witness=best_w, kind="dist-upper-bound")
+    return _metric_values(best_val, best_w, "dist-upper-bound")
 
 
 # --------------------------------------------------------------------------
 # box sweeps
 
-def _map_image(F, a, b, c, e, box):
-    x0 = box.to_complex(a, b)
-    y0 = box.to_complex(c, e)
-    return (complex(F.p.evaluate({"x": x0, "y": y0})),
-            complex(F.q.evaluate({"x": x0, "y": y0})))
+def _box_images(F, box):
+    """The points (a, b, c, e) of box x box in sweep order, and their images
+    under F as complex pairs."""
+    ps = [(a, b, c, e) for a, b in box.coords() for c, e in box.coords()]
+    return ps, [tuple(map(complex, F.evaluate(box.to_complex(a, b), box.to_complex(c, e))))
+                for a, b, c, e in ps]
 
 
 def verify_dist_inequality(F, curve, box, refinement=30, tol=VIOLATION_TOL):
@@ -281,21 +311,18 @@ def verify_dist_inequality(F, curve, box, refinement=30, tol=VIOLATION_TOL):
     unconfirmed = []
     axis_values = []
     max_bound = 0.0
-    checked = 0
-    for a, b in box.coords():
-        for c, e in box.coords():
-            q = _map_image(F, a, b, c, e, box)
-            mv = dist_upper_bound(q, curve, refinement=refinement)
-            checked += 1
-            max_bound = max(max_bound, mv.value)
-            if mv.value > 1 + tol:
-                unconfirmed.append({"p": [a, b, c, e], "bound": mv.value,
-                                    "witness": mv.to_json()["witness"]})
-            if (a == 0 and b == 0) or (c == 0 and e == 0):
-                axis_values.append({"p": [a, b, c, e], "bound": mv.value})
+    ps, qs = _box_images(F, box)
+    mvs = dist_upper_bound_batch(qs, curve, refinement)
+    for (a, b, c, e), mv in zip(ps, mvs):
+        max_bound = max(max_bound, mv.value)
+        if mv.value > 1 + tol:
+            unconfirmed.append({"p": [a, b, c, e], "bound": mv.value,
+                                "witness": mv.to_json()["witness"]})
+        if (a == 0 and b == 0) or (c == 0 and e == 0):
+            axis_values.append({"p": [a, b, c, e], "bound": mv.value})
     return {
-        "checked": checked,
-        "confirmed": checked - len(unconfirmed),
+        "checked": len(ps),
+        "confirmed": len(ps) - len(unconfirmed),
         "unconfirmed": unconfirmed,
         "max_bound": max_bound,
         "axis_points": axis_values,
@@ -312,25 +339,17 @@ def verify_dhat_inequality(F, curve, box, tol=VIOLATION_TOL):
             "empty_curve": True,
             "note": "no curve - nothing to verify (invertible case)",
         }
-    violations = []
-    checked = 0
-    values = []
-    for a, b in box.coords():
-        for c, e in box.coords():
-            q = _map_image(F, a, b, c, e, box)
-            mv = dhat(q, curve)
-            checked += 1
-            values.append(mv.value)
-            if mv.value > 1 + tol:
-                violations.append({
-                    "p": [a, b, c, e],
-                    "value": None if math.isinf(mv.value) else mv.value,
-                    "infinite": math.isinf(mv.value),
-                    "witness": mv.to_json()["witness"],
-                })
-    finite = [v for v in values if not math.isinf(v)]
+    ps, qs = _box_images(F, box)
+    mvs = dhat_batch(qs, curve)
+    violations = [{
+        "p": list(p),
+        "value": None if math.isinf(mv.value) else mv.value,
+        "infinite": math.isinf(mv.value),
+        "witness": mv.to_json()["witness"],
+    } for p, mv in zip(ps, mvs) if mv.value > 1 + tol]
+    finite = [mv.value for mv in mvs if not math.isinf(mv.value)]
     return {
-        "checked": checked,
+        "checked": len(ps),
         "violations": violations,
         "max_finite_value": max(finite) if finite else None,
         "empty_curve": False,

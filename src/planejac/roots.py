@@ -4,8 +4,9 @@ Newton polishing, and multiplicity clustering.
 The eigenvalues of the companion matrix are backward stable roots of the
 polynomial (Edelman & Murakami, Math. Comp. 64, 1995); a vectorized Newton
 polish then refines each root against the coefficients themselves.  One
-path serves both entry points: ``find_roots`` is a one-row call of
-``find_roots_batch``.
+path serves every entry point: ``find_roots`` is a one-row call of
+``find_roots_batch``, and ``find_roots_grouped`` solves rows of mixed shapes
+with one ``find_roots_batch`` call per trimmed degree.
 
 ``Slice`` is the one way a polynomial is specialized to a univariate slice,
 exactly at ring points or numerically at many complex points, with one
@@ -117,6 +118,28 @@ def find_roots(coeffs, tol=TOL, max_iter=MAX_ITER):
     return np.concatenate([find_roots_batch(c[None, :], tol, max_iter)[0], origin])
 
 
+def find_roots_grouped(C, nonzero=None):
+    """``find_roots`` of each row of C (n, d+1, descending), one
+    ``find_roots_batch`` call per trimmed degree: a row drops its entries
+    before the first one marked in ``nonzero`` (default C != 0), and its
+    exactly zero trailing entries are roots at 0.  Returns all roots in row
+    order and each row's count, -1 for a row with no marked entry."""
+    c = np.asarray(C, dtype=np.complex128)
+    live = c != 0 if nonzero is None else nonzero
+    d = c.shape[1] - 1
+    lead = np.argmax(live, axis=1)
+    width = d - np.argmax(c[:, ::-1] != 0, axis=1) - lead  # trimmed degree
+    counts = np.where(live.any(axis=1), d - lead, -1)
+    k = np.maximum(counts, 0)
+    start = np.cumsum(k) - k
+    flat = np.zeros(k.sum(), dtype=np.complex128)
+    for w in np.flatnonzero(np.bincount(width[counts >= 0], minlength=1)):
+        rows = np.flatnonzero((width == w) & (counts >= 0))
+        solved = find_roots_batch(c[rows[:, None], lead[rows, None] + np.arange(w + 1)])
+        flat[start[rows, None] + np.arange(w)] = solved
+    return flat, counts
+
+
 def cluster_roots(roots, tol=1e-6):
     """Group numerically coincident roots: list of (representative,
     multiplicity), sorted by (re, im) of the representative."""
@@ -139,7 +162,7 @@ SLICE_ZERO_REL = 1e-12
 SAMPLE_ZERO_REL = 1e-9
 
 
-def _is_zero(c):
+def is_exact_zero(c):
     """Exact zero test of a GaussianRational or QuadElem; a QuadElem with
     m = 1 is zero when u + v*i is."""
     return c.equals_gaussian(GR_ZERO) if isinstance(c, QuadElem) else not c
@@ -185,7 +208,7 @@ class Slice:
         if shift:
             cs[-1] = cs[-1] - shift
         for i, c in enumerate(cs):
-            if not _is_zero(c):
+            if not is_exact_zero(c):
                 return cs[i:]
         return None
 
@@ -203,7 +226,7 @@ class Slice:
         """Descending slice coefficients (n, top+1) at n complex points, and
         their roundoff bounds.  ``values`` is (n, k) for k fixed variables, or
         (n,) when k = 1."""
-        t = np.asarray(values, dtype=np.complex128).reshape(len(values), -1)
+        t = np.asarray(values, dtype=np.complex128).reshape(len(values), len(self.fixed))
         powers = None
         for j, w in enumerate(self.dims):
             pw = np.ones((t.shape[0], w), dtype=np.complex128)
@@ -213,25 +236,20 @@ class Slice:
                 powers[:, :, None] * pw[:, None, :]).reshape(t.shape[0], -1)
         return powers @ self.A.T, np.abs(powers) @ self.absA.T
 
-    def roots(self, values, rel, shift=0):
-        """Roots of f - shift at each of n complex points, as a list: None
-        where every coefficient is numerically zero (|c| <= rel * max(1,
-        bound)), else the roots after the numerically zero leading
-        coefficients are dropped (empty for a nonzero constant).  Rows whose
-        leading coefficient is nonzero and whose trailing one is exactly
-        nonzero are solved in one find_roots_batch call."""
+    def flat_roots(self, values, rel, shift=0):
+        """``find_roots_grouped`` of f - shift at n complex points, where a
+        coefficient c with |c| <= rel * max(1, bound) is numerically zero:
+        all roots in row order, and each row's count (-1: all zero)."""
         c, b = self.numeric(values)
         if shift:
             c[:, -1] -= shift
             b[:, -1] += abs(shift)
-        zero = np.abs(c) <= rel * np.maximum(1.0, b)
-        batch = ~zero[:, 0] & (c[:, -1] != 0)
-        out = [None] * len(c)
-        if batch.any():
-            for i, r in zip(np.flatnonzero(batch), find_roots_batch(c[batch])):
-                out[i] = r
-        for i in np.flatnonzero(~batch):
-            if not zero[i].all():
-                cl = c[i, np.argmin(zero[i]):]
-                out[i] = find_roots(cl) if len(cl) > 1 else np.array([], dtype=np.complex128)
-        return out
+        return find_roots_grouped(c, ~(np.abs(c) <= rel * np.maximum(1.0, b)))
+
+    def roots(self, values, rel, shift=0):
+        """``flat_roots`` as a list: None where every coefficient is
+        numerically zero, else the row's roots (empty for a nonzero
+        constant)."""
+        flat, counts = self.flat_roots(values, rel, shift)
+        ends = np.cumsum(np.maximum(counts, 0)).tolist()
+        return [None if k < 0 else flat[e - k:e] for k, e in zip(counts.tolist(), ends)]

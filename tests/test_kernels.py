@@ -8,8 +8,8 @@ import pytest
 
 from planejac import _kernels
 from planejac.gaussian import GR_ZERO, GaussianRational, lattice_point
-from planejac.roots import (SAMPLE_ZERO_REL, TOL, RootFindingError, Slice, cluster_roots,
-                            find_roots, find_roots_batch)
+from planejac.roots import (SAMPLE_ZERO_REL, SLICE_ZERO_REL, TOL, RootFindingError, Slice,
+                            cluster_roots, find_roots, find_roots_batch, find_roots_grouped)
 
 from conftest import pe, random_poly
 
@@ -94,6 +94,57 @@ def test_find_roots_batch_failing_row_raises():
             find_roots_batch(np.array([good, bad, good]))
         with pytest.raises(RootFindingError):
             find_roots(bad)
+
+
+def test_find_roots_grouped_rows_match_single_solves():
+    # rows of one width with exactly zero leading and trailing runs, all-zero
+    # rows and nonzero constants: each row's roots are find_roots of the row
+    rng = random.Random(131)
+    rows = []
+    for _ in range(60):
+        row = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(7)]
+        lead, trail = rng.randint(0, 7), rng.randint(0, 7)
+        row[:lead] = [0j] * lead
+        row[len(row) - trail:] = [0j] * trail
+        rows.append(row)
+    rows += [[0j] * 7, [0j] * 6 + [2.5], [3j] + [0j] * 6]
+    flat, counts = find_roots_grouped(np.array(rows))
+    assert len(counts) == len(rows)
+    start = 0
+    for row, k in zip(rows, counts):
+        if not any(row):
+            assert k == -1
+            continue
+        ref = find_roots(row)
+        assert k == len(ref) and np.array_equal(flat[start:start + k], ref)
+        start += k
+    assert start == len(flat)
+
+
+def test_slice_grouped_roots_match_row_by_row_solves():
+    # the one grouped solve against the per-row rule it replaces: drop the
+    # numerically zero leading coefficients, then find_roots of the rest,
+    # which takes exactly zero trailing coefficients as roots at 0.  The
+    # slice in y is x(x-1)(x-4) y^2 + x(x-2)(x-4) y + (x-3)(x-4): at x = 1
+    # its leading coefficient is exactly 0, at 1 + 1e-14 numerically 0; at
+    # x = 3 the trailing one is 0; at x = 4 all are; at x = 0 it is 12
+    sl = Slice(pe("x^3*y^2 - 5*x^2*y^2 + 4*x*y^2 + x^3*y - 6*x^2*y + 8*x*y"
+                  " + x^2 - 7*x + 12"), "y")
+    xs = np.array([0, 1, 1 + 1e-14, 2, 3, 4, 0.5 + 0.5j, 5, 3, 1e-13, 4, 1, -2j])
+    got = sl.roots(xs, SLICE_ZERO_REL)
+    c, b = sl.numeric(xs)
+    zero = np.abs(c) <= SLICE_ZERO_REL * np.maximum(1.0, b)
+    assert len(got) == len(xs)
+    for roots, row, z in zip(got, c, zero):
+        if z.all():
+            assert roots is None
+            continue
+        rest = row[np.argmin(z):]
+        ref = find_roots(rest) if len(rest) > 1 else np.array([], dtype=complex)
+        assert np.array_equal(roots, ref)
+    assert got[5] is None and got[10] is None
+    assert got[0].size == 0
+    assert got[1].size == got[2].size == 1 and got[4].size == 2 and got[4][1] == 0
 
 
 # ----------------------------------------------------------------- clustering

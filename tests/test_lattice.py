@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from planejac.gaussian import GaussianRational
-from planejac.lattice import (LatticeBox, MetricValue, brute_force_fiber_points,
-                              dhat, dist_upper_bound, enumerate_fiber_points,
+from planejac import roots
+from planejac.lattice import (LatticeBox, MetricValue, brute_force_fiber_points, dhat,
+                              dhat_batch, dist_upper_bound, dist_upper_bound_batch,
+                              enumerate_fiber_points,
                               fiber_count_bounds, laurent_identity_check,
                               unit_disk_lattice_count, verify_dhat_inequality,
                               verify_dist_inequality)
 from planejac.exceptional import PlaneCurveSet
 from planejac.poly import PolyMap
-from planejac.roots import SLICE_ZERO_REL, Slice
+from planejac.roots import SLICE_ZERO_REL, RootFindingError, Slice
 
 from conftest import UV, pe, random_poly
 
@@ -78,6 +80,15 @@ def test_fiber_line_slices_match_brute_force(p, m):
     full = out.points + [(tuple(x), y) for x in lines for y in box.coords()]
     assert sorted(full) == brute_force_fiber_points(pe(p), 0, box)
     assert out.count() == len(full)
+
+
+def test_fiber_enumeration_raises_when_a_solve_fails(ml_map, monkeypatch):
+    # a failed batch solve is an error, not a silent fallback
+    def fail(C, *args, **kw):
+        raise RootFindingError("root iteration did not converge")
+    monkeypatch.setattr(roots, "find_roots_batch", fail)
+    with pytest.raises(RootFindingError):
+        enumerate_fiber_points(ml_map.p, 3, LatticeBox(2))
 
 
 def test_fiber_monotone_in_box(ml_map):
@@ -174,6 +185,52 @@ def test_dist_zero_on_contained_line():
     curve = PlaneCurveSet(pe("v", UV), ["supplied"])
     mv = dist_upper_bound((2.5, 0.0), curve)
     assert mv.value == 0.0
+
+
+@pytest.mark.parametrize("curve", ["u^4 - u*v^2", "u", "v", "u*v - 1"])
+def test_batch_metrics_match_one_target_calls(curve):
+    # targets solved together do not see each other: every value and witness
+    # is the one-target call's, also where a slice vanishes (u = 0 on the
+    # curve "u", v = 0 on "v") or has no root
+    curve = PlaneCurveSet(pe(curve, UV), ["supplied"])
+    rng = random.Random(151)
+    qs = [(0, 0), (0, 2 - 1j), (1.5, 0), (3, 7), (4, 8), (-2j, 1)]
+    qs += [(complex(rng.uniform(-4, 4), rng.uniform(-4, 4)),
+            complex(rng.uniform(-4, 4), rng.uniform(-4, 4))) for _ in range(20)]
+    for batch, one in ((dhat_batch(qs, curve), dhat),
+                       (dist_upper_bound_batch(qs, curve, refinement=12),
+                        lambda q, c: dist_upper_bound(q, c, refinement=12))):
+        assert len(batch) == len(qs)
+        for q, mv in zip(qs, batch):
+            ref = one(q, curve)
+            assert (mv.value, mv.witness, mv.kind) == (ref.value, ref.witness, ref.kind)
+
+
+def test_dhat_sweep_matches_closed_form_roots(ml_map, ml_curve):
+    # independent oracle on the 625 images of the B = 2 box: the slices of
+    # u^4 - u*v^2 in closed form, solved by np.roots; points within 1e-6 of
+    # the threshold 1 cannot be decided from np.roots and are skipped
+    box = LatticeBox(2)
+    out = verify_dhat_inequality(ml_map, ml_curve, box)
+    found = {tuple(v["p"]): v["value"] for v in out["violations"]}
+    decided = 0
+    for a, b in box.coords():
+        for c, e in box.coords():
+            x, y = complex(a, b), complex(c, e)
+            q1 = x ** 6 * y ** 4 + 2 * x ** 2 * y
+            q2 = x ** 9 * y ** 6 + 3 * x ** 5 * y ** 3 + 3 * x
+            m_u = np.min(np.abs(np.roots([1, 0, 0, -q2 * q2, 0]) - q1))
+            m_v = 0.0 if q1 == 0 else np.min(np.abs(np.roots([-q1, 0, q1 ** 4]) - q2))
+            ref = max(m_u, m_v)
+            if abs(ref - 1) <= 1e-6:
+                continue
+            decided += 1
+            got = found.get((a, b, c, e))
+            if ref > 1:
+                assert got is not None and abs(got - ref) <= 1e-6 * ref
+            else:
+                assert got is None
+    assert out["checked"] == 625 and decided >= 600
 
 
 # ----------------------------------------------------------------- sweeps
