@@ -314,8 +314,8 @@ def verify(mapfile, which, **kw):
     """Inequality and bound verification sweeps over the lattice box."""
     cfg = _config(kw)
     F, curve, meta = _load(mapfile)
-    box = lat.LatticeBox(cfg.box, cfg.ring_m)
     try:
+        box = lat.LatticeBox(cfg.box, cfg.ring_m)
         curve, deg = _curve_and_degree(F, curve, cfg)
     except (exc.ExceptionalError, ValueError) as e:
         click.echo(f"error: {e}", file=sys.stderr)

@@ -23,6 +23,12 @@ from .roots import SAMPLE_ZERO_REL, RootFindingError, Slice, cluster_roots
 
 #: relative residual under which a polished sample preimage counts as a solution
 CERTIFY_TOL = 1e-7
+#: |defining(u0, v0)| on a curve: tested points are roots, only that accurate
+CONTAINS_TOL = 1e-9
+#: relative Newton step that stops a sample preimage's polish: a few ulps
+POLISH_REL = 1e-14
+#: root-to-Gaussian-integer distance of a critical line; exact evaluation decides
+LATTICE_ROOT_TOL = 1e-9
 
 UV = ("u", "v")
 
@@ -72,7 +78,7 @@ class PlaneCurveSet:
         """The defining polynomial as a Slice in v, built once per curve."""
         return Slice(self.defining, "v")
 
-    def contains(self, u0, v0, tol=1e-9):
+    def contains(self, u0, v0, tol=CONTAINS_TOL):
         if self.is_empty():
             return False
         return abs(complex(self.defining.evaluate({"u": u0, "v": v0}))) <= tol
@@ -243,7 +249,7 @@ def _preimage_count_numeric(F, u0, v0, res_x):
             dx = (d * pv - b * qv) / det
             dy = (a * qv - c * pv) / det
             x, y = x - dx, y - dy
-            if abs(dx) <= 1e-14 * (1 + abs(x)) and abs(dy) <= 1e-14 * (1 + abs(y)):
+            if abs(dx) <= POLISH_REL * (1 + abs(x)) and abs(dy) <= POLISH_REL * (1 + abs(y)):
                 break
         return x, y
 
@@ -433,7 +439,7 @@ def _line_image_factors(F, d_poly, var):
             cand = GaussianRational(round(rr.real), round(rr.imag))
             ev = d_poly.evaluate({var: cand})
             ev_nonzero = not ev.is_zero() if isinstance(ev, Poly) else bool(ev)
-            if abs(complex(cand) - rr) > 1e-9 or ev_nonzero:
+            if abs(complex(cand) - rr) > LATTICE_ROOT_TOL or ev_nonzero:
                 raise ExceptionalError(
                     "critical line at a non-lattice root; elimination degenerates"
                 )

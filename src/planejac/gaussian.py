@@ -1,8 +1,8 @@
 """Exact arithmetic over Z[i], Q(i), and quadratic extensions Q(i)[T]/(T^2+m).
 
 Everything here is arbitrary precision and never rounds.  The quadratic
-extension is only used by the lattice layer to verify membership of points
-of Z + Z*i*sqrt(m) on fibers exactly.
+extension backs the lattice layer's brute-force fiber oracle, an exact check
+of points of Z + Z*i*sqrt(m) independent of fiber enumeration.
 """
 
 from __future__ import annotations
@@ -275,8 +275,6 @@ class QuadElem:
         return self.v == GR_ZERO and self.u == k
 
     def __complex__(self):
-        import cmath
-
         return complex(self.u) + complex(self.v) * 1j * (self.m ** 0.5)
 
     def __repr__(self):

@@ -5,21 +5,21 @@ count bounds, the unit-disk lattice fact, and the Laurent identities of the
 canonical non-invertible example.
 
 Lattices are Z + Z*i*sqrt(m) for square-free m >= 1; m = 1 is the Gaussian
-integers.  Fiber membership is verified exactly in the compositum ring; the
-metrics work over C with a fixed 1e-9 comparison tolerance.
+integers.  Fiber membership is verified exactly, in plain-int arithmetic of
+Z[i][T]/(T^2 + m); the metrics work over C with a fixed 1e-9 comparison
+tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .gaussian import GaussianRational, lattice_point
 from .poly import Poly
-from .roots import SLICE_ZERO_REL, Slice, find_roots_grouped, is_exact_zero
+from .roots import SLICE_ZERO_REL, find_roots_grouped
 
 #: tolerance on all <= 1 comparisons; the quantities of interest sit far away
 VIOLATION_TOL = 1e-9
@@ -35,7 +35,8 @@ class LatticeBox:
     def __post_init__(self):
         if self.bound < 1:
             raise ValueError("box bound must be positive")
-        if self.ring_m < 1:
+        m = self.ring_m
+        if m < 1 or any(m % (p * p) == 0 for p in range(2, math.isqrt(m) + 1)):
             raise ValueError("ring parameter must be a positive square-free integer")
 
     def side(self):
@@ -106,61 +107,80 @@ class MetricValue:
 #: candidate rounding radius: roots are located to ~1e-9, so every lattice
 #: point within 0.5 of a true root lies within 0.51 of the computed one
 ROUND_RADIUS = 0.51
+#: the 3x3 lattice neighbourhood of a rounded root
+_NEIGHBOURS = np.array([(da, db) for da in (-1, 0, 1) for db in (-1, 0, 1)]).T
+_ZERO, _ONE = (0, 0, 0, 0), (1, 0, 0, 0)
+
+
+def _ring_mul_add(s, t, c, m):
+    """s*t + c in Z[i][T]/(T^2 + m), an element u + v*T being the ints
+    (Re u, Im u, Re v, Im v): (u + v*T)(u' + v'*T) = (u*u' - m*v*v') + (u*v' + v*u')*T."""
+    ur, ui, vr, vi = s
+    xr, xi, yr, yi = t
+    return (c[0] + ur * xr - ui * xi - m * (vr * yr - vi * yi),
+            c[1] + ur * xi + ui * xr - m * (vr * yi + vi * yr),
+            c[2] + ur * yr - ui * yi + vr * xr - vi * xi,
+            c[3] + ur * yi + ui * yr + vr * xi + vi * xr)
+
+
+def _ring_is_zero(s, m):
+    """Exact test u + v*T = 0 at T = i*sqrt(m): u + v*i = 0 for m = 1; for
+    square-free m > 1, 1, i, T and i*T are linearly independent over Q."""
+    return (s[0] == s[3] and s[1] == -s[2]) if m == 1 else not any(s)
+
+
+def _ring_horner(cs, t, m):
+    """The polynomial with descending ring coefficients cs at t."""
+    acc = _ZERO
+    for c in cs:
+        acc = _ring_mul_add(acc, t, c, m)
+    return acc
 
 
 def enumerate_fiber_points(P, k, box):
-    """All box points (x, y) of the lattice with P(x, y) = k.  The exact
-    slices P(x, .) - k of the box's x are solved together, one batch per
-    degree, and each candidate y is verified exactly by Horner's rule on its
-    slice; slices that vanish identically are recorded on the line_fiber
-    flag with the formulaic (2B+1)^2 count."""
+    """All box points (x, y) of the lattice with P(x, y) = k.  With k = n/d,
+    the slices d*P(x, .) - n of every box x, a + b*i*sqrt(m) = (a, 0, b, 0),
+    are built exactly in the ring from the powers of x and solved together,
+    one batch per degree; a candidate y is kept only when Horner's rule on
+    its slice gives exactly 0.  Slices that vanish identically are recorded
+    on the line_fiber flag with the formulaic (2B+1)^2 count."""
     if P.is_laurent() or not P.has_gaussian_integer_coeffs():
         raise ValueError("fiber polynomial must be non-Laurent with Gaussian-integer coefficients")
     kq = GaussianRational.coerce(k)
-    m = box.ring_m
-    sq = math.sqrt(m)
-    in_y = Slice(P, "y")
+    m, sq = box.ring_m, math.sqrt(box.ring_m)
+    f = P._with_vars(("x", "y")) * kq.d - kq * kq.d
+    top, dx = f.degree_in("y") or 0, f.degree_in("x") or 0
+    terms = [(top - ey, ex, (c.a, c.b, 0, 0)) for (ex, ey), c in f.terms.items()]
     xs, slices, line_xs = [], [], []
     for ax, bx in box.coords():
-        coeffs = in_y.exact([lattice_point(ax, bx, m)], shift=kq)
-        if coeffs is None:  # P(x, .) = k identically
+        pw = [_ONE]
+        for _ in range(dx):
+            pw.append(_ring_mul_add(pw[-1], (ax, 0, bx, 0), _ZERO, m))
+        cs = [_ZERO] * (top + 1)
+        for j, e, c in terms:
+            cs[j] = _ring_mul_add(c, pw[e], cs[j], m)
+        lead = next((j for j, c in enumerate(cs) if not _ring_is_zero(c, m)), None)
+        if lead is None:  # P(x, .) = k identically
             line_xs.append([ax, bx])
-        elif len(coeffs) > 1:
+        elif lead < top:
             xs.append((ax, bx))
-            slices.append(coeffs)
-    C = np.zeros((len(slices), max(map(len, slices), default=1)), dtype=np.complex128)
-    for row, coeffs in zip(C, slices):
-        row[len(row) - len(coeffs):] = [complex(c) for c in coeffs]
-    flat, counts = find_roots_grouped(C)
-    pts = []
-    for x, coeffs, roots in zip(xs, slices, np.split(flat, np.cumsum(counts)[:-1])):
-        cands = set()
-        for r in roots:
-            a0 = round(r.real)
-            b0 = round(r.imag / sq)
-            for da in (-1, 0, 1):
-                for db in (-1, 0, 1):
-                    a, b = a0 + da, b0 + db
-                    if abs(complex(a, (b) * sq) - r) <= ROUND_RADIUS and box.contains_coords(a, b):
-                        cands.add((a, b))
-        for a, b in sorted(cands):
-            yq = lattice_point(a, b, m)
-            if is_exact_zero(reduce(lambda acc, c: acc * yq + c, coeffs)):
-                pts.append((x, (a, b)))
-    pts.sort()
-    line = None
-    if line_xs:
-        line = {"x_values": sorted(line_xs), "count_each": box.side() ** 2}
+            slices.append(cs[lead:])
+    C = np.zeros((len(slices), top + 1), dtype=np.complex128)
+    for row, cs in zip(C, slices):
+        row[top + 1 - len(cs):] = [complex(ur - vi * sq, ui + vr * sq) for ur, ui, vr, vi in cs]
+    roots, counts = find_roots_grouped(C)
+    # candidates: the lattice neighbours of each root within ROUND_RADIUS
+    owner = np.repeat(np.arange(len(slices)), counts)
+    a = np.rint(roots.real)[:, None] + _NEIGHBOURS[0]
+    b = np.rint(roots.imag / sq)[:, None] + _NEIGHBOURS[1]
+    keep = ((np.hypot(a - roots.real[:, None], b * sq - roots.imag[:, None]) <= ROUND_RADIUS)
+            & (np.abs(a) <= box.bound) & (np.abs(b) <= box.bound))
+    cands = set(zip(np.broadcast_to(owner[:, None], a.shape)[keep].tolist(),
+                    a[keep].astype(int).tolist(), b[keep].astype(int).tolist()))
+    pts = sorted((xs[i], (ya, yb)) for i, ya, yb in cands
+                 if _ring_is_zero(_ring_horner(slices[i], (ya, 0, yb, 0), m), m))
+    line = {"x_values": sorted(line_xs), "count_each": box.side() ** 2} if line_xs else None
     return FiberPointSet(k=k, points=pts, exhausted_box=box, line_fiber=line)
-
-
-def _elem_equals(val, kq, m):
-    """Exact equality of a ring evaluation against a Gaussian-rational k."""
-    if hasattr(val, "equals_gaussian"):
-        if not kq.is_gaussian_integer() and m != 1:
-            return False
-        return val.equals_gaussian(kq.num) if kq.is_gaussian_integer() else False
-    return val == kq
 
 
 def brute_force_fiber_points(P, k, box):
@@ -172,7 +192,7 @@ def brute_force_fiber_points(P, k, box):
         xq = lattice_point(ax, bx, m)
         for ay, by in box.coords():
             yq = lattice_point(ay, by, m)
-            if _elem_equals(P.evaluate({"x": xq, "y": yq}), kq, m):
+            if P.evaluate({"x": xq, "y": yq}).equals_gaussian(kq):
                 pts.append(((ax, bx), (ay, by)))
     pts.sort()
     return pts

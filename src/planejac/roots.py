@@ -8,10 +8,10 @@ path serves every entry point: ``find_roots`` is a one-row call of
 ``find_roots_batch``, and ``find_roots_grouped`` solves rows of mixed shapes
 with one ``find_roots_batch`` call per trimmed degree.
 
-``Slice`` is the one way a polynomial is specialized to a univariate slice,
-exactly at ring points or numerically at many complex points, with one
-numeric zero rule for leading coefficients.  Symbolic code never calls this;
-it only backs fiber enumeration, curve slicing, and distance certification.
+``Slice`` specializes a polynomial to a univariate slice, exactly at ring
+points or numerically at many complex points, with one numeric zero rule for
+leading coefficients.  It backs curve slicing, distance certification and
+sampling; fiber enumeration builds its exact slices in plain ints instead.
 """
 
 from __future__ import annotations
@@ -199,14 +199,12 @@ class Slice:
                 self.A[top - d, sum(e * s for e, s in zip(exps, strides))] += complex(a)
         self.absA = np.abs(self.A)
 
-    def exact(self, values, shift=0):
-        """Descending coefficients of f - shift at exact values (GaussianRational
-        or QuadElem) of the fixed variables, exact leading zeros dropped; None
+    def exact(self, values):
+        """Descending coefficients of f at exact values (GaussianRational or
+        QuadElem) of the fixed variables, exact leading zeros dropped; None
         when the slice vanishes identically."""
         point = dict(zip(self.fixed, values))
         cs = [GR_ZERO if c is None else c.evaluate(point) for c in self.coeffs]
-        if shift:
-            cs[-1] = cs[-1] - shift
         for i, c in enumerate(cs):
             if not is_exact_zero(c):
                 return cs[i:]

@@ -237,6 +237,13 @@ def test_verify_dhat_violations_exit_code(runner):
     assert len(rep["result"]["violations"]) == 64
 
 
+def test_verify_bad_box_is_an_error(runner):
+    r = runner.invoke(main, ["verify", _map("makar_limanov.json"), "dist", "-B", "0"])
+    assert r.exit_code == 1
+    assert "error: box bound must be positive" in r.stderr
+    assert isinstance(r.exception, SystemExit)  # no traceback
+
+
 def test_verify_dist_clean_exit(runner):
     r = runner.invoke(main, ["verify", _map("makar_limanov.json"), "dist", "-B", "1"])
     assert r.exit_code == 0

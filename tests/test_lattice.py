@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from planejac.gaussian import GaussianRational
-from planejac import roots
-from planejac.lattice import (LatticeBox, MetricValue, brute_force_fiber_points, dhat,
+from planejac.gaussian import GaussianRational, QuadElem
+from planejac import lattice, roots
+from planejac.lattice import (LatticeBox, MetricValue, _ring_is_zero, _ring_mul_add,
+                              brute_force_fiber_points, dhat,
                               dhat_batch, dist_upper_bound, dist_upper_bound_batch,
                               enumerate_fiber_points,
                               fiber_count_bounds, laurent_identity_check,
@@ -68,6 +69,12 @@ def test_fiber_matches_brute_force():
     assert hits >= 7
 
 
+def _full_fiber(out, box):
+    """The enumerated points with the line fibers expanded, sorted."""
+    lines = out.line_fiber["x_values"] if out.line_fiber else []
+    return sorted(out.points + [(tuple(x), y) for x in lines for y in box.coords()])
+
+
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("p", ["x*y - i*y", "x*y - y"])
 def test_fiber_line_slices_match_brute_force(p, m):
@@ -76,10 +83,73 @@ def test_fiber_line_slices_match_brute_force(p, m):
     # exactly the brute-force fiber
     box = LatticeBox(1, m)
     out = enumerate_fiber_points(pe(p), 0, box)
-    lines = out.line_fiber["x_values"] if out.line_fiber else []
-    full = out.points + [(tuple(x), y) for x in lines for y in box.coords()]
-    assert sorted(full) == brute_force_fiber_points(pe(p), 0, box)
+    full = _full_fiber(out, box)
+    assert full == brute_force_fiber_points(pe(p), 0, box)
     assert out.count() == len(full)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_fiber_ring_path_matches_brute_force(m):
+    # the plain-int ring path against exact QuadElem evaluation at every box
+    # pair: random Gaussian-integer polynomials, plus slices whose leading
+    # coefficient vanishes at the non-real x = i*sqrt(m); non-integral
+    # levels have empty fibers
+    rng = random.Random(300 + m)
+    polys = [pe(f"x^2*y^2 + {m}*y^2 + x*y - 1"),
+             pe(f"x^2*y^3 + {m}*y^3 + x^2*y + {m}*y + 2*x")]
+    if m == 1:
+        polys.append(pe("x*y^2 - i*y^2 + y + x + 1"))
+    polys += [random_poly(rng, max_deg=3, n_terms=4, int_coeffs=True) for _ in range(4)]
+    levels = [0, GaussianRational(1, -2), GaussianRational(1, 0, 2), GaussianRational(1, 1, 2)]
+    for i, f in enumerate(polys):
+        box = LatticeBox(2 if i < 2 else 1, m)
+        for k in levels + [rng.randint(-3, 3)]:
+            out = enumerate_fiber_points(f, k, box)
+            full = _full_fiber(out, box)
+            assert full == brute_force_fiber_points(f, k, box)
+            assert out.count() == len(full)
+            if not GaussianRational.coerce(k).is_gaussian_integer():
+                assert full == []
+    # the leading coefficient x^2 + m vanishes at x = +-i*sqrt(m): there the
+    # slice x*y - 1 has the lattice root y = 1/x only for m = 1
+    out = enumerate_fiber_points(polys[0], 0, LatticeBox(2, m))
+    on_axis = [p for p in out.points if p[0] in ((0, 1), (0, -1))]
+    assert on_axis == ([((0, -1), (0, 1)), ((0, 1), (0, -1))] if m == 1 else [])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_ring_arithmetic_matches_quad_elem(m):
+    rng = random.Random(400 + m)
+
+    def rand():
+        return tuple(rng.randint(-9, 9) for _ in range(4))
+
+    for _ in range(200):
+        s, t, c = rand(), rand(), rand()
+        ref = (QuadElem(GaussianRational(*s[:2]), GaussianRational(*s[2:]), m)
+               * QuadElem(GaussianRational(*t[:2]), GaussianRational(*t[2:]), m)
+               + QuadElem(GaussianRational(*c[:2]), GaussianRational(*c[2:]), m))
+        got = _ring_mul_add(s, t, c, m)
+        assert (GaussianRational(*got[:2]), GaussianRational(*got[2:])) == (ref.u, ref.v)
+        # zero rule, also on elements u + v*T that vanish at T = i only
+        vr, vi = rng.randint(-3, 3), rng.randint(-3, 3)
+        for z in (got, (vi, -vr, vr, vi), (0, 0, 0, 0)):
+            q = QuadElem(GaussianRational(*z[:2]), GaussianRational(*z[2:]), m)
+            assert _ring_is_zero(z, m) == q.equals_gaussian(0) == (abs(complex(q)) < 1e-9)
+
+
+def test_fiber_candidates_cover_the_rounding_radius(ml_map, monkeypatch):
+    # a root computed up to ROUND_RADIUS away still yields its lattice point:
+    # shifted by 0.505, every root rounds to the next integer over
+    ref = [enumerate_fiber_points(ml_map.p, k, LatticeBox(2)).points for k in (1, 3)]
+    solve = lattice.find_roots_grouped
+
+    def off(C):
+        flat, counts = solve(C)
+        return flat + 0.505, counts
+    monkeypatch.setattr(lattice, "find_roots_grouped", off)
+    assert [enumerate_fiber_points(ml_map.p, k, LatticeBox(2)).points for k in (1, 3)] == ref
+    assert all(ref)
 
 
 def test_fiber_enumeration_raises_when_a_solve_fails(ml_map, monkeypatch):
@@ -362,6 +432,18 @@ def test_box_validation():
     with pytest.raises(ValueError):
         LatticeBox(2, ring_m=0)
     assert LatticeBox(3).side() == 7
+
+
+@pytest.mark.parametrize("m", [4, 8, 9, 12])
+def test_box_rejects_ring_m_with_a_square_factor(m):
+    # for m = 4 or 9, i*sqrt(m) lies in Q(i) and the ring's zero rule fails
+    with pytest.raises(ValueError, match="square-free"):
+        LatticeBox(1, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 7])
+def test_box_accepts_square_free_ring_m(m):
+    assert LatticeBox(1, m).ring_m == m
 
 
 def test_metric_json():
