@@ -1,107 +1,6 @@
-"""Hot numeric kernels: Aberth-Ehrlich simultaneous root iteration and Newton
-polishing on complex128 arrays.
-
-Both a numba @njit build and a pure-numpy build are provided.  Set
-PLANEJAC_NO_JIT=1 to force the numpy path (the default picks numba when it
-is installed and imports cleanly; it is not a dependency).  planejac.roots
-no longer calls these kernels: it solves by companion-matrix eigenvalues.
+"""Exists only because ``bench/run.py`` reads ``BACKEND`` for its environment
+record.  The one numeric root path is ``roots.find_roots_batch``:
+companion-matrix eigenvalues and a NumPy Newton polish.
 """
 
-from __future__ import annotations
-
-import os
-
-import numpy as np
-
-_FORCE_NUMPY = os.environ.get("PLANEJAC_NO_JIT", "").strip() not in ("", "0")
-
-
-def _aberth_py(coeffs, z, tol, max_iter):
-    """One Aberth-Ehrlich solve.  coeffs: descending complex128, coeffs[0] != 0.
-    z: initial guesses (modified in place).  Returns iterations used (== max_iter
-    when unconverged by the movement test)."""
-    n = z.shape[0]
-    deriv = coeffs[:-1] * np.arange(len(coeffs) - 1, 0, -1)
-    for it in range(max_iter):
-        moved = 0.0
-        for k in range(n):
-            zk = z[k]
-            p = coeffs[0]
-            for c in coeffs[1:]:
-                p = p * zk + c
-            dp = deriv[0]
-            for c in deriv[1:]:
-                dp = dp * zk + c
-            if p == 0:
-                continue
-            if dp == 0:
-                z[k] = zk + (0.1 + 0.1j)
-                moved = 1.0
-                continue
-            ratio = p / dp
-            s = 0j
-            for j in range(n):
-                if j != k:
-                    d = zk - z[j]
-                    if d == 0:
-                        d = 1e-20 + 0j
-                    s += 1.0 / d
-            denom = 1.0 - ratio * s
-            if denom == 0:
-                step = ratio
-            else:
-                step = ratio / denom
-            z[k] = zk - step
-            m = abs(step) / (1.0 + abs(zk))
-            if m > moved:
-                moved = m
-        if moved < tol:
-            return it + 1
-    return max_iter
-
-
-def _newton_py(coeffs, z, tol, max_iter):
-    """Newton polish of each root independently (modifies z in place)."""
-    deriv = coeffs[:-1] * np.arange(len(coeffs) - 1, 0, -1)
-    for k in range(z.shape[0]):
-        zk = z[k]
-        for _ in range(max_iter):
-            p = coeffs[0]
-            for c in coeffs[1:]:
-                p = p * zk + c
-            dp = deriv[0]
-            for c in deriv[1:]:
-                dp = dp * zk + c
-            if dp == 0 or p == 0:
-                break
-            step = p / dp
-            zk = zk - step
-            if abs(step) < tol * (1.0 + abs(zk)):
-                break
-        z[k] = zk
-
-
-def _polyval_py(coeffs, z):
-    out = np.empty(z.shape[0], dtype=np.complex128)
-    for k in range(z.shape[0]):
-        p = coeffs[0]
-        for c in coeffs[1:]:
-            p = p * z[k] + c
-        out[k] = p
-    return out
-
-
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        aberth = njit(cache=True)(_aberth_py)
-        newton_polish = njit(cache=True)(_newton_py)
-        polyval = njit(cache=True)(_polyval_py)
-        BACKEND = "numba"
-    except ImportError:  # numba is optional
-        aberth, newton_polish, polyval = _aberth_py, _newton_py, _polyval_py
-        BACKEND = "numpy"
-else:
-    aberth, newton_polish, polyval = _aberth_py, _newton_py, _polyval_py
-    BACKEND = "numpy"
+BACKEND = "numpy"

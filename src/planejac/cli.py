@@ -22,8 +22,11 @@ from . import lattice as lat
 from . import series as ser
 from .gaussian import GaussianRational
 from .poly import ParseError, Poly, PolyMap, jacobian, parse_expression
+from .roots import RootFindingError
 
 EXIT_VIOLATIONS = 3
+#: the failures of an analysis that end a command with `error: ...`, exit 1
+ANALYSIS_ERRORS = (exc.ExceptionalError, RootFindingError, ValueError)
 
 
 @dataclass
@@ -127,30 +130,40 @@ def _parse_gaussian_constant(text):
     return p.constant_value()
 
 
-config_options = [
-    click.option("--seed", type=int, default=0, show_default=True),
-    click.option("--order", "-N", type=int, default=16, show_default=True),
-    click.option("--window", "-W", type=int, default=8, show_default=True),
-    click.option("--box", "-B", type=int, default=4, show_default=True),
-    click.option("--ring-m", type=int, default=1, show_default=True),
-    click.option("--trials", "-T", type=int, default=3, show_default=True),
-    click.option("--samples", "-S", type=int, default=5, show_default=True),
-    click.option("--tol", type=float, default=1e-9, show_default=True),
+#: the option of each RunConfig field; a command takes those it reads
+config_options = {
+    "seed": click.option("--seed", type=int, default=RunConfig.seed, show_default=True),
+    "order": click.option("--order", "-N", type=int, default=RunConfig.order, show_default=True),
+    "window": click.option("--window", "-W", type=click.IntRange(min=1),
+                           default=RunConfig.window, show_default=True),
+    "box": click.option("--box", "-B", type=int, default=RunConfig.box, show_default=True),
+    "ring_m": click.option("--ring-m", type=int, default=RunConfig.ring_m, show_default=True),
+    "trials": click.option("--trials", "-T", type=int, default=RunConfig.trials, show_default=True),
+    "samples": click.option("--samples", "-S", type=int, default=RunConfig.samples,
+                            show_default=True),
+    "tol": click.option("--tol", type=click.FloatRange(min=0, min_open=True),
+                        default=RunConfig.tol, show_default=True),
+}
+output_options = [
     click.option("--json", "output_json", flag_value=True, default=True, help="compact JSON (default)"),
     click.option("--pretty", "output_json", flag_value=False, help="indented JSON"),
 ]
 
 
-def with_config(f):
-    for opt in reversed(config_options):
-        f = opt(f)
-    return f
+def with_config(*names):
+    """Give a command the options of the named RunConfig fields, and
+    --json / --pretty."""
+    def decorate(f):
+        for opt in reversed([config_options[n] for n in names] + output_options):
+            f = opt(f)
+        return f
+    return decorate
 
 
 def _config(kw):
-    return RunConfig(seed=kw["seed"], order=kw["order"], window=kw["window"],
-                     box=kw["box"], ring_m=kw["ring_m"], trials=kw["trials"],
-                     samples=kw["samples"], tol=kw["tol"])
+    """The RunConfig of a command's options; the fields it takes no option
+    for keep their defaults."""
+    return RunConfig(**{k: kw[k] for k in config_options if k in kw})
 
 
 @click.group()
@@ -168,7 +181,7 @@ def _load(mapfile):
 
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
-@with_config
+@with_config()
 def check(mapfile, **kw):
     """Jacobian and degree report for a map file."""
     cfg = _config(kw)
@@ -193,7 +206,7 @@ def check(mapfile, **kw):
 @click.argument("mapfile", type=click.Path(exists=True))
 @click.option("--translate", default=None,
               help="a,b to translate by before inverting (Gaussian integer constants)")
-@with_config
+@with_config("order", "window")
 def invert(mapfile, translate, **kw):
     """Truncated formal local inverse and tail verdicts."""
     cfg = _config(kw)
@@ -251,14 +264,14 @@ def _degree(F, cfg):
 
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
-@with_config
+@with_config("seed", "trials", "samples", "tol")
 def exceptional(mapfile, **kw):
     """Non-proper candidates, certification, critical values, degree."""
     cfg = _config(kw)
     F, _, meta = _load(mapfile)
     try:
         rep = _report(F, cfg)
-    except (exc.ExceptionalError, ValueError) as e:
+    except ANALYSIS_ERRORS as e:
         click.echo(f"error: {e}", file=sys.stderr)
         sys.exit(1)
     result = {
@@ -277,7 +290,7 @@ def exceptional(mapfile, **kw):
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
 @click.option("-k", "k_text", default="0", show_default=True, help="fiber level (Gaussian integer)")
-@with_config
+@with_config("box", "ring_m", "seed", "trials", "samples", "tol")
 def fibers(mapfile, k_text, **kw):
     """Ring lattice points on the fiber P = k inside the box."""
     cfg = _config(kw)
@@ -290,26 +303,23 @@ def fibers(mapfile, k_text, **kw):
         click.echo(f"error: {e}", file=sys.stderr)
         sys.exit(1)
     result = fset.to_json()
-    bounds = None
+    result["bound4"] = result["bound5"] = None
+    lines = [f"{meta['name']}: {result['count']} fiber points at k = {k_text}, B = {cfg.box}"]
     try:
         curve, deg = _curve_and_degree(F, curve, cfg)
         if not curve.is_empty():
             if deg is None:
                 deg = _degree(F, cfg)
-            b4, b5 = lat.fiber_count_bounds(F, deg.deg_geo, curve)
-            bounds = {"bound4": b4, "bound5": b5}
-    except (exc.ExceptionalError, ValueError):
-        bounds = None
-    result["bound4"] = bounds["bound4"] if bounds else None
-    result["bound5"] = bounds["bound5"] if bounds else None
-    emit("fibers", meta, cfg, result, not kw["output_json"],
-         [f"{meta['name']}: {result['count']} fiber points at k = {k_text}, B = {cfg.box}"])
+            result["bound4"], result["bound5"] = lat.fiber_count_bounds(F, deg.deg_geo, curve)
+    except ANALYSIS_ERRORS as e:
+        lines.append(f"note: bound4 and bound5 are null: {e}")
+    emit("fibers", meta, cfg, result, not kw["output_json"], lines)
 
 
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
 @click.argument("which", type=click.Choice(["dist", "dhat", "bounds"]))
-@with_config
+@with_config("box", "ring_m", "seed", "trials", "samples", "tol")
 def verify(mapfile, which, **kw):
     """Inequality and bound verification sweeps over the lattice box."""
     cfg = _config(kw)
@@ -317,7 +327,7 @@ def verify(mapfile, which, **kw):
     try:
         box = lat.LatticeBox(cfg.box, cfg.ring_m)
         curve, deg = _curve_and_degree(F, curve, cfg)
-    except (exc.ExceptionalError, ValueError) as e:
+    except ANALYSIS_ERRORS as e:
         click.echo(f"error: {e}", file=sys.stderr)
         sys.exit(1)
     code = 0
@@ -338,7 +348,7 @@ def verify(mapfile, which, **kw):
             if deg is None:
                 deg = _degree(F, cfg)
             b4, b5 = lat.fiber_count_bounds(F, deg.deg_geo, curve)
-        except (exc.ExceptionalError, ValueError) as e:
+        except ANALYSIS_ERRORS as e:
             click.echo(f"error: {e}", file=sys.stderr)
             sys.exit(1)
         sweep = []

@@ -19,12 +19,10 @@ import numpy as np
 from .gaussian import GR_ZERO, GaussianRational
 from .poly import (Poly, PolyMap, cont_pp_static, divides, jacobian, poly_gcd,
                    resultant_allow_constant, squarefree_part)
-from .roots import SAMPLE_ZERO_REL, RootFindingError, Slice, cluster_roots
+from .roots import SAMPLE_ZERO_REL, Slice, cluster_roots
 
 #: relative residual under which a polished sample preimage counts as a solution
 CERTIFY_TOL = 1e-7
-#: |defining(u0, v0)| on a curve: tested points are roots, only that accurate
-CONTAINS_TOL = 1e-9
 #: relative Newton step that stops a sample preimage's polish: a few ulps
 POLISH_REL = 1e-14
 #: root-to-Gaussian-integer distance of a critical line; exact evaluation decides
@@ -77,11 +75,6 @@ class PlaneCurveSet:
     def v_slice(self):
         """The defining polynomial as a Slice in v, built once per curve."""
         return Slice(self.defining, "v")
-
-    def contains(self, u0, v0, tol=CONTAINS_TOL):
-        if self.is_empty():
-            return False
-        return abs(complex(self.defining.evaluate({"u": u0, "v": v0}))) <= tol
 
     def to_json(self):
         return {
@@ -209,10 +202,6 @@ def _preimage_count_exact(F, u0, v0):
     return max(counts)
 
 
-#: the y-roots of a slice whose solve failed: not constant, and no candidates
-_UNSOLVED = ()
-
-
 def _preimage_count_numeric(F, u0, v0, res_x):
     """Number of distinct finite solutions of F = (u0, v0) for a complex
     target (e.g. a sampled point on a candidate curve).
@@ -257,15 +246,10 @@ def _preimage_count_numeric(F, u0, v0, res_x):
     solutions = []
     for x0, _ in cluster_roots(xs, tol=1e-6):
         # y-roots of P(x0, .) = u0 and Q(x0, .) = v0: None when the equation
-        # holds identically, empty when it never holds; a failed solve
-        # offers no candidates
-        ys = []
-        for sl, target in in_y:
-            try:
-                ys.append(sl.roots([x0], SAMPLE_ZERO_REL, shift=target)[0])
-            except RootFindingError:
-                ys.append(_UNSOLVED)
-        if any(r is not None and r is not _UNSOLVED and len(r) == 0 for r in ys):
+        # holds identically, empty when it never holds.  A failed solve
+        # raises: dropping its candidates could fake a count below deg_geo
+        ys = [sl.roots([x0], SAMPLE_ZERO_REL, shift=target)[0] for sl, target in in_y]
+        if any(r is not None and len(r) == 0 for r in ys):
             continue  # one equation is a nonzero constant on the slice
         if ys[0] is None and ys[1] is None:
             continue  # the whole vertical line maps to the target
@@ -313,7 +297,7 @@ def _random_rational(rng, lo=-9, hi=9):
     return GaussianRational(a, b, d)
 
 
-def topological_degree(F, trials=3, seed=0, tol=1e-9, max_retries=60, avoid=None):
+def topological_degree(F, trials=3, seed=0, tol=1e-9, avoid=None):
     """deg_geo F: the common preimage count at `trials` random Gaussian-rational
     targets drawn with rejection against the candidate exceptional locus.
     `avoid` is that locus's defining polynomial in (u, v) when the caller has
@@ -332,7 +316,7 @@ def topological_degree(F, trials=3, seed=0, tol=1e-9, max_retries=60, avoid=None
     samples = []
     attempts = 0
     while len(samples) < trials:
-        if attempts > max_retries:
+        if attempts > 60:
             raise ExceptionalError("could not find generic targets off the candidate locus")
         attempts += 1
         u0 = _random_rational(rng)
@@ -350,14 +334,13 @@ def topological_degree(F, trials=3, seed=0, tol=1e-9, max_retries=60, avoid=None
     return DegreeReport(deg_geo=counts[0], samples=samples, agreed=True)
 
 
-def certify_nonproper(F, curve, samples=5, seed=0, deg_geo=None):
+def certify_nonproper(F, curve, samples=5, seed=0, *, deg_geo):
     """Per-component verdicts: a candidate component is confirmed non-proper
     when the finite-preimage count drops strictly below deg_geo at every
-    sampled point of the component (solutions accepted at CERTIFY_TOL)."""
+    sampled point of the component (solutions accepted at CERTIFY_TOL).
+    Raises RootFindingError when a slice solve of the count fails."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    if deg_geo is None:
-        deg_geo = topological_degree(F, trials=3, seed=seed + 1).deg_geo
     rng = random.Random(seed)
     comps = curve.component_polys or (
         [] if curve.is_empty() else [("candidate", curve.defining)]

@@ -8,10 +8,11 @@ path serves every entry point: ``find_roots`` is a one-row call of
 ``find_roots_batch``, and ``find_roots_grouped`` solves rows of mixed shapes
 with one ``find_roots_batch`` call per trimmed degree.
 
-``Slice`` specializes a polynomial to a univariate slice, exactly at ring
-points or numerically at many complex points, with one numeric zero rule for
-leading coefficients.  It backs curve slicing, distance certification and
-sampling; fiber enumeration builds its exact slices in plain ints instead.
+``Slice`` specializes a polynomial to a univariate slice, exactly at
+Gaussian-rational points or numerically at many complex points, with one
+numeric zero rule for leading coefficients.  It backs curve slicing,
+distance certification and sampling; fiber enumeration builds its exact
+slices in plain ints instead.
 """
 
 from __future__ import annotations
@@ -20,16 +21,16 @@ import math
 
 import numpy as np
 
-from .gaussian import GR_ZERO, QuadElem
+from .gaussian import GR_ZERO
 
 
 class RootFindingError(RuntimeError):
     pass
 
 
-#: default tolerances (see the curve-slicing layer for how they are consumed)
+#: relative Newton step, |step| < TOL * (1 + |z|), at which a root's polish stops
 TOL = 1e-13
-#: Newton polish steps per root
+#: Newton polish steps per root, at most
 MAX_ITER = 50
 
 
@@ -45,13 +46,13 @@ def _horner(c, z):
     return p, dp
 
 
-def find_roots_batch(C, tol=TOL, max_iter=MAX_ITER):
+def find_roots_batch(C):
     """All complex roots of each row of C, an (n, d+1) array of descending
     complex coefficients whose leading column is nonzero.  Returns an (n, d)
     array; row i holds the roots of row i.  Raises RootFindingError when a
     row's eigenvalues cannot be computed or its polished residuals stay
-    large, or when a coefficient is not finite.  ``max_iter`` bounds the
-    Newton steps per root."""
+    large, or when a coefficient is not finite.  Each root takes at most
+    MAX_ITER Newton steps."""
     c = np.asarray(C, dtype=np.complex128)
     n, deg = c.shape[0], c.shape[1] - 1
     if not np.isfinite(c).all():
@@ -74,14 +75,14 @@ def find_roots_batch(C, tol=TOL, max_iter=MAX_ITER):
     # the nearest other one: near clustered or ill-conditioned roots plain
     # Newton drifts into a neighbour, and the eigenvalue is the better answer
     # there.  A root stops at dp = 0, at a refused step, or once its step is
-    # below tol relative to |z|.
+    # below TOL relative to |z|.
     gap = np.abs(z[:, :, None] - z[:, None, :])
     gap[:, np.arange(deg), np.arange(deg)] = np.inf
     reach = 0.25 * gap.min(axis=2)
     z0 = z
     p, dp = _horner(cn, z)
     active = np.ones(z.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         active &= dp != 0
         step = np.divide(p, dp, out=np.zeros_like(z), where=active)
         z_new = z - step
@@ -90,7 +91,7 @@ def find_roots_batch(C, tol=TOL, max_iter=MAX_ITER):
         z = np.where(active, z_new, z)
         p = np.where(active, p_new, p)
         dp = np.where(active, dp_new, dp)
-        active &= np.abs(step) >= tol * (1.0 + np.abs(z))
+        active &= np.abs(step) >= TOL * (1.0 + np.abs(z))
         if not active.any():
             break
     residual = np.abs(p)
@@ -103,7 +104,7 @@ def find_roots_batch(C, tol=TOL, max_iter=MAX_ITER):
     return z
 
 
-def find_roots(coeffs, tol=TOL, max_iter=MAX_ITER):
+def find_roots(coeffs):
     """All complex roots of the polynomial with descending complex
     coefficients: exact leading zeros are dropped, exact trailing zeros are
     roots at the origin, and the rest is a one-row ``find_roots_batch``.
@@ -115,7 +116,7 @@ def find_roots(coeffs, tol=TOL, max_iter=MAX_ITER):
         raise RootFindingError("zero polynomial has no finite root set")
     origin = np.zeros(c.shape[0] - 1 - nz[-1], dtype=np.complex128)
     c = c[nz[0]:nz[-1] + 1]
-    return np.concatenate([find_roots_batch(c[None, :], tol, max_iter)[0], origin])
+    return np.concatenate([find_roots_batch(c[None, :])[0], origin])
 
 
 def find_roots_grouped(C, nonzero=None):
@@ -162,12 +163,6 @@ SLICE_ZERO_REL = 1e-12
 SAMPLE_ZERO_REL = 1e-9
 
 
-def is_exact_zero(c):
-    """Exact zero test of a GaussianRational or QuadElem; a QuadElem with
-    m = 1 is zero when u + v*i is."""
-    return c.equals_gaussian(GR_ZERO) if isinstance(c, QuadElem) else not c
-
-
 class Slice:
     """A polynomial f viewed in one free variable, compiled once and
     specialized at many values of the other (fixed) variables.
@@ -200,13 +195,13 @@ class Slice:
         self.absA = np.abs(self.A)
 
     def exact(self, values):
-        """Descending coefficients of f at exact values (GaussianRational or
-        QuadElem) of the fixed variables, exact leading zeros dropped; None
-        when the slice vanishes identically."""
+        """Descending coefficients of f at Gaussian-rational values of the
+        fixed variables, exact leading zeros dropped; None when the slice
+        vanishes identically."""
         point = dict(zip(self.fixed, values))
         cs = [GR_ZERO if c is None else c.evaluate(point) for c in self.coeffs]
         for i, c in enumerate(cs):
-            if not is_exact_zero(c):
+            if c:
                 return cs[i:]
         return None
 

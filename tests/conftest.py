@@ -13,6 +13,21 @@ def _warm_kernels():
     find_roots([1.0, 0.0, -1.0])
 
 
+@pytest.fixture()
+def fail_y_slice_solves(monkeypatch):
+    """Every root solve of a Slice in y over x raises, as a failed y-solve
+    of a sample preimage count does."""
+    from planejac.roots import RootFindingError, Slice
+    real = Slice.roots
+
+    def roots(self, *args, **kw):
+        if self.fixed == ("x",):
+            raise RootFindingError("root iteration did not converge")
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(Slice, "roots", roots)
+
+
 XY = ("x", "y")
 UV = ("u", "v")
 

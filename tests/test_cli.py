@@ -67,8 +67,8 @@ def test_check_unit_jacobian(runner):
 
 
 def test_reports_validate_and_are_deterministic(runner):
-    a = runner.invoke(main, ["check", _map("identity.json"), "--seed", "7"])
-    b = runner.invoke(main, ["check", _map("identity.json"), "--seed", "7"])
+    a = runner.invoke(main, ["exceptional", _map("identity.json"), "--seed", "7"])
+    b = runner.invoke(main, ["exceptional", _map("identity.json"), "--seed", "7"])
     assert a.exit_code == b.exit_code == 0
     assert a.stdout == b.stdout
     jsonschema.validate(_payload(a), _schema())
@@ -205,6 +205,13 @@ def test_exceptional_non_dominant_errors(runner, tmp_path):
     assert r.exit_code == 1
 
 
+def test_exceptional_failed_root_solve_is_an_error(runner, fail_y_slice_solves):
+    r = runner.invoke(main, ["exceptional", _map("makar_limanov.json")])
+    assert r.exit_code == 1
+    assert "error: root iteration did not converge" in r.stderr
+    assert isinstance(r.exception, SystemExit)  # no traceback
+
+
 # --------------------------------------------------------------- fibers
 
 def test_fibers_ml_k3(runner):
@@ -221,6 +228,19 @@ def test_fibers_gaussian_k(runner):
     assert r.exit_code == 0
     rep = _payload(r)
     assert rep["result"]["line_fiber"]["x_values"] == [[1, 1]]
+
+
+def test_fibers_names_why_its_bounds_are_null(runner, tmp_path):
+    mf = tmp_path / "nd.json"
+    mf.write_text(json.dumps({"name": "nd", "p": "x + y", "q": "x + y"}))
+    r = runner.invoke(main, ["fibers", str(mf), "-k", "0", "-B", "1"])
+    assert r.exit_code == 0
+    res = _payload(r)["result"]
+    assert res["bound4"] is None and res["bound5"] is None
+    assert "note: bound4 and bound5 are null: map is not dominant" in r.stderr
+    # an empty curve gives null bounds too, with nothing to explain
+    r = runner.invoke(main, ["fibers", _map("identity.json"), "-k", "0", "-B", "1"])
+    assert _payload(r)["result"]["bound4"] is None and "note" not in r.stderr
 
 
 def test_fibers_bad_k(runner):
@@ -260,6 +280,20 @@ def test_verify_bounds_sweep(runner):
     ks = [s["k"] for s in rep["result"]["sweep"]]
     assert ks == ["0", "1", "-1", "2", "-2", "i"]
     assert all(not s["exceeds"] for s in rep["result"]["sweep"])
+
+
+@pytest.mark.parametrize("args", [
+    ["invert", _map("elementary.json"), "-N", "4", "-W", "0"],
+    ["exceptional", _map("identity.json"), "--tol", "0"],
+    ["verify", _map("makar_limanov.json"), "dist", "-B", "1", "--tol", "-1"],
+    ["check", _map("identity.json"), "--box", "0"],       # check reads no option
+    ["invert", _map("elementary.json"), "--trials", "2"],  # nor does invert read -T
+], ids=["window-0", "tol-0", "tol-negative", "check-box", "invert-trials"])
+def test_bad_or_unread_option_is_a_usage_error(runner, args):
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)  # no traceback
+    assert r.stdout == ""
 
 
 def test_missing_mapfile_is_an_error(runner):

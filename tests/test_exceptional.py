@@ -12,7 +12,7 @@ from planejac.exceptional import (ExceptionalError, PlaneCurveSet,
                                   topological_degree)
 from planejac.gaussian import GaussianRational
 from planejac.poly import Poly, PolyMap, compose_maps, jacobian
-from planejac.roots import Slice
+from planejac.roots import RootFindingError, Slice
 
 from conftest import UV, pe, random_automorphism
 
@@ -109,6 +109,14 @@ def test_certify_computes_the_trivariate_resultant_once(ml_map_printed, monkeypa
     verdicts = certify_nonproper(ml_map_printed, cand, samples=5, seed=0, deg_geo=4)
     assert calls == ["y"]
     assert [s["count"] for s in verdicts[0]["samples"]] == [3, 3, 3, 3, 3]
+
+
+def test_certify_raises_when_a_y_slice_solve_fails(ml_map, fail_y_slice_solves):
+    # a failed solve must not drop its candidates: a lower count is the
+    # evidence that confirms a component
+    cand = nonproper_candidates(ml_map)
+    with pytest.raises(RootFindingError):
+        certify_nonproper(ml_map, cand, samples=5, seed=0, deg_geo=4)
 
 
 def test_certify_rejects_proper_curve():

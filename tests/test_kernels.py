@@ -1,14 +1,10 @@
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from planejac import _kernels
-from planejac.gaussian import GR_ZERO, GaussianRational, lattice_point
-from planejac.roots import (SAMPLE_ZERO_REL, SLICE_ZERO_REL, TOL, RootFindingError, Slice,
+from planejac.gaussian import GR_ZERO, GaussianRational
+from planejac.roots import (SAMPLE_ZERO_REL, SLICE_ZERO_REL, RootFindingError, Slice,
                             cluster_roots, find_roots, find_roots_batch, find_roots_grouped)
 
 from conftest import pe, random_poly
@@ -208,72 +204,28 @@ def test_slice_two_fixed_variables_match_exact_evaluation():
             assert len(roots) == len(sl.exact_roots([u0, v0])) == max(cs)
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_slice_exact_at_quadratic_ring_points(m):
-    # coefficients at x in Z + Z*i*sqrt(m) recombine, by Horner in the ring,
-    # to the exact value of f at every (x, y); at x = i (m = 1 only) the
-    # leading coefficient x - i vanishes although its T-part does not
-    rng = random.Random(5 + m)
+def test_slice_exact_at_gaussian_integer_points():
+    # coefficients at Gaussian-integer x recombine, by Horner, to the exact
+    # value of f at every (x, y); at x = i the leading coefficient x - i
+    # vanishes
+    rng = random.Random(6)
     polys = [pe("x*y^2 - i*y^2 + x*y + 1"), pe("x^2*y^3 - 2*x*y + y - i")]
     polys += [random_poly(rng, max_deg=3, n_terms=5, int_coeffs=True) for _ in range(6)]
     for f in polys:
         sl = Slice(f, "y")
         for ax in range(-1, 2):
             for bx in range(-1, 2):
-                xq = lattice_point(ax, bx, m)
+                xq = GaussianRational(ax, bx)
                 cs = sl.exact([xq])
                 for ay, by in ((0, 0), (1, -1), (2, 1)):
-                    yq = lattice_point(ay, by, m)
-                    acc = xq._coerce(0)
+                    yq = GaussianRational(ay, by)
+                    acc = GR_ZERO
                     for c in cs or ():
                         acc = acc * yq + c
-                    assert (acc - f.evaluate({"x": xq, "y": yq})).equals_gaussian(0)
+                    assert acc == f.evaluate({"x": xq, "y": yq})
                 if cs:
-                    assert not cs[0].equals_gaussian(0)
+                    assert cs[0]
                     num, bound = sl.numeric([complex(xq)])
                     err = np.abs(num[0, -len(cs):] - [complex(c) for c in cs])
                     assert np.all(err <= 1e-13 * np.maximum(1.0, bound[0, -len(cs):]))
-    assert len(Slice(polys[0], "y").exact([lattice_point(0, 1, m)])) == (2 if m == 1 else 3)
-
-
-# ----------------------------------------------------------------- backends
-
-def test_backend_selected():
-    # the documented rule: numba when it imports cleanly and PLANEJAC_NO_JIT
-    # does not force the fallback, else numpy
-    try:
-        import numba  # noqa: F401
-        has_numba = True
-    except ImportError:
-        has_numba = False
-    expected = "numba" if has_numba and not _kernels._FORCE_NUMPY else "numpy"
-    assert _kernels.BACKEND == expected
-
-
-def test_jit_and_python_kernels_agree():
-    rng = random.Random(89)
-    for _ in range(10):
-        deg = rng.randint(2, 10)
-        coeffs = np.array(
-            [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(deg + 1)],
-            dtype=np.complex128)
-        if abs(coeffs[0]) < 0.3:
-            coeffs[0] = 1.0
-        z0 = np.array([np.exp(2j * np.pi * k / deg) * 2 for k in range(deg)],
-                      dtype=np.complex128)
-        za, zb = z0.copy(), z0.copy()
-        _kernels.aberth(coeffs, za, TOL, 200)  # the Aberth iteration cap
-        _kernels._aberth_py(coeffs, zb, TOL, 200)
-        _kernels.newton_polish(coeffs, za, TOL, 50)
-        _kernels._newton_py(coeffs, zb, TOL, 50)
-        assert np.allclose(np.sort_complex(za), np.sort_complex(zb), atol=1e-9)
-        assert np.allclose(_kernels.polyval(coeffs, za),
-                           _kernels._polyval_py(coeffs, za))
-
-
-def test_no_jit_env_flag_forces_numpy_backend():
-    code = ("import planejac._kernels as k; print(k.BACKEND)")
-    env = dict(os.environ, PLANEJAC_NO_JIT="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
+    assert len(Slice(polys[0], "y").exact([GaussianRational(0, 1)])) == 2
