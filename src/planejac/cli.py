@@ -130,6 +130,13 @@ def _parse_gaussian_constant(text):
     return p.constant_value()
 
 
+def _finite(ctx, param, value):
+    # FloatRange lets NaN through its comparisons, and inf is above 0
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not finite")
+    return value
+
+
 #: the option of each RunConfig field; a command takes those it reads
 config_options = {
     "seed": click.option("--seed", type=int, default=RunConfig.seed, show_default=True),
@@ -142,7 +149,7 @@ config_options = {
     "samples": click.option("--samples", "-S", type=int, default=RunConfig.samples,
                             show_default=True),
     "tol": click.option("--tol", type=click.FloatRange(min=0, min_open=True),
-                        default=RunConfig.tol, show_default=True),
+                        callback=_finite, default=RunConfig.tol, show_default=True),
 }
 output_options = [
     click.option("--json", "output_json", flag_value=True, default=True, help="compact JSON (default)"),
@@ -245,8 +252,7 @@ def invert(mapfile, translate, **kw):
 
 
 def _report(F, cfg):
-    return exc.exceptional_report(F, samples=cfg.samples, seed=cfg.seed,
-                                  trials=cfg.trials, tol=cfg.tol)
+    return exc.exceptional_report(F, samples=cfg.samples, seed=cfg.seed, trials=cfg.trials)
 
 
 def _curve_and_degree(F, curve, cfg):
@@ -259,12 +265,12 @@ def _curve_and_degree(F, curve, cfg):
 
 
 def _degree(F, cfg):
-    return exc.topological_degree(F, trials=cfg.trials, seed=cfg.seed + 1, tol=cfg.tol)
+    return exc.topological_degree(F, trials=cfg.trials, seed=cfg.seed + 1)
 
 
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
-@with_config("seed", "trials", "samples", "tol")
+@with_config("seed", "trials", "samples")
 def exceptional(mapfile, **kw):
     """Non-proper candidates, certification, critical values, degree."""
     cfg = _config(kw)
@@ -290,7 +296,7 @@ def exceptional(mapfile, **kw):
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
 @click.option("-k", "k_text", default="0", show_default=True, help="fiber level (Gaussian integer)")
-@with_config("box", "ring_m", "seed", "trials", "samples", "tol")
+@with_config("box", "ring_m", "seed", "trials", "samples")
 def fibers(mapfile, k_text, **kw):
     """Ring lattice points on the fiber P = k inside the box."""
     cfg = _config(kw)

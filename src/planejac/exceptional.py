@@ -27,6 +27,16 @@ CERTIFY_TOL = 1e-7
 POLISH_REL = 1e-14
 #: root-to-Gaussian-integer distance of a critical line; exact evaluation decides
 LATTICE_ROOT_TOL = 1e-9
+#: relative distance under which two sample roots or preimages are one point
+SAMPLE_MERGE_REL = 1e-6
+#: relative residual of a sample preimage already at roundoff: no polish needed
+ROUNDOFF_REL = 1e-9
+#: coordinate magnitude at which a polish is given up as diverging
+POLISH_DIVERGED = 1e12
+#: relative distance under which two roots of a critical-line content merge
+LINE_ROOT_MERGE_REL = 1e-8
+#: relative distance under which two v-roots of a line intersection merge
+INTERSECTION_MERGE_REL = 1e-7
 
 UV = ("u", "v")
 
@@ -226,7 +236,7 @@ def _preimage_count_numeric(F, u0, v0, res_x):
 
     def _polish(x, y):
         for _ in range(60):
-            if max(abs(x), abs(y)) > 1e12:
+            if max(abs(x), abs(y)) > POLISH_DIVERGED:
                 return x, y  # diverging; the residual check will reject it
             pv = _ev(F.p, x, y) - u0
             qv = _ev(F.q, x, y) - v0
@@ -244,7 +254,7 @@ def _preimage_count_numeric(F, u0, v0, res_x):
 
     count = 0
     solutions = []
-    for x0, _ in cluster_roots(xs, tol=1e-6):
+    for x0, _ in cluster_roots(xs, tol=SAMPLE_MERGE_REL):
         # y-roots of P(x0, .) = u0 and Q(x0, .) = v0: None when the equation
         # holds identically, empty when it never holds.  A failed solve
         # raises: dropping its candidates could fake a count below deg_geo
@@ -256,7 +266,7 @@ def _preimage_count_numeric(F, u0, v0, res_x):
         if ys[0] is None or ys[1] is None:
             # one equation holds identically on the line: the other alone
             # cuts the fiber there, and its roots are exact by construction
-            count += len(cluster_roots(ys[1] if ys[0] is None else ys[0], tol=1e-6))
+            count += len(cluster_roots(ys[1] if ys[0] is None else ys[0], tol=SAMPLE_MERGE_REL))
             continue
         for y0 in (*ys[0], *ys[1]):
             # a far-out candidate overflows in complex128: its residuals or
@@ -267,7 +277,7 @@ def _preimage_count_numeric(F, u0, v0, res_x):
                     rq = abs(_ev(F.q, x0, y0) - v0)
                     sp = abs(u0) + _term_magnitude_bound(F.p, x0, y0)
                     sq = abs(v0) + _term_magnitude_bound(F.q, x0, y0)
-                    if rp <= 1e-9 * sp and rq <= 1e-9 * sq:
+                    if rp <= ROUNDOFF_REL * sp and rq <= ROUNDOFF_REL * sq:
                         # already at the roundoff bound; Newton can only be
                         # destabilized by ill conditioning here
                         x1, y1 = x0, y0
@@ -284,7 +294,7 @@ def _preimage_count_numeric(F, u0, v0, res_x):
             if not (rp <= CERTIFY_TOL * sp and rq <= CERTIFY_TOL * sq):
                 continue
             if all(max(abs(x1 - xs_), abs(y1 - ys_)) >
-                   1e-6 * (1 + max(abs(x1), abs(y1)))
+                   SAMPLE_MERGE_REL * (1 + max(abs(x1), abs(y1)))
                    for xs_, ys_ in solutions):
                 solutions.append((x1, y1))
     return count + len(solutions)
@@ -297,9 +307,10 @@ def _random_rational(rng, lo=-9, hi=9):
     return GaussianRational(a, b, d)
 
 
-def topological_degree(F, trials=3, seed=0, tol=1e-9, avoid=None):
+def topological_degree(F, trials=3, seed=0, avoid=None):
     """deg_geo F: the common preimage count at `trials` random Gaussian-rational
-    targets drawn with rejection against the candidate exceptional locus.
+    targets, rejecting those on the candidate exceptional locus exactly (the
+    count at a target is exact, so nearness to the locus does not matter).
     `avoid` is that locus's defining polynomial in (u, v) when the caller has
     it; otherwise it is computed from the candidates and critical values."""
     if trials < 3:
@@ -321,9 +332,8 @@ def topological_degree(F, trials=3, seed=0, tol=1e-9, avoid=None):
         attempts += 1
         u0 = _random_rational(rng)
         v0 = _random_rational(rng)
-        if not avoid.is_constant():
-            if abs(complex(avoid.evaluate({"u": u0, "v": v0}))) < tol:
-                continue
+        if not avoid.evaluate({"u": u0, "v": v0}):
+            continue
         samples.append(((u0, v0), _preimage_count_exact(F, u0, v0)))
     counts = sorted({c for _, c in samples})
     agreed = len(counts) == 1
@@ -405,7 +415,7 @@ def _line_image_factors(F, d_poly, var):
         raise ExceptionalError("degenerate content in critical-value elimination")
     other = "y" if var == "x" else "x"
     along = [Slice(comp, other) for comp in (F.p, F.q)]
-    for r, _ in cluster_roots(roots, tol=1e-8):
+    for r, _ in cluster_roots(roots, tol=LINE_ROOT_MERGE_REL):
         # image of the line var = r, parametrized by the other variable: a
         # coordinate is constant along it when its slice has no root
         imgs = []
@@ -517,7 +527,7 @@ class ExceptionalReport:
     curve: PlaneCurveSet
 
 
-def exceptional_report(F, samples=5, seed=0, trials=3, tol=1e-9):
+def exceptional_report(F, samples=5, seed=0, trials=3):
     """Run each stage once: candidates and critical values, the degree with
     their product as its avoid locus, then the certification verdicts.  A_F
     is the square-free product of the confirmed non-proper components and
@@ -526,7 +536,7 @@ def exceptional_report(F, samples=5, seed=0, trials=3, tol=1e-9):
         raise ExceptionalError("map is not dominant")
     cand = nonproper_candidates(F)
     crit = critical_values(F)
-    degree = topological_degree(F, trials=trials, seed=seed + 1, tol=tol,
+    degree = topological_degree(F, trials=trials, seed=seed + 1,
                                 avoid=cand.defining * crit.defining)
     verdicts = certify_nonproper(F, cand, samples=samples, seed=seed,
                                  deg_geo=degree.deg_geo)
@@ -568,7 +578,7 @@ def line_intersections(curve, k):
         raise ExceptionalError(
             f"the line u = {k} is contained in the curve; intersection count undefined"
         )
-    clustered = cluster_roots(curve.v_slice.exact_roots([kq]), tol=1e-7)
+    clustered = cluster_roots(curve.v_slice.exact_roots([kq]), tol=INTERSECTION_MERGE_REL)
     return {
         "k": str(k),
         "roots": [

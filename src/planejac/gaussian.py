@@ -10,83 +10,6 @@ from __future__ import annotations
 from math import gcd
 
 
-class GaussianInt:
-    """A Gaussian integer a + b*i with arbitrary-precision integer parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = int(re)
-        self.im = int(im)
-
-    def __add__(self, other):
-        other = GaussianInt.coerce(other)
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = GaussianInt.coerce(other)
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return GaussianInt.coerce(other) - self
-
-    def __mul__(self, other):
-        other = GaussianInt.coerce(other)
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussianInt(-self.re, -self.im)
-
-    def conj(self):
-        return GaussianInt(self.re, -self.im)
-
-    def norm(self):
-        """a^2 + b^2, a nonnegative ordinary integer."""
-        return self.re * self.re + self.im * self.im
-
-    def __eq__(self, other):
-        try:
-            other = GaussianInt.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __complex__(self):
-        return complex(self.re, self.im)
-
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, GaussianInt):
-            return x
-        if isinstance(x, int):
-            return GaussianInt(x, 0)
-        raise TypeError(f"cannot coerce {x!r} to GaussianInt")
-
-    def __repr__(self):
-        return f"GaussianInt({self.re}, {self.im})"
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im >= 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
-
-
 class GaussianRational:
     """An element of Q(i) stored as (a + b*i)/d with d > 0 and the triple
     reduced: gcd(gcd(|a|, |b|), d) = 1 after every operation."""
@@ -94,8 +17,6 @@ class GaussianRational:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a=0, b=0, d=1):
-        if isinstance(a, GaussianInt):
-            a, b = a.re, a.im
         a, b, d = int(a), int(b), int(d)
         if d == 0:
             raise ZeroDivisionError("zero denominator in GaussianRational")
@@ -108,20 +29,10 @@ class GaussianRational:
         self.b = b
         self.d = d
 
-    @property
-    def num(self):
-        return GaussianInt(self.a, self.b)
-
-    @property
-    def den(self):
-        return self.d
-
     @staticmethod
     def coerce(x):
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, GaussianInt):
-            return GaussianRational(x.re, x.im, 1)
         if isinstance(x, int):
             return GaussianRational(x, 0, 1)
         raise TypeError(f"cannot coerce {x!r} to GaussianRational")
@@ -199,21 +110,14 @@ class GaussianRational:
         return f"GaussianRational({self.a}, {self.b}, {self.d})"
 
     def __str__(self):
-        s = str(GaussianInt(self.a, self.b))
-        if self.d == 1:
-            return s
-        if self.b != 0 and self.re != 0 and not s.startswith("("):
-            s = f"({s})"
-        return f"{s}/{self.d}"
-
-    # convenience aliases used by the printer
-    @property
-    def re(self):
-        return self.a
-
-    @property
-    def im(self):
-        return self.b
+        a, b = self.a, self.b
+        if b == 0:
+            s = str(a)
+        elif a == 0:
+            s = f"{b}i"
+        else:
+            s = f"({a}{'+' if b > 0 else '-'}{abs(b)}i)"
+        return s if self.d == 1 else f"{s}/{self.d}"
 
 
 GR_ZERO = GaussianRational(0)

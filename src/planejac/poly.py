@@ -231,17 +231,13 @@ class Poly:
         GaussianRational / int / QuadElem / complex / Poly.  Exact inputs give
         exact outputs; any Poly value triggers polynomial composition.
         Laurent exponents require invertible (nonzero) values."""
-        poly_subs = {k: v for k, v in values.items() if isinstance(v, Poly)}
-        if poly_subs:
+        if any(isinstance(v, Poly) for v in values.values()):
             return self._compose(values)
-        remaining = [w for w in self.vars if w not in values]
-        use_complex = any(isinstance(v, (complex, float)) for v in values.values())
-        if remaining:
+        if any(w not in values for w in self.vars):
             return self._partial(values)
-        # full numeric substitution
-        if use_complex:
+        if any(isinstance(v, (complex, float)) for v in values.values()):
             total = 0j
-            vals = [complex(values[w]) if not isinstance(values[w], complex) else values[w] for w in self.vars]
+            vals = [complex(values[w]) for w in self.vars]
             for exps, c in self.terms.items():
                 t = complex(c)
                 for v, e in zip(vals, exps):
@@ -263,38 +259,24 @@ class Poly:
                         t = t * v
                 total += t
             return total
-        vals = [GaussianRational.coerce(values[w]) for w in self.vars]
-        total = GR_ZERO
-        for exps, c in self.terms.items():
-            t = c
-            for v, e in zip(vals, exps):
-                if e >= 0:
-                    t = t * _rat_pow(v, e)
-                else:
-                    if not v:
-                        raise ZeroDivisionError("Laurent evaluation at zero coordinate")
-                    t = t / _rat_pow(v, -e)
-            total = total + t
-        return total
+        return self._partial(values).constant_value()
 
     def _partial(self, values):
         keep = [i for i, w in enumerate(self.vars) if w not in values]
-        vals = {i: values[w] for i, w in enumerate(self.vars) if w in values}
+        vals = {i: GaussianRational.coerce(values[w])
+                for i, w in enumerate(self.vars) if w in values}
         out = Poly(tuple(self.vars[i] for i in keep))
         terms = {}
         for exps, c in self.terms.items():
             t = c
             for i, v in vals.items():
                 e = exps[i]
-                v = GaussianRational.coerce(v)
                 if e >= 0:
                     t = t * _rat_pow(v, e)
                 else:
                     if not v:
                         raise ZeroDivisionError("Laurent evaluation at zero coordinate")
                     t = t / _rat_pow(v, -e)
-                if not t:
-                    break
             if not t:
                 continue
             e = tuple(exps[i] for i in keep)
@@ -426,21 +408,12 @@ def _coeff_is_negative(c):
 
 def _coeff_str(c, bare):
     """Render a coefficient per the text grammar; empty string when the
-    coefficient is 1 and a monomial follows."""
+    coefficient is 1 and a monomial follows, "-" when it is -1."""
     if bare and c == GR_ONE:
         return ""
     if bare and c == GaussianRational(-1):
         return "-"
-    if c.b == 0:
-        s = str(c.a)
-    elif c.a == 0:
-        s = f"{c.b}i"
-    else:
-        sign = "+" if c.b >= 0 else "-"
-        s = f"({c.a}{sign}{abs(c.b)}i)"
-    if c.d != 1:
-        s = f"{s}/{c.d}"
-    return s
+    return str(c)
 
 
 # ------------------------------------------------------------------ parsing

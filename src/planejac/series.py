@@ -92,18 +92,6 @@ class TruncSeries2:
             return x
         return TruncSeries2(self.order, {(0, 0): GaussianRational.coerce(x)}, self.vars)
 
-    def __pow__(self, k):
-        r = TruncSeries2(self.order, {(0, 0): GR_ONE}, self.vars)
-        b = self
-        k = int(k)
-        while k:
-            if k & 1:
-                r = r * b
-            k >>= 1
-            if k:
-                b = b * b
-        return r
-
     def __eq__(self, other):
         if not isinstance(other, TruncSeries2):
             return NotImplemented
@@ -120,9 +108,6 @@ class TruncSeries2:
 
     def to_poly(self):
         return Poly(self.vars, {e: c for e, c in self.terms.items()})
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self):
         body = str(self.to_poly())
@@ -389,7 +374,7 @@ def detect_polynomial_tail(series, window):
     if not tail:
         return {"verdict": "poly-like", "window": window, "order": n}
     for d, c in sorted(tail.items()):
-        if c.is_gaussian_integer() and c.num.norm() >= 1:
+        if c.is_gaussian_integer():
             return {
                 "verdict": "not-poly",
                 "window": window,

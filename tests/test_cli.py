@@ -284,11 +284,17 @@ def test_verify_bounds_sweep(runner):
 
 @pytest.mark.parametrize("args", [
     ["invert", _map("elementary.json"), "-N", "4", "-W", "0"],
-    ["exceptional", _map("identity.json"), "--tol", "0"],
+    ["verify", _map("makar_limanov.json"), "dist", "-B", "1", "--tol", "0"],
     ["verify", _map("makar_limanov.json"), "dist", "-B", "1", "--tol", "-1"],
+    ["verify", _map("makar_limanov.json"), "dhat", "-B", "1", "--tol", "nan"],
+    ["verify", _map("makar_limanov.json"), "dhat", "-B", "1", "--tol", "inf"],
     ["check", _map("identity.json"), "--box", "0"],       # check reads no option
     ["invert", _map("elementary.json"), "--trials", "2"],  # nor does invert read -T
-], ids=["window-0", "tol-0", "tol-negative", "check-box", "invert-trials"])
+    # the degree's targets are rejected exactly, so neither reads --tol
+    ["exceptional", _map("identity.json"), "--tol", "1e-9"],
+    ["fibers", _map("identity.json"), "-B", "1", "--tol", "1e-9"],
+], ids=["window-0", "tol-0", "tol-negative", "tol-nan", "tol-inf", "check-box",
+        "invert-trials", "exceptional-tol", "fibers-tol"])
 def test_bad_or_unread_option_is_a_usage_error(runner, args):
     r = runner.invoke(main, args)
     assert r.exit_code == 2

@@ -50,6 +50,19 @@ def test_degree_examples(ml_map):
     assert rep.agreed and len(rep.samples) == 3
 
 
+def test_degree_rejects_targets_exactly_on_the_avoid_locus(monkeypatch):
+    # u = 0 is the critical-value line of (x^2, y).  The first target lies
+    # on it and is rejected; the second lies 1e-12 off it and is kept, as
+    # its count is exact
+    G = GaussianRational
+    on, near = (G(0), G(3)), (G(1, 0, 10 ** 12), G(2))
+    draws = iter([*on, *near, G(1), G(1), G(4), G(-1)])
+    monkeypatch.setattr(exc, "_random_rational", lambda rng: next(draws))
+    rep = topological_degree(PolyMap(pe("x^2"), pe("y")), avoid=pe("u", UV))
+    assert [t for t, _ in rep.samples] == [near, (G(1), G(1)), (G(4), G(-1))]
+    assert rep.deg_geo == 2
+
+
 def test_degree_invariant_under_elementary_precomposition():
     F = PolyMap(pe("x^2"), pe("y"))
     rng = random.Random(61)

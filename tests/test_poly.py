@@ -31,6 +31,31 @@ def test_parse_print_fixed_point():
         assert pe(str(f)) == f
 
 
+# coefficient, its str, and the term it prints as: leading before x^2, and
+# non-leading after 5*x^2 (where the sign moves into the joiner)
+_PRINTED = [
+    (GaussianRational(1), "1", "x^2 + 5*y", "5*x^2 + y"),
+    (GaussianRational(-1), "-1", "-x^2 + 5*y", "5*x^2 - y"),
+    (GaussianRational(0, 1), "1i", "1i*x^2 + 5*y", "5*x^2 + 1i*y"),
+    (GaussianRational(0, -1), "-1i", "-1i*x^2 + 5*y", "5*x^2 - 1i*y"),
+    (GaussianRational(3, 0, 2), "3/2", "3/2*x^2 + 5*y", "5*x^2 + 3/2*y"),
+    (GaussianRational(1, -2, 3), "(1-2i)/3", "(1-2i)/3*x^2 + 5*y", "5*x^2 + (1-2i)/3*y"),
+    (GaussianRational(-2, -3), "(-2-3i)", "(-2-3i)*x^2 + 5*y", "5*x^2 - (2+3i)*y"),
+]
+
+
+@pytest.mark.parametrize("c, text, leading, trailing", _PRINTED,
+                         ids=[t for _, t, _, _ in _PRINTED])
+def test_printed_coefficients_are_pinned(c, text, leading, trailing):
+    five = GaussianRational(5)
+    assert str(c) == text
+    assert str(Poly(XY, {(0, 0): c})) == text
+    assert str(Poly(XY, {(2, 0): c, (0, 1): five})) == leading
+    assert str(Poly(XY, {(2, 0): five, (0, 1): c})) == trailing
+    assert pe(leading) == Poly(XY, {(2, 0): c, (0, 1): five})
+    assert pe(trailing) == Poly(XY, {(2, 0): five, (0, 1): c})
+
+
 def test_parse_gaussian_literals_and_laurent():
     p = pe("(2-3i)*x^-1*y + 5i")
     assert p.terms[(-1, 1)] == GaussianRational(2, -3)
@@ -275,14 +300,16 @@ def test_resultant_shared_factor_is_zero():
         assert _sylvester_det(a, b, "y").is_zero()
 
 
+def _to_sympy(f):
+    import sympy  # the callers load it through importorskip
+    return sum((sympy.Integer(c.a) + sympy.I * c.b) / c.d
+               * sympy.Mul(*(sympy.Symbol(w) ** e for w, e in zip(f.vars, exps)))
+               for exps, c in f.terms.items())
+
+
 def test_resultant_gaussian_integers_against_sympy():
     sympy = pytest.importorskip("sympy")
     y = sympy.Symbol("y")
-
-    def to_sympy(f):
-        return sum((sympy.Integer(c.a) + sympy.I * c.b) / c.d
-                   * sympy.Mul(*(sympy.Symbol(w) ** e for w, e in zip(f.vars, exps)))
-                   for exps, c in f.terms.items())
 
     rng = random.Random(53)
     checked = 0
@@ -295,8 +322,8 @@ def test_resultant_gaussian_integers_against_sympy():
             # sympy drops the sign of the swap there: its resultant of
             # (y - x, y^3) is -x^3, the Sylvester determinant x^3
             a, b = b, a
-        ours = to_sympy(resultant(a, b, "y"))
-        ref = sympy.resultant(to_sympy(a), to_sympy(b), y)
+        ours = _to_sympy(resultant(a, b, "y"))
+        ref = sympy.resultant(_to_sympy(a), _to_sympy(b), y)
         assert sympy.expand(ours - ref) == 0, (a, b)
         checked += 1
 
@@ -344,6 +371,51 @@ def test_poly_gcd_basic():
     f = pe("x^2 - 1") * pe("x*y + 1")
     g = pe("x^2 - 1") * pe("y^2 + x")
     assert poly_gcd(f, g) == pe("x^2 - 1").monic()
+
+
+def _sympy_over_qi(f):
+    import sympy  # the callers load it through importorskip
+    return sympy.Poly(_to_sympy(f), *map(sympy.Symbol, f.vars), domain=sympy.QQ_I)
+
+
+def _from_sympy(p, vars):
+    terms = {}
+    for exps, c in p.terms():
+        re, im = c.as_real_imag()
+        d = re.q * im.q
+        terms[exps] = GaussianRational(int(re * d), int(im * d), d)
+    return Poly(vars, terms)
+
+
+def _planted(rng):
+    """A random factor h with a constant term, and two random cofactors."""
+    h = random_poly(rng, max_deg=2, n_terms=3) + GaussianRational(
+        rng.randint(1, 5), rng.randint(-5, 5), rng.randint(1, 3))
+    return h, random_poly(rng, max_deg=2, n_terms=3), random_poly(rng, max_deg=2, n_terms=3)
+
+
+def test_poly_gcd_matches_sympy_over_qi():
+    pytest.importorskip("sympy")
+    rng = random.Random(61)
+    for _ in range(25):
+        h, a, b = _planted(rng)
+        f, g = h * a, h * b
+        ours = poly_gcd(f, g)
+        assert divides(h, ours), (f, g)
+        ref = _sympy_over_qi(f).gcd(_sympy_over_qi(g))
+        assert ours == _from_sympy(ref, XY).monic(), (f, g)
+
+
+def test_squarefree_part_matches_sympy_over_qi():
+    pytest.importorskip("sympy")
+    rng = random.Random(67)
+    for _ in range(25):
+        h, a, b = _planted(rng)
+        f = h * h * a * (b if rng.random() < 0.5 else h)
+        ours = squarefree_part(f)
+        assert divides(ours, f) and divides(h.monic(), ours), f
+        ref = _sympy_over_qi(f).sqf_part()
+        assert ours == _from_sympy(ref, XY).monic(), f
 
 
 # ------------------------------------------------------------------ PolyMap caches

@@ -44,11 +44,6 @@ def test_series_arithmetic_meets_orders():
     assert (a * b).terms == {(1, 1): _one(2)}
 
 
-def test_series_pow_matches_repeated_mul():
-    s = TruncSeries2(6, {(1, 0): _one(1), (0, 1): _one(-2), (1, 1): _one(3)})
-    assert s ** 3 == s * s * s
-
-
 # ------------------------------------------------------------- local inverse
 
 def test_local_inverse_identity():
