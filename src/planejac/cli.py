@@ -178,12 +178,17 @@ def main():
     """Exact-arithmetic toolkit for plane polynomial maps over Z[i]."""
 
 
+def _fail(message):
+    """End the command with `error: message` on stderr and exit code 1."""
+    click.echo(f"error: {message}", file=sys.stderr)
+    sys.exit(1)
+
+
 def _load(mapfile):
     try:
         return load_map_file(mapfile)
     except MapFileError as e:
-        click.echo(f"error: {e}", file=sys.stderr)
-        sys.exit(1)
+        _fail(e)
 
 
 @main.command()
@@ -228,8 +233,7 @@ def invert(mapfile, translate, **kw):
             F = ser.translate_map(F, a, b)
         G = ser.local_inverse(F, cfg.order)
     except ValueError as e:
-        click.echo(f"error: {e}", file=sys.stderr)
-        sys.exit(1)
+        _fail(e)
     FG = ser.compose_truncated(G, F)
     res_u = FG.g1 - ser.TruncSeries2(cfg.order, {(1, 0): 1})
     res_v = FG.g2 - ser.TruncSeries2(cfg.order, {(0, 1): 1})
@@ -278,8 +282,7 @@ def exceptional(mapfile, **kw):
     try:
         rep = _report(F, cfg)
     except ANALYSIS_ERRORS as e:
-        click.echo(f"error: {e}", file=sys.stderr)
-        sys.exit(1)
+        _fail(e)
     result = {
         "defining": str(rep.curve.defining),
         "degree": rep.curve.degree,
@@ -306,8 +309,7 @@ def fibers(mapfile, k_text, **kw):
         box = lat.LatticeBox(cfg.box, cfg.ring_m)
         fset = lat.enumerate_fiber_points(F.p, kq, box)
     except (ValueError, click.BadParameter) as e:
-        click.echo(f"error: {e}", file=sys.stderr)
-        sys.exit(1)
+        _fail(e)
     result = fset.to_json()
     result["bound4"] = result["bound5"] = None
     lines = [f"{meta['name']}: {result['count']} fiber points at k = {k_text}, B = {cfg.box}"]
@@ -334,8 +336,7 @@ def verify(mapfile, which, **kw):
         box = lat.LatticeBox(cfg.box, cfg.ring_m)
         curve, deg = _curve_and_degree(F, curve, cfg)
     except ANALYSIS_ERRORS as e:
-        click.echo(f"error: {e}", file=sys.stderr)
-        sys.exit(1)
+        _fail(e)
     code = 0
     if which == "dist":
         result = lat.verify_dist_inequality(F, curve, box, tol=cfg.tol)
@@ -355,8 +356,7 @@ def verify(mapfile, which, **kw):
                 deg = _degree(F, cfg)
             b4, b5 = lat.fiber_count_bounds(F, deg.deg_geo, curve)
         except ANALYSIS_ERRORS as e:
-            click.echo(f"error: {e}", file=sys.stderr)
-            sys.exit(1)
+            _fail(e)
         sweep = []
         exceeded = False
         for k in ("0", "1", "-1", "2", "-2", "i"):

@@ -410,7 +410,8 @@ def _line_image_factors(F, d_poly, var):
     factors = []
     if d_poly.is_constant():
         return factors
-    roots = Slice(d_poly._with_vars((var,)), var).exact_roots(())
+    d_poly = d_poly._with_vars((var,))
+    roots = Slice(d_poly, var).exact_roots(())
     if roots is None:
         raise ExceptionalError("degenerate content in critical-value elimination")
     other = "y" if var == "x" else "x"
@@ -430,9 +431,7 @@ def _line_image_factors(F, d_poly, var):
             comp = F.p if target == "u" else F.q
             rr = complex(r)
             cand = GaussianRational(round(rr.real), round(rr.imag))
-            ev = d_poly.evaluate({var: cand})
-            ev_nonzero = not ev.is_zero() if isinstance(ev, Poly) else bool(ev)
-            if abs(complex(cand) - rr) > LATTICE_ROOT_TOL or ev_nonzero:
+            if abs(complex(cand) - rr) > LATTICE_ROOT_TOL or d_poly.evaluate({var: cand}):
                 raise ExceptionalError(
                     "critical line at a non-lattice root; elimination degenerates"
                 )

@@ -12,7 +12,7 @@ four variables internally.
 from __future__ import annotations
 
 import re as _re
-from typing import Iterable
+from math import gcd
 
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, QuadElem
 
@@ -188,16 +188,7 @@ class Poly:
         n = int(n)
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(1, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
+        return _power(self, n, Poly.const(1, self.vars))
 
     def __eq__(self, other):
         if isinstance(other, (int, GaussianRational)):
@@ -272,11 +263,11 @@ class Poly:
             for i, v in vals.items():
                 e = exps[i]
                 if e >= 0:
-                    t = t * _rat_pow(v, e)
+                    t = t * _power(v, e, GR_ONE)
                 else:
                     if not v:
                         raise ZeroDivisionError("Laurent evaluation at zero coordinate")
-                    t = t / _rat_pow(v, -e)
+                    t = t / _power(v, -e, GR_ONE)
             if not t:
                 continue
             e = tuple(exps[i] for i in keep)
@@ -388,16 +379,16 @@ class Poly:
         return {d: Poly(rest, t) for d, t in out.items() if any(t.values())}
 
 
-def _rat_pow(v, e):
-    r = GR_ONE
-    b = v
-    while e:
-        if e & 1:
-            r = r * b
-        e >>= 1
-        if e:
-            b = b * b
-    return r
+def _power(base, n, one):
+    """base ** n for n >= 0 by square-and-multiply; `one` is the identity."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def _coeff_is_negative(c):
@@ -570,10 +561,8 @@ class PolyMap:
         self.name = name
         self.deg_p = self.p.total_degree()
         self.deg_q = self.q.total_degree()
-        from math import gcd as _g
-
         if self.deg_p and self.deg_q:
-            self.deg_gcd = _g(self.deg_p, self.deg_q)
+            self.deg_gcd = gcd(self.deg_p, self.deg_q)
         else:
             self.deg_gcd = None
 
@@ -675,8 +664,9 @@ def _poly_rem(a, b, name):
 
 
 def poly_gcd(f, g):
-    """GCD over Q(i), normalized monic in graded-lex.  Primitive PRS in the
-    highest-ranked used variable, recursing on contents."""
+    """GCD over Q(i), normalized monic in graded-lex.  Subresultant PRS of
+    the primitive parts in the highest-ranked used variable, recursing on
+    contents."""
     f, g = f._align(g)
     if f.is_zero():
         return g.monic()
@@ -691,29 +681,19 @@ def poly_gcd(f, g):
     cf, pf = cont_pp_static(f, main)
     cg, pg = cont_pp_static(g, main)
     cont_gcd = poly_gcd(cf, cg)
-
-    a, b = pf, pg
-    while True:
-        if b.is_zero():
-            res = a
-            break
-        da = a.degree_in(main) or 0
-        db = b.degree_in(main) or 0
-        if db == 0:
-            res = Poly.const(1, a.vars)
-            break
-        if da < db:
-            a, b = b, a
-            continue
-        r = _pseudo_rem(a, b, main)
-        if r.is_zero():
-            res = b
-            break
-        _, r = cont_pp_static(r, main)
-        a, b = b, r
-    if not res.is_constant():
-        _, res = cont_pp_static(res, main)
-    return (cont_gcd * res).monic()
+    A, B = _coeff_list(pf, main), _coeff_list(pg, main)
+    if len(A) < len(B):
+        A, B = B, A
+    for A, B, _ in _subresultant_prs(A, B):
+        pass
+    if len(B) == 1:
+        return cont_gcd
+    # B is the last nonzero remainder; put `main` back into its terms
+    i, n = f.vars.index(main), len(B) - 1
+    last = Poly(f.vars, {e[:i] + (n - k,) + e[i:]: c
+                         for k, b in enumerate(B) for e, c in b.terms.items()})
+    _, last = cont_pp_static(last, main)
+    return (cont_gcd * last).monic()
 
 
 def cont_pp_static(h, main):
@@ -728,26 +708,6 @@ def cont_pp_static(h, main):
     if cont.is_constant():
         return Poly.const(1, h.vars), h
     return cont._with_vars(h.vars), exact_div(h, cont._with_vars(h.vars))
-
-
-def _pseudo_rem(a, b, name):
-    """Pseudo-remainder of a by b with respect to `name` (up to a factor
-    lc(b)^k, which the primitive PRS strips anyway)."""
-    cb = b.coeffs_in(name)
-    db = max(cb)
-    lcb = cb[db]._with_vars(a.vars)
-    r = a
-    rv = Poly.var(name, a.vars)
-    while True:
-        cr = r.coeffs_in(name)
-        if not cr:
-            break
-        dr = max(cr)
-        if dr < db:
-            break
-        lcr = cr[dr]._with_vars(r.vars)
-        r = r * lcb - b * (lcr * rv ** (dr - db))
-    return r
 
 
 def squarefree_part(f):
@@ -769,28 +729,24 @@ def squarefree_part(f):
 # ------------------------------------------------------------- resultants
 
 
+def _coeff_list(f, name):
+    """Coefficients of f in `name`, highest degree first, zeros included, as
+    polynomials in the other variables of f."""
+    cs = f.coeffs_in(name)
+    zero = Poly(tuple(w for w in f.vars if w != name))
+    return [cs.get(d, zero) for d in range(max(cs), -1, -1)]
+
+
 def sylvester_matrix(a, b, name):
     """Sylvester matrix with a-coefficient rows on top, coefficients listed
     from highest degree.  Its determinant (``det_bareiss``) is the definition
     ``resultant`` is checked against."""
-    ca = a.coeffs_in(name)
-    cb = b.coeffs_in(name)
-    m = max(ca)
-    n = max(cb)
-    vars = a._align(b)[0].vars
-    rest = tuple(w for w in vars if w != name)
-    zero = Poly(rest)
-
-    def row(coeffs, deg, shift, width):
-        r = [zero] * width
-        for k in range(deg + 1):
-            c = coeffs.get(deg - k)
-            r[shift + k] = c._with_vars(rest) if c is not None else zero
-        return r
-
-    width = m + n
-    rows = [row(ca, m, s, width) for s in range(n)]
-    rows += [row(cb, n, s, width) for s in range(m)]
+    a, b = a._align(b)
+    A, B = _coeff_list(a, name), _coeff_list(b, name)
+    m, n = len(A) - 1, len(B) - 1
+    zero = Poly(A[0].vars)
+    rows = [[zero] * s + A + [zero] * (n - 1 - s) for s in range(n)]
+    rows += [[zero] * s + B + [zero] * (m - 1 - s) for s in range(m)]
     return rows
 
 
@@ -859,38 +815,20 @@ def _div_or_raise(num, den):
     return q
 
 
-def resultant(a, b, eliminate):
-    """Resultant eliminating `eliminate`: the Sylvester determinant with the
-    fixed row convention (a-rows on top), sign included, computed by the
-    subresultant PRS over the polynomial ring of the other variables
-    (Cohen, Alg. 3.3.7, without the content step)."""
-    if a.is_zero() or b.is_zero():
-        raise ValueError("resultant of a zero polynomial")
-    da = a.degree_in(eliminate) if eliminate in a.vars else 0
-    db = b.degree_in(eliminate) if eliminate in b.vars else 0
-    if da <= 0 or db <= 0:
-        raise ValueError(f"both inputs must have positive degree in {eliminate}")
-    a, b = a._align(b)
-    rest = tuple(w for w in a.vars if w != eliminate)
-    zero = Poly(rest)
-    ca, cb = a.coeffs_in(eliminate), b.coeffs_in(eliminate)
-    A = [ca.get(d, zero) for d in range(da, -1, -1)]
-    B = [cb.get(d, zero) for d in range(db, -1, -1)]
-    # Res(b, a) = (-1)^(deg a * deg b) Res(a, b), on the swap and at each step
-    sign = 1
-    if da < db:
-        A, B = B, A
-        if da % 2 and db % 2:
-            sign = -1
-    g = h = Poly.const(1, rest)
+def _subresultant_prs(A, B):
+    """The subresultant PRS of descending coefficient lists, len(A) >=
+    len(B) (Collins, JACM 14, 1967; Cohen, Alg. 3.3.7 without the content
+    step).  Yields (A, B, h) for the input pair and each later pair; the
+    last pair has a constant B or a zero pseudo-remainder."""
+    g = h = Poly.const(1, A[0].vars)
     while True:
-        da, db = len(A) - 1, len(B) - 1
-        delta = da - db
-        if da % 2 and db % 2:
-            sign = -sign
+        yield A, B, h
+        if len(B) == 1:
+            return
+        delta = len(A) - len(B)
         R = _pseudo_rem_list(A, B)
         if not R:
-            return zero
+            return
         den = g * h ** delta
         A, B = B, [_div_or_raise(c, den) for c in R]
         g = A[0]
@@ -898,8 +836,31 @@ def resultant(a, b, eliminate):
             h = g
         elif delta > 1:
             h = _div_or_raise(g ** delta, h ** (delta - 1))
-        if len(B) == 1:
-            break
+
+
+def resultant(a, b, eliminate):
+    """Resultant eliminating `eliminate`: the Sylvester determinant with the
+    fixed row convention (a-rows on top), sign included, computed by the
+    subresultant PRS over the polynomial ring of the other variables."""
+    if a.is_zero() or b.is_zero():
+        raise ValueError("resultant of a zero polynomial")
+    da = a.degree_in(eliminate) if eliminate in a.vars else 0
+    db = b.degree_in(eliminate) if eliminate in b.vars else 0
+    if da <= 0 or db <= 0:
+        raise ValueError(f"both inputs must have positive degree in {eliminate}")
+    a, b = a._align(b)
+    A, B = _coeff_list(a, eliminate), _coeff_list(b, eliminate)
+    # Res(b, a) = (-1)^(deg a * deg b) Res(a, b), on the swap and at each step
+    sign = 1
+    if da < db:
+        A, B = B, A
+        if da % 2 and db % 2:
+            sign = -1
+    for A, B, h in _subresultant_prs(A, B):
+        if (len(A) - 1) * (len(B) - 1) % 2:
+            sign = -sign
+    if len(B) > 1:
+        return Poly(B[0].vars)  # a zero pseudo-remainder: a common factor
     da = len(A) - 1
     res = B[0] if da == 1 else _div_or_raise(B[0] ** da, h ** (da - 1))
     return -res if sign < 0 else res

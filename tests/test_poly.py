@@ -394,16 +394,40 @@ def _planted(rng):
     return h, random_poly(rng, max_deg=2, n_terms=3), random_poly(rng, max_deg=2, n_terms=3)
 
 
+def _fixed_gcd_cases():
+    """(h, f, g) with h | gcd(f, g): inputs that steer the remainder
+    sequence of `poly_gcd` (main variable y, or u for (x, y, u)) down paths
+    that random inputs rarely take."""
+    line = pe("x + 1i")
+    elim = pe("x*y - u", XYU) * pe("x*y + 1", XYU)
+    return [
+        # the gcd lies only in the content in y
+        (line, line * pe("y^2 + x*y + 1"), line * pe("2*x - 2") * pe("y - 3")),
+        # coprime primitive parts, coprime contents
+        (pe("1"), pe("x - 1") * pe("y^2 + x"), pe("x + 2") * pe("x*y + 1i")),
+        # degrees 5 and 4 in y, first remainder of degree 2: the step from
+        # (4, 2) divides by g*h^2 and updates h = g^2 / h, h non-constant
+        (pe("y + x + 1"),
+         pe("y + x + 1") * pe("(5+1i)*y^4 - (5+5i)*y^3 - 1i*y"),
+         pe("y + x + 1") * pe("(-1+2i)*x^3*y^3 + (4-1i)")),
+        # P - u and a Jacobian-like factor over (x, y, u), as in elimination
+        (elim, elim * pe("x^6*y^4 + 2*x^2*y - u", XYU),
+         elim * pe("x^2*y^3 - 3*x + 1i*u", XYU)),
+    ]
+
+
 def test_poly_gcd_matches_sympy_over_qi():
     pytest.importorskip("sympy")
     rng = random.Random(61)
+    cases = _fixed_gcd_cases()
     for _ in range(25):
         h, a, b = _planted(rng)
-        f, g = h * a, h * b
+        cases.append((h, h * a, h * b))
+    for h, f, g in cases:
         ours = poly_gcd(f, g)
         assert divides(h, ours), (f, g)
         ref = _sympy_over_qi(f).gcd(_sympy_over_qi(g))
-        assert ours == _from_sympy(ref, XY).monic(), (f, g)
+        assert ours == _from_sympy(ref, f.vars).monic(), (f, g)
 
 
 def test_squarefree_part_matches_sympy_over_qi():
