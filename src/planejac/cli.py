@@ -21,7 +21,7 @@ from . import exceptional as exc
 from . import lattice as lat
 from . import series as ser
 from .gaussian import GaussianRational
-from .poly import ParseError, Poly, PolyMap, jacobian, parse_expression
+from .poly import PolyMap, jacobian, parse_expression
 from .roots import RootFindingError
 
 EXIT_VIOLATIONS = 3
@@ -33,7 +33,6 @@ ANALYSIS_ERRORS = (exc.ExceptionalError, RootFindingError, ValueError)
 class RunConfig:
     seed: int = 0
     order: int = 16
-    window: int = 8
     box: int = 4
     ring_m: int = 1
     trials: int = 3
@@ -59,16 +58,16 @@ def load_map_file(path):
     try:
         p = parse_expression(data["p"], variables)
         q = parse_expression(data["q"], variables)
-    except ParseError as e:
+        F = PolyMap(p, q)
+    except ValueError as e:
         raise MapFileError(f"map file {path}: {e}")
-    F = PolyMap(p, q)
     if data.get("integral") and not F.is_integral():
         raise MapFileError(f"map file {path}: 'integral' is set but coefficients are not Gaussian integers")
     curve = None
     if data.get("curve"):
         try:
             curve = exc.PlaneCurveSet(parse_expression(data["curve"], ("u", "v")), ["supplied"])
-        except ParseError as e:
+        except ValueError as e:
             raise MapFileError(f"map file {path}: bad curve field: {e}")
     meta = {
         "name": data["name"],
@@ -130,6 +129,19 @@ def _parse_gaussian_constant(text):
     return p.constant_value()
 
 
+def _shift(ctx, param, value):
+    """--translate 'a,b' as a pair of Gaussian integers."""
+    if value is None:
+        return None
+    try:
+        shift = [_parse_gaussian_constant(t) for t in value.split(",")]
+    except ValueError as e:
+        raise click.BadParameter(str(e))
+    if len(shift) != 2 or not all(c.is_gaussian_integer() for c in shift):
+        raise click.BadParameter(f"{value!r} is not a pair 'a,b' of Gaussian integers")
+    return shift
+
+
 def _finite(ctx, param, value):
     # FloatRange lets NaN through its comparisons, and inf is above 0
     if not math.isfinite(value):
@@ -140,9 +152,8 @@ def _finite(ctx, param, value):
 #: the option of each RunConfig field; a command takes those it reads
 config_options = {
     "seed": click.option("--seed", type=int, default=RunConfig.seed, show_default=True),
-    "order": click.option("--order", "-N", type=int, default=RunConfig.order, show_default=True),
-    "window": click.option("--window", "-W", type=click.IntRange(min=1),
-                           default=RunConfig.window, show_default=True),
+    "order": click.option("--order", "-N", type=click.IntRange(min=1), default=RunConfig.order,
+                          show_default=True),
     "box": click.option("--box", "-B", type=int, default=RunConfig.box, show_default=True),
     "ring_m": click.option("--ring-m", type=int, default=RunConfig.ring_m, show_default=True),
     "trials": click.option("--trials", "-T", type=int, default=RunConfig.trials, show_default=True),
@@ -216,43 +227,37 @@ def check(mapfile, **kw):
 
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
-@click.option("--translate", default=None,
+@click.option("--translate", default=None, callback=_shift,
               help="a,b to translate by before inverting (Gaussian integer constants)")
-@with_config("order", "window")
+@with_config("order")
 def invert(mapfile, translate, **kw):
-    """Truncated formal local inverse and tail verdicts."""
+    """Truncated formal local inverse and the exact automorphism verdict."""
     cfg = _config(kw)
     F, _, meta = _load(mapfile)
     try:
         if translate:
-            parts = translate.split(",")
-            if len(parts) != 2:
-                raise click.BadParameter("--translate expects 'a,b'")
-            a = _parse_gaussian_constant(parts[0])
-            b = _parse_gaussian_constant(parts[1])
-            F = ser.translate_map(F, a, b)
-        G = ser.local_inverse(F, cfg.order)
+            F = ser.translate_map(F, *translate)
+        # the inverse of an automorphism has degree at most max(deg P, deg Q)
+        order = cfg.order
+        if ser.has_constant_jacobian(F):
+            order = max(order, F.deg_p, F.deg_q)
+        G = ser.local_inverse(F, order)
     except ValueError as e:
         _fail(e)
-    FG = ser.compose_truncated(G, F)
-    res_u = FG.g1 - ser.TruncSeries2(cfg.order, {(1, 0): 1})
-    res_v = FG.g2 - ser.TruncSeries2(cfg.order, {(0, 1): 1})
-    resid = max(
-        res_u.max_nonzero_degree() or 0,
-        res_v.max_nonzero_degree() or 0,
-    )
-    su, _ = ser.restrict_to_axis(G, "u")
-    sv, _ = ser.restrict_to_axis(G, "v")
-    window = min(cfg.window, cfg.order)
+    verdict, resid = ser.automorphism_verdict(F, G)
+    # the report shows the series, and its round trip, through degree N
+    g1, g2 = (ser.TruncSeries2(cfg.order, g.terms) for g in (G.g1, G.g2))
+    top = max((sum(e) for r in (resid.g1, resid.g2) for e in r.terms if sum(e) <= cfg.order),
+              default=0)
     result = {
-        "inverse": {"g1": G.g1.to_json(), "g2": G.g2.to_json()},
-        "inverse_str": {"g1": str(G.g1), "g2": str(G.g2)},
-        "roundtrip_residual": "0" if resid == 0 else f"nonzero at degree {resid}",
-        "axis_u": {"series": str(su), "tail": ser.detect_polynomial_tail(su, window)},
-        "axis_v": {"series": str(sv), "tail": ser.detect_polynomial_tail(sv, window)},
+        "inverse": {"g1": g1.to_json(), "g2": g2.to_json()},
+        "inverse_str": {"g1": str(g1), "g2": str(g2)},
+        "roundtrip_residual": "0" if top == 0 else f"nonzero at degree {top}",
+        "automorphism": verdict,
     }
     emit("invert", meta, cfg, result, not kw["output_json"],
-         [f"{meta['name']}: inverse to order {cfg.order}, residual {result['roundtrip_residual']}"])
+         [f"{meta['name']}: inverse to order {cfg.order}, residual {result['roundtrip_residual']}",
+          f"automorphism: {'yes' if verdict['value'] else 'no'} ({verdict['reason']})"])
 
 
 def _report(F, cfg):

@@ -1,6 +1,6 @@
 """Truncated bivariate power series: formal local inversion of plane maps
-with invertible linear part, origin translation, axis restriction, and the
-heuristic polynomial-tail detector.
+with invertible linear part, origin translation, and the exact decision
+whether a map is a polynomial automorphism.
 
 All coefficients are exact Gaussian rationals; truncation is by total degree,
 so every identity below means "equal through total degree N".
@@ -100,9 +100,6 @@ class TruncSeries2:
     def constant(self):
         return self.terms.get((0, 0), GR_ZERO)
 
-    def truncated(self, n):
-        return TruncSeries2(min(n, self.order), dict(self.terms), self.vars)
-
     def max_nonzero_degree(self):
         return max((sum(e) for e in self.terms), default=None)
 
@@ -123,40 +120,6 @@ class TruncSeries2:
                 for e, c in sorted(self.terms.items())
             ],
         }
-
-
-class TruncSeries1:
-    """Univariate series truncated at degree `order`."""
-
-    __slots__ = ("order", "coeffs", "var")
-
-    def __init__(self, order, coeffs=None, var="u"):
-        self.order = int(order)
-        self.var = var
-        self.coeffs = {}
-        if coeffs:
-            for d, c in coeffs.items():
-                c = GaussianRational.coerce(c)
-                if c and d <= self.order:
-                    self.coeffs[int(d)] = c
-
-    def coefficient(self, d):
-        return self.coeffs.get(d, GR_ZERO)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries1):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __str__(self):
-        if not self.coeffs:
-            body = "0"
-        else:
-            p = Poly((self.var,), {(d,): c for d, c in self.coeffs.items()})
-            body = str(p)
-        return f"{body} + O({self.var}^{self.order + 1})"
-
-    __repr__ = __str__
 
 
 class SeriesMap:
@@ -260,7 +223,8 @@ def compose_truncated(G, F, order=None):
     n = order if order is not None else G.order
     if G.g1.constant() or G.g2.constant():
         raise ValueError("inner series must fix the origin (constant-term mismatch)")
-    return SeriesMap(*_map_into_series(F.p, F.q, G.g1.truncated(n), G.g2.truncated(n), n))
+    g1, g2 = (TruncSeries2(n, g.terms, g.vars) for g in (G.g1, G.g2))
+    return SeriesMap(*_map_into_series(F.p, F.q, g1, g2, n))
 
 
 def local_inverse(F, order):
@@ -298,7 +262,6 @@ def local_inverse(F, order):
     g1 = TruncSeries2(1, {(1, 0): inv[0][0], (0, 1): inv[0][1]})
     g2 = TruncSeries2(1, {(1, 0): inv[1][0], (0, 1): inv[1][1]})
     for n in range(2, order + 1):
-        # lift to order n (`truncated` only ever lowers an order)
         g1 = TruncSeries2(n, g1.terms)
         g2 = TruncSeries2(n, g2.terms)
         h1, h2 = _map_into_series(hp, hq, g1, g2, n)
@@ -339,46 +302,46 @@ def translate_map(F, a, b):
     return G
 
 
-def restrict_to_axis(G, axis="u"):
-    """Set the other variable to 0 in both components; returns a pair of
-    univariate truncated series in `axis`."""
-    if axis not in ("u", "v"):
-        raise ValueError("axis must be 'u' or 'v'")
-    keep = 0 if axis == "u" else 1
-    out = []
-    for s in (G.g1, G.g2):
-        coeffs = {}
-        for (eu, ev), c in s.terms.items():
-            e = (eu, ev)
-            if e[1 - keep] == 0:
-                coeffs[e[keep]] = c
-        out.append(TruncSeries1(s.order, coeffs, var=axis))
-    return out[0], out[1]
+def has_constant_jacobian(F):
+    """Whether JF is a nonzero constant."""
+    jf = jacobian(F)
+    return jf.is_constant() and bool(jf.constant_value())
 
 
-def detect_polynomial_tail(series, window):
-    """Heuristic verdict on whether a truncated univariate series looks like
-    a polynomial: inspects the last `window` coefficient slots.
+def automorphism_verdict(F, G):
+    """Decide exactly whether F is a polynomial automorphism.
 
-    'poly-like'  - every coefficient of degree in (N-window, N] vanishes;
-    'not-poly'   - some Gaussian-integer coefficient of modulus >= 1 sits in
-                   that window (integer series cannot taper below 1);
-    'inconclusive' otherwise.  This is evidence from a finite truncation,
-    never a proof; the verdict records the window it used.
+    Precondition: G is the formal inverse of F to order at least
+    d = max(deg P, deg Q); on a G of lower order a false verdict says
+    nothing about F.  An automorphism and its inverse have the same degree
+    (Gabber; Bass, Connell & Wright, Bull. AMS 7 (1982), Thm 1.5), so the
+    inverse of an automorphism F is G itself, read as a polynomial.  If
+    F o G = (u, v), G is injective, hence an automorphism
+    (Bialynicki-Birula & Rosenlicht, Proc. AMS 13 (1962)), and so is
+    F = G^{-1}.  So F is an automorphism exactly when JF is a nonzero
+    constant and F o G = (u, v); with e the degree of G, the composition at
+    order d*e is the exact polynomial F o G.
+
+    Returns (verdict, residual).  The verdict holds `value` and `reason`,
+    and for an automorphism also `inverse` (G as polynomials in u, v) and
+    `integral_inverse`.  The residual is F o G - (u, v), at order G.order
+    when JF is not a nonzero constant and at max(G.order, d*e) otherwise.
     """
-    n = series.order
-    if window > n:
-        raise ValueError("window exceeds series order")
-    lo = n - window
-    tail = {d: c for d, c in series.coeffs.items() if lo < d <= n}
-    if not tail:
-        return {"verdict": "poly-like", "window": window, "order": n}
-    for d, c in sorted(tail.items()):
-        if c.is_gaussian_integer():
-            return {
-                "verdict": "not-poly",
-                "window": window,
-                "order": n,
-                "witness_degree": d,
-            }
-    return {"verdict": "inconclusive", "window": window, "order": n}
+    constant_jf = has_constant_jacobian(F)
+    m = G.order
+    if constant_jf:
+        e = max(G.g1.max_nonzero_degree() or 0, G.g2.max_nonzero_degree() or 0)
+        m = max(m, max(F.deg_p, F.deg_q) * e)
+    FG = compose_truncated(G, F, m)
+    resid = SeriesMap(FG.g1 - TruncSeries2(m, {(1, 0): GR_ONE}),
+                      FG.g2 - TruncSeries2(m, {(0, 1): GR_ONE}))
+    if not constant_jf:
+        return {"value": False, "reason": "JF is not a nonzero constant"}, resid
+    degrees = [sum(t) for s in (resid.g1, resid.g2) for t in s.terms]
+    if degrees:
+        return {"value": False,
+                "reason": f"F o G differs from (u, v) at degree {min(degrees)}"}, resid
+    inverse = (G.g1.to_poly(), G.g2.to_poly())
+    return {"value": True, "reason": "F o G = (u, v) exactly",
+            "inverse": {"g1": str(inverse[0]), "g2": str(inverse[1])},
+            "integral_inverse": all(g.has_gaussian_integer_coeffs() for g in inverse)}, resid

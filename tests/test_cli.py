@@ -8,9 +8,12 @@ import pytest
 from click.testing import CliRunner
 
 from planejac import exceptional as exc
+from planejac import series as ser
 from planejac.cli import EXIT_VIOLATIONS, MapFileError, load_map_file, main, _schema
+from planejac.poly import Poly
 
 MAPS = os.path.join(os.path.dirname(__file__), "..", "maps")
+UV = (Poly.var("u", ("u", "v")), Poly.var("v", ("u", "v")))
 
 
 def _map(name):
@@ -37,6 +40,13 @@ def test_load_map_file_with_curve():
     assert meta["name"]
 
 
+#: map files that parse but do not define a map, or a curve
+BAD_MAP_FILES = {
+    "laurent-p": {"name": "laurent", "p": "x^-1", "q": "y"},
+    "zero-curve": {"name": "zero-curve", "p": "x", "q": "y", "curve": "0"},
+}
+
+
 def test_load_map_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"name\": \"x\"}")
@@ -45,6 +55,22 @@ def test_load_map_file_errors(tmp_path):
     bad.write_text("not json")
     with pytest.raises(MapFileError):
         load_map_file(str(bad))
+    for doc in BAD_MAP_FILES.values():
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(MapFileError):
+            load_map_file(str(bad))
+
+
+@pytest.mark.parametrize("doc", BAD_MAP_FILES.values(), ids=BAD_MAP_FILES.keys())
+def test_bad_map_file_is_one_error_line(runner, tmp_path, doc):
+    mf = tmp_path / "bad.json"
+    mf.write_text(json.dumps(doc))
+    r = runner.invoke(main, ["check", str(mf)])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)  # no traceback
+    assert r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: map file {mf}")
 
 
 # --------------------------------------------------------------- check
@@ -88,7 +114,9 @@ def test_invert_elementary(runner):
     assert r.exit_code == 0
     rep = _payload(r)
     assert rep["result"]["roundtrip_residual"] == "0"
-    assert rep["result"]["axis_u"]["tail"]["verdict"] == "poly-like"
+    assert rep["result"]["automorphism"] == {
+        "value": True, "reason": "F o G = (u, v) exactly",
+        "inverse": {"g1": "u", "g2": "-u^2 + v"}, "integral_inverse": True}
     g2 = rep["result"]["inverse"]["g2"]
     assert {"eu": 2, "ev": 0, "re_num": -1, "im_num": 0, "den": 1} in g2["terms"]
 
@@ -100,18 +128,84 @@ def test_invert_shear_composition(runner):
     assert rep["result"]["roundtrip_residual"] == "0"
 
 
+@pytest.mark.parametrize("order", ["2", "8", "16"])
+@pytest.mark.parametrize("name, inverse", [
+    ("identity", lambda u, v: (u, v)),
+    ("elementary", lambda u, v: (u, v - u ** 2)),
+    # (x, y + x^3) after (x + y^2, y)
+    ("shear_composition", lambda u, v: (u - (v - u ** 3) ** 2, v - u ** 3)),
+], ids=["identity", "elementary", "shear_composition"])
+def test_invert_decides_shipped_automorphisms(runner, name, inverse, order):
+    # below the map's degree too: the series runs to order max(N, d)
+    r = runner.invoke(main, ["invert", _map(name + ".json"), "-N", order])
+    assert r.exit_code == 0
+    res = _payload(r)["result"]
+    assert res["inverse"]["g1"]["order"] == int(order)
+    assert res["automorphism"] == {
+        "value": True, "reason": "F o G = (u, v) exactly",
+        "inverse": dict(zip(("g1", "g2"), map(str, inverse(*UV)))),
+        "integral_inverse": True}
+
+
+@pytest.mark.parametrize("name", ["makar_limanov.json", "makar_limanov_printed.json"])
+def test_invert_translated_ml_is_no_automorphism(runner, name):
+    r = runner.invoke(main, ["invert", _map(name), "--translate", "1,1", "-N", "8"])
+    assert r.exit_code == 0
+    assert _payload(r)["result"]["automorphism"] == {
+        "value": False, "reason": "JF is not a nonzero constant"}
+
+
+def test_invert_composes_once(runner, monkeypatch):
+    calls = []
+    real = ser.compose_truncated
+
+    def counted(G, F, order=None):
+        calls.append(order)
+        return real(G, F, order)
+
+    monkeypatch.setattr(ser, "compose_truncated", counted)
+    for args, order in ((["shear_composition.json", "-N", "8"], 36),
+                        (["makar_limanov.json", "--translate", "1,1", "-N", "8"], 8)):
+        calls.clear()
+        assert runner.invoke(main, ["invert", _map(args[0])] + args[1:]).exit_code == 0
+        assert calls == [order]
+
+
 def test_invert_translated_ml_matches_fixed_point_loop(runner):
-    # the inverse at (1, 1) is not polynomial; the axis series is the one the
-    # full-order fixed-point loop computes
+    # the inverse at (1, 1) is not polynomial; its u-axis coefficients are
+    # the ones the full-order fixed-point loop computes
     r = runner.invoke(main, ["invert", _map("makar_limanov.json"),
                              "--translate", "1,1", "-N", "8"])
     assert r.exit_code == 0
     res = _payload(r)["result"]
     assert res["roundtrip_residual"] == "0"
-    assert res["axis_u"]["series"] == (
-        "-48004609/3221225472*u^8 - 714515/50331648*u^7 - 30499/2097152*u^6"
-        " - 2263/131072*u^5 - 275/16384*u^4 - 17/512*u^3 - 23/64*u^2 - 5/4*u"
-        " + O(u^9)")
+    axis_u = {t["eu"]: (t["re_num"], t["im_num"], t["den"])
+              for t in res["inverse"]["g1"]["terms"] if t["ev"] == 0}
+    assert axis_u == {
+        8: (-48004609, 0, 3221225472), 7: (-714515, 0, 50331648), 6: (-30499, 0, 2097152),
+        5: (-2263, 0, 131072), 4: (-275, 0, 16384), 3: (-17, 0, 512), 2: (-23, 0, 64),
+        1: (-5, 0, 4)}
+
+
+def test_schema_requires_the_invert_verdict(runner):
+    rep = _payload(runner.invoke(main, ["invert", _map("elementary.json"), "-N", "4"]))
+    jsonschema.validate(rep, _schema())
+    assert "window" not in rep["config"]
+    rep["result"]["automorphism"]["value"] = "yes"
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(rep, _schema())
+    del rep["result"]["automorphism"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(rep, _schema())
+
+
+@pytest.mark.parametrize("shift", ["1/2,1", "1,2,3", "x,1", "1+,1"])
+def test_invert_translation_must_be_two_gaussian_integers(runner, shift):
+    r = runner.invoke(main, ["invert", _map("elementary.json"), "--translate", shift])
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)  # no traceback
+    assert r.stdout == ""
+    assert "Invalid value for '--translate'" in r.stderr
 
 
 def test_invert_requires_origin_unless_translated(runner, tmp_path):
@@ -283,7 +377,8 @@ def test_verify_bounds_sweep(runner):
 
 
 @pytest.mark.parametrize("args", [
-    ["invert", _map("elementary.json"), "-N", "4", "-W", "0"],
+    ["invert", _map("elementary.json"), "-N", "4", "-W", "8"],  # no --window option
+    ["invert", _map("elementary.json"), "-N", "0"],
     ["verify", _map("makar_limanov.json"), "dist", "-B", "1", "--tol", "0"],
     ["verify", _map("makar_limanov.json"), "dist", "-B", "1", "--tol", "-1"],
     ["verify", _map("makar_limanov.json"), "dhat", "-B", "1", "--tol", "nan"],
@@ -293,7 +388,7 @@ def test_verify_bounds_sweep(runner):
     # the degree's targets are rejected exactly, so neither reads --tol
     ["exceptional", _map("identity.json"), "--tol", "1e-9"],
     ["fibers", _map("identity.json"), "-B", "1", "--tol", "1e-9"],
-], ids=["window-0", "tol-0", "tol-negative", "tol-nan", "tol-inf", "check-box",
+], ids=["invert-window", "order-0", "tol-0", "tol-negative", "tol-nan", "tol-inf", "check-box",
         "invert-trials", "exceptional-tol", "fibers-tol"])
 def test_bad_or_unread_option_is_a_usage_error(runner, args):
     r = runner.invoke(main, args)

@@ -1,17 +1,21 @@
+import os
 import random
 
 import pytest
 
 from planejac import series
+from planejac.cli import load_map_file
+from planejac.exceptional import exceptional_report
 from planejac.gaussian import GaussianRational
 from planejac.poly import Poly, PolyMap, compose_map, jacobian
-from planejac.series import (SeriesMap, TruncSeries1, TruncSeries2,
-                             _map_into_series, compose_truncated,
-                             detect_polynomial_tail, local_inverse,
-                             restrict_to_axis, translate_map, truncate)
+from planejac.series import (SeriesMap, TruncSeries2, _map_into_series,
+                             automorphism_verdict, compose_truncated,
+                             local_inverse, translate_map, truncate)
 
 from conftest import (UV, XY, pe, random_automorphism, random_poly,
                       rename_xy_to_uv)
+
+MAPS = os.path.join(os.path.dirname(__file__), "..", "maps")
 
 
 def _one(n):
@@ -92,8 +96,8 @@ def test_local_inverse_is_deterministic_and_order_coherent():
         G16 = local_inverse(F, 16)
         assert G16 == local_inverse(F, 16)
         G8 = local_inverse(F, 8)
-        assert G16.g1.truncated(8) == G8.g1
-        assert G16.g2.truncated(8) == G8.g2
+        assert TruncSeries2(8, G16.g1.terms) == G8.g1
+        assert TruncSeries2(8, G16.g2.terms) == G8.g2
 
 
 def test_local_inverse_recovers_exact_automorphism_inverse():
@@ -257,59 +261,71 @@ def test_translate_preserves_constant_jacobian():
     assert jacobian(G) == jacobian(F)
 
 
-# ------------------------------------------------------------- axis restriction
+# ------------------------------------------------------- automorphism verdict
 
-def test_restrict_to_axis_examples():
-    G = local_inverse(PolyMap(pe("x"), pe("y + x^2")), 16)
-    r1, r2 = restrict_to_axis(G, "u")
-    assert r1.coeffs == {1: _one(1)}
-    assert r2.coeffs == {2: _one(-1)}
-    s1, s2 = restrict_to_axis(G, "v")
-    assert s1.coeffs == {}
-    assert s2.coeffs == {1: _one(1)}
+def _verdict(F, order=16):
+    """The verdict as `invert` takes it: the series at order max(N, d) when
+    JF is a nonzero constant."""
+    if series.has_constant_jacobian(F):
+        order = max(order, F.deg_p, F.deg_q)
+    return automorphism_verdict(F, local_inverse(F, order))[0]
 
 
-def test_restrict_bad_axis():
-    G = local_inverse(PolyMap(pe("x"), pe("y")), 4)
-    with pytest.raises(ValueError):
-        restrict_to_axis(G, "x")
+def test_verdict_recovers_criterion_9_automorphisms():
+    rng = random.Random(2026)
+    for _ in range(20):
+        M, Minv = random_automorphism(rng, max_total_deg=12, max_factors=4,
+                                      max_factor_deg=5)
+        v = _verdict(M)
+        assert v["value"] and v["reason"] == "F o G = (u, v) exactly"
+        assert v["inverse"] == {"g1": str(rename_xy_to_uv(Minv.p)),
+                                "g2": str(rename_xy_to_uv(Minv.q))}
+        assert v["integral_inverse"] == Minv.is_integral()
 
 
-# ------------------------------------------------------------- tail detection
-
-def test_tail_all_ones_is_not_poly():
-    s = TruncSeries1(10, {d: _one(1) for d in range(1, 11)})
-    rep = detect_polynomial_tail(s, 4)
-    assert rep["verdict"] == "not-poly"
-    assert rep["witness_degree"] == 7
+def test_verdict_constant_jacobian_two_has_rational_inverse():
+    F = PolyMap(pe("2*x + y^2"), pe("y"))
+    v = _verdict(F)
+    assert v["value"] and not v["integral_inverse"]
+    assert v["inverse"] == {"g1": str(pe("1/2*u - 1/2*v^2", UV)), "g2": "v"}
 
 
-def test_tail_vanishing_is_poly_like():
-    G = local_inverse(PolyMap(pe("x"), pe("y + x^2")), 16)
-    _, r2 = restrict_to_axis(G, "u")
-    rep = detect_polynomial_tail(r2, 8)
-    assert rep == {"verdict": "poly-like", "window": 8, "order": 16}
+def test_verdict_reads_past_the_series_order():
+    # G = L^{-1} alone: F o G = (u, v + u^2) differs at degree 2
+    F = PolyMap(pe("x"), pe("y + x^2"))
+    v, resid = automorphism_verdict(F, local_inverse(F, 1))
+    assert v == {"value": False, "reason": "F o G differs from (u, v) at degree 2"}
+    assert resid.order == 2 and resid.g2.terms == {(2, 0): _one(1)}
 
 
-def test_tail_tapering_rationals_are_inconclusive():
-    s = TruncSeries1(12, {d: GaussianRational(1, 0, 2 ** d) for d in range(1, 13)})
-    assert detect_polynomial_tail(s, 6)["verdict"] == "inconclusive"
-
-
-def test_tail_window_must_fit():
-    s = TruncSeries1(4, {1: _one(1)})
-    with pytest.raises(ValueError):
-        detect_polynomial_tail(s, 5)
-
-
-def test_tail_verdict_for_symmetric_quadratic_map_is_stable():
+def test_verdict_non_constant_jacobian_composes_at_the_series_order():
     F = PolyMap(pe("x + y^2"), pe("y + x^2"))
+    v, resid = automorphism_verdict(F, local_inverse(F, 12))
+    assert v == {"value": False, "reason": "JF is not a nonzero constant"}
+    assert resid.order == 12 and not resid.g1.terms and not resid.g2.terms
+
+
+def test_verdict_agrees_with_empty_exceptional_set():
+    # a map with constant JF and empty A_F is proper and etale, so of
+    # degree 1: the series verdict and the resultant pipeline must agree.
+    # The makar_limanov maps are inverted at (1, 1); a translation moves A_F
+    # without changing whether it is empty.
+    one = _one(1)
+    maps = []
+    for name in ("identity", "elementary", "shear_composition"):
+        F = load_map_file(os.path.join(MAPS, name + ".json"))[0]
+        maps.append((F, F))
+    for name in ("makar_limanov", "makar_limanov_printed"):
+        F = load_map_file(os.path.join(MAPS, name + ".json"))[0]
+        maps.append((F, translate_map(F, one, one)))
+    rng = random.Random(11)
+    maps += [(M, M) for M, _ in (random_automorphism(rng, max_total_deg=6)
+                                 for _ in range(5))]
     verdicts = []
-    for n in (20, 30):
-        r1, r2 = restrict_to_axis(local_inverse(F, n), "u")
-        verdicts.append((detect_polynomial_tail(r1, 8)["verdict"],
-                         detect_polynomial_tail(r2, 8)["verdict"]))
-    assert verdicts[0] == verdicts[1] == ("not-poly", "not-poly")
+    for F, shifted in maps:
+        verdicts.append(_verdict(shifted, order=8)["value"])
+        assert verdicts[-1] == exceptional_report(F).curve.is_empty()
+    assert verdicts == [True] * 3 + [False] * 2 + [True] * 5
 
 
 # ----------------------------------------------------------------- shape / io
