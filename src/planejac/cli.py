@@ -129,17 +129,17 @@ def _parse_gaussian_constant(text):
     return p.constant_value()
 
 
-def _shift(ctx, param, value):
+def _translation(ctx, param, value):
     """--translate 'a,b' as a pair of Gaussian integers."""
     if value is None:
         return None
     try:
-        shift = [_parse_gaussian_constant(t) for t in value.split(",")]
+        pair = [_parse_gaussian_constant(t) for t in value.split(",")]
     except ValueError as e:
         raise click.BadParameter(str(e))
-    if len(shift) != 2 or not all(c.is_gaussian_integer() for c in shift):
+    if len(pair) != 2 or not all(c.is_gaussian_integer() for c in pair):
         raise click.BadParameter(f"{value!r} is not a pair 'a,b' of Gaussian integers")
-    return shift
+    return pair
 
 
 def _finite(ctx, param, value):
@@ -227,7 +227,7 @@ def check(mapfile, **kw):
 
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
-@click.option("--translate", default=None, callback=_shift,
+@click.option("--translate", default=None, callback=_translation,
               help="a,b to translate by before inverting (Gaussian integer constants)")
 @with_config("order")
 def invert(mapfile, translate, **kw):
@@ -295,7 +295,8 @@ def exceptional(mapfile, **kw):
         "nonproper_candidates": rep.candidates.to_json(),
         "critical_values": rep.critical.to_json(),
         "deg_geo": rep.degree.to_json(),
-        "certification": f"certified by sampling ({cfg.samples} points, tolerance {exc.CERTIFY_TOL})",
+        "certification": f"exact preimage counts at {cfg.samples} Gaussian-rational points"
+                         " per component",
     }
     emit("exceptional", meta, cfg, result, not kw["output_json"],
          [f"{meta['name']}: A_F defined by {result['defining']} (deg_geo = {rep.degree.deg_geo})"])

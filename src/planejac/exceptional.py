@@ -1,6 +1,7 @@
 """Exceptional value sets of dominant plane polynomial maps: resultant-based
-non-proper candidates, numeric certification by sampling, critical-value
-curves, topological degree, and line-curve intersection counts.
+non-proper candidates, their certification by exact preimage counts at
+Gaussian-rational points, critical-value curves, topological degree, and
+line-curve intersection counts.
 
 A curve in the value plane is carried as ONE square-free defining polynomial
 in (u, v) plus provenance tags; comparisons against known answers use
@@ -9,40 +10,38 @@ divisibility both ways rather than factorization.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .gaussian import GR_ZERO, GaussianRational
-from .poly import (Poly, PolyMap, cont_pp_static, divides, jacobian, poly_gcd,
-                   resultant_allow_constant, squarefree_part)
+from .poly import (Poly, PolyMap, cont_pp_static, divides, exact_div, jacobian,
+                   poly_gcd, resultant_allow_constant, squarefree_part)
 from .roots import SAMPLE_ZERO_REL, Slice, cluster_roots
 
-#: relative residual under which a polished sample preimage counts as a solution
-CERTIFY_TOL = 1e-7
-#: relative Newton step that stops a sample preimage's polish: a few ulps
-POLISH_REL = 1e-14
 #: root-to-Gaussian-integer distance of a critical line; exact evaluation decides
 LATTICE_ROOT_TOL = 1e-9
-#: relative distance under which two sample roots or preimages are one point
-SAMPLE_MERGE_REL = 1e-6
-#: relative residual of a sample preimage already at roundoff: no polish needed
-ROUNDOFF_REL = 1e-9
-#: coordinate magnitude at which a polish is given up as diverging
-POLISH_DIVERGED = 1e12
 #: relative distance under which two roots of a critical-line content merge
 LINE_ROOT_MERGE_REL = 1e-8
 #: relative distance under which two v-roots of a line intersection merge
 INTERSECTION_MERGE_REL = 1e-7
+#: largest height max(|a|, |b|, d) of the t = (a + bi)/d tried as one
+#: coordinate of a point on a candidate component
+POINT_HEIGHT = 6
+#: largest denominator of the real and imaginary parts of the Gaussian
+#: rational proposed from a numeric root; the proposal is checked exactly
+POINT_DENOMINATOR = 10 ** 4
 
 UV = ("u", "v")
 
 
 class ExceptionalError(RuntimeError):
     pass
+
+
+class InfiniteFiberError(ExceptionalError):
+    """The target is the image of a curve that F contracts to a point."""
 
 
 def _empty_curve(provenance=()):
@@ -114,7 +113,7 @@ class DegreeReport:
 # --------------------------------------------------------------------------
 # non-proper candidates (leading coefficients of the two resultants)
 
-def _shifted_components(F):
+def _fiber_equations(F):
     """P - u and Q - v over (x, y, u, v)."""
     vars4 = ("x", "y", "u", "v")
     p = F.p._with_vars(vars4) - Poly.var("u", vars4)
@@ -134,7 +133,7 @@ def nonproper_candidates(F):
     """
     if jacobian(F).is_zero():
         raise ExceptionalError("map is not dominant (Jacobian vanishes identically)")
-    p, q = _shifted_components(F)
+    p, q = _fiber_equations(F)
     components = []
     failures = []
     for elim, view, tag in (("y", "x", "res_y"), ("x", "y", "res_x")):
@@ -161,19 +160,7 @@ def nonproper_candidates(F):
 
 
 # --------------------------------------------------------------------------
-# numeric preimage counting (shared by certification and degree)
-
-def _term_magnitude_bound(f, x0, y0):
-    """1 + sum of |coeff| * |x0|^ex * |y0|^ey over the terms of f."""
-    ax, ay = abs(x0), abs(y0)
-    total = 1.0
-    for exps, c in f.terms.items():
-        m = abs(complex(c))
-        for w, e in zip(f.vars, exps):
-            m *= (ax if w == "x" else ay) ** e
-        total += m
-    return total
-
+# exact preimage counting (shared by certification and degree)
 
 # deterministic shears x -> x + lambda*y used to reach generic coordinates
 _SHEAR_LAMBDAS = (
@@ -183,15 +170,18 @@ _SHEAR_LAMBDAS = (
 
 
 def _preimage_count_exact(F, u0, v0):
-    """Number of distinct finite solutions of F = (u0, v0) for a
-    Gaussian-rational target.  Shear to generic coordinates so both
-    components have a constant leading coefficient in y, substitute the
-    target exactly, and read off the squarefree degree of the univariate
-    resultant.  Each shear can only undercount (when two solutions share an
-    x); the maximum over agreeing shears is the fiber size."""
+    """Number of solutions of F = (u0, v0) for a Gaussian-rational target.
+
+    After a shear that gives P - u0 and Q - v0 constant leading coefficients
+    in y, a root of r = Res_y has the multiplicity of the sum of the
+    intersection multiplicities above it.  So a square-free r means every
+    solution is simple and has its own x, and deg r counts them; the first
+    such shear gives the count.  Off the critical values every solution is
+    simple, and a shear that separates their x-coordinates exists.  Raises
+    InfiniteFiberError when r vanishes, and ExceptionalError when no shear
+    of _SHEAR_LAMBDAS gives a square-free r."""
     xv = Poly.var("x", ("x", "y"))
     yv = Poly.var("y", ("x", "y"))
-    counts = []
     for lam in _SHEAR_LAMBDAS:
         sub = {"x": xv + Poly.const(lam, ("x", "y")) * yv, "y": yv}
         p = F.p.evaluate(sub) - Poly.const(u0, ("x", "y"))
@@ -203,101 +193,12 @@ def _preimage_count_exact(F, u0, v0):
             continue
         r = resultant_allow_constant(p, q, "y")
         if r.is_zero():
-            raise ExceptionalError("fiber is infinite at the target")
-        counts.append(0 if r.is_constant() else squarefree_part(r).total_degree())
-        if len(counts) >= 2 and counts[-1] == counts[-2]:
-            break
-    if not counts:
-        raise ExceptionalError("no generic shear found for exact fiber count")
-    return max(counts)
-
-
-def _preimage_count_numeric(F, u0, v0, res_x):
-    """Number of distinct finite solutions of F = (u0, v0) for a complex
-    target (e.g. a sampled point on a candidate curve).
-
-    Candidate solutions come from the exact trivariate resultant
-    Res_y(P-u, Q-v), sliced in x as ``res_x`` and specialized at the target
-    (x-values), and from the two univariate slices at each x (y-values).  A
-    candidate whose residuals already sit at the roundoff bound is accepted
-    directly; otherwise it is polished by Newton iteration on the full 2x2
-    system.  Accepted solutions are deduplicated."""
-    xs = res_x.roots([(u0, v0)], SAMPLE_ZERO_REL)[0]
-    if xs is None:
-        raise ExceptionalError("resultant vanished identically at the target")
-    if len(xs) == 0:
-        return 0
-    in_y = ((Slice(F.p, "y"), u0), (Slice(F.q, "y"), v0))
-    fx, fy = F.p.diff("x"), F.p.diff("y")
-    gx, gy = F.q.diff("x"), F.q.diff("y")
-
-    def _ev(f, x, y):
-        return complex(f.evaluate({"x": x, "y": y}))
-
-    def _polish(x, y):
-        for _ in range(60):
-            if max(abs(x), abs(y)) > POLISH_DIVERGED:
-                return x, y  # diverging; the residual check will reject it
-            pv = _ev(F.p, x, y) - u0
-            qv = _ev(F.q, x, y) - v0
-            a, b = _ev(fx, x, y), _ev(fy, x, y)
-            c, d = _ev(gx, x, y), _ev(gy, x, y)
-            det = a * d - b * c
-            if det == 0:
-                break
-            dx = (d * pv - b * qv) / det
-            dy = (a * qv - c * pv) / det
-            x, y = x - dx, y - dy
-            if abs(dx) <= POLISH_REL * (1 + abs(x)) and abs(dy) <= POLISH_REL * (1 + abs(y)):
-                break
-        return x, y
-
-    count = 0
-    solutions = []
-    for x0, _ in cluster_roots(xs, tol=SAMPLE_MERGE_REL):
-        # y-roots of P(x0, .) = u0 and Q(x0, .) = v0: None when the equation
-        # holds identically, empty when it never holds.  A failed solve
-        # raises: dropping its candidates could fake a count below deg_geo
-        ys = [sl.roots([x0], SAMPLE_ZERO_REL, shift=target)[0] for sl, target in in_y]
-        if any(r is not None and len(r) == 0 for r in ys):
-            continue  # one equation is a nonzero constant on the slice
-        if ys[0] is None and ys[1] is None:
-            continue  # the whole vertical line maps to the target
-        if ys[0] is None or ys[1] is None:
-            # one equation holds identically on the line: the other alone
-            # cuts the fiber there, and its roots are exact by construction
-            count += len(cluster_roots(ys[1] if ys[0] is None else ys[0], tol=SAMPLE_MERGE_REL))
-            continue
-        for y0 in (*ys[0], *ys[1]):
-            # a far-out candidate overflows in complex128: its residuals or
-            # bounds come out inf or NaN, and it is rejected below
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    rp = abs(_ev(F.p, x0, y0) - u0)
-                    rq = abs(_ev(F.q, x0, y0) - v0)
-                    sp = abs(u0) + _term_magnitude_bound(F.p, x0, y0)
-                    sq = abs(v0) + _term_magnitude_bound(F.q, x0, y0)
-                    if rp <= ROUNDOFF_REL * sp and rq <= ROUNDOFF_REL * sq:
-                        # already at the roundoff bound; Newton can only be
-                        # destabilized by ill conditioning here
-                        x1, y1 = x0, y0
-                    else:
-                        x1, y1 = _polish(x0, y0)
-                        rp = abs(_ev(F.p, x1, y1) - u0)
-                        rq = abs(_ev(F.q, x1, y1) - v0)
-                    sp = abs(u0) + _term_magnitude_bound(F.p, x1, y1)
-                    sq = abs(v0) + _term_magnitude_bound(F.q, x1, y1)
-                except (OverflowError, ZeroDivisionError):
-                    continue
-            if not all(map(math.isfinite, (rp, rq, sp, sq))):
-                continue
-            if not (rp <= CERTIFY_TOL * sp and rq <= CERTIFY_TOL * sq):
-                continue
-            if all(max(abs(x1 - xs_), abs(y1 - ys_)) >
-                   SAMPLE_MERGE_REL * (1 + max(abs(x1), abs(y1)))
-                   for xs_, ys_ in solutions):
-                solutions.append((x1, y1))
-    return count + len(solutions)
+            raise InfiniteFiberError(f"fiber is infinite at ({u0}, {v0})")
+        if r.is_constant():
+            return 0
+        if squarefree_part(r).total_degree() == r.total_degree():
+            return r.total_degree()
+    raise ExceptionalError(f"no shear separates the solutions over ({u0}, {v0})")
 
 
 def _random_rational(rng, lo=-9, hi=9):
@@ -344,57 +245,81 @@ def topological_degree(F, trials=3, seed=0, avoid=None):
     return DegreeReport(deg_geo=counts[0], samples=samples, agreed=True)
 
 
-def certify_nonproper(F, curve, samples=5, seed=0, *, deg_geo):
-    """Per-component verdicts: a candidate component is confirmed non-proper
-    when the finite-preimage count drops strictly below deg_geo at every
-    sampled point of the component (solutions accepted at CERTIFY_TOL).
-    Raises RootFindingError when a slice solve of the count fails."""
+def _gaussian_rationals(height):
+    """The Gaussian rationals (a + bi)/d in lowest terms by increasing height
+    max(|a|, |b|, d), up to ``height``."""
+    for h in range(1, height + 1):
+        for d in range(1, h + 1):
+            for a in range(-h, h + 1):
+                for b in range(-h, h + 1):
+                    t = GaussianRational(a, b, d)
+                    if t.d == d and max(abs(a), abs(b), d) == h:
+                        yield t
+
+
+def _nearby_rational(z):
+    """A Gaussian rational next to the complex z, with real and imaginary
+    denominators at most POINT_DENOMINATOR."""
+    re, im = (Fraction(c).limit_denominator(POINT_DENOMINATOR) for c in (z.real, z.imag))
+    return GaussianRational(re.numerator * im.denominator, im.numerator * re.denominator,
+                            re.denominator * im.denominator)
+
+
+def _component_counts(F, comp, avoid, samples):
+    """``samples`` Gaussian-rational points of comp with their exact
+    preimage counts.  Each t by increasing height is tried as u0 with the
+    v-slice of comp, then as v0 with its u-slice.  The root of the slice
+    proposes a nearby Gaussian rational.  It is kept when comp vanishes
+    there, ``avoid`` does not, and the fiber is finite."""
+    slices = ((Slice(comp, "v"), False), (Slice(comp, "u"), True))
+    seen, points = set(), []
+    for t in _gaussian_rationals(POINT_HEIGHT):
+        for sl, t_is_v in slices:
+            roots = sl.exact_roots([t])
+            for z in () if roots is None else roots:
+                w = _nearby_rational(z)
+                pt = (w, t) if t_is_v else (t, w)
+                if pt in seen:
+                    continue
+                seen.add(pt)
+                at = dict(zip(UV, pt))
+                if comp.evaluate(at) or not avoid.evaluate(at):
+                    continue
+                try:
+                    points.append((pt, _preimage_count_exact(F, *pt)))
+                except InfiniteFiberError:
+                    continue  # the image of a contracted curve
+                if len(points) == samples:
+                    return points
+    raise ExceptionalError(
+        f"found {len(points)} of {samples} Gaussian-rational points of height at most "
+        f"{POINT_HEIGHT} on component {comp}"
+    )
+
+
+def certify_nonproper(F, curve, samples=5, *, deg_geo, critical):
+    """Per-component verdicts: a candidate component C is confirmed
+    non-proper when the exact preimage count is below deg_geo at each of
+    ``samples`` Gaussian-rational points of C off the other candidates and
+    off ``critical``, the critical-value curve.  Off J_F and the critical
+    values a point has deg_geo preimages, and a point of J_F off the
+    critical values has fewer (Jelonek, Ann. Polon. Math. 58, 1993), so each
+    count decides whether the factor of C through its point lies in J_F."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = random.Random(seed)
     comps = curve.component_polys or (
         [] if curve.is_empty() else [("candidate", curve.defining)]
     )
-    if comps:
-        res_y = resultant_allow_constant(*_shifted_components(F), "y")
-        res_x = Slice(res_y._with_vars(("x", "u", "v")), "x")
     verdicts = []
     for tag, comp in comps:
-        in_v, in_u = Slice(comp, "v"), Slice(comp, "u")
-        pts = []
-        attempts = 0
-        while len(pts) < samples:
-            if attempts > 40 * samples:
-                raise ExceptionalError(
-                    f"sampling failed to find smooth points on component {comp}"
-                )
-            attempts += 1
-            u0 = _random_rational(rng)
-            vs = in_v.exact_roots([u0])
-            if vs is None:
-                # defining(u0, .) vanishes identically: any v works
-                pts.append((complex(u0), complex(_random_rational(rng))))
-            elif len(vs) > 0:
-                for v0 in vs[: samples - len(pts)]:
-                    pts.append((complex(u0), complex(v0)))
-            else:
-                # no v over this u0 (e.g. a vertical line): solve for u instead
-                v1 = _random_rational(rng)
-                us = in_u.exact_roots([v1])
-                if us is None:
-                    pts.append((complex(_random_rational(rng)), complex(v1)))
-                else:
-                    for w in us[: samples - len(pts)]:
-                        pts.append((complex(w), complex(v1)))
-        counts = [_preimage_count_numeric(F, u0, v0, res_x) for u0, v0 in pts]
+        avoid = exact_div(curve.defining, comp) * critical.defining
+        counted = _component_counts(F, comp, avoid, samples)
         verdicts.append({
             "tag": tag,
             "component": str(comp),
-            "confirmed": all(c < deg_geo for c in counts),
-            "samples": [
-                {"point": [u0.real, u0.imag, v0.real, v0.imag], "count": c}
-                for (u0, v0), c in zip(pts, counts)
-            ],
+            "confirmed": all(c < deg_geo for _, c in counted),
+            "samples": [{"point": [str(u0), str(v0)], "count": c}
+                        for (u0, v0), c in counted],
         })
     return verdicts
 
@@ -446,7 +371,7 @@ def _eliminate_order(F, pp, first):
     """Eliminate `first` then the other variable from {P-u, Q-v, pp}, where pp
     contains no full-line components.  Returns a (u,v) curve poly or None."""
     second = "x" if first == "y" else "y"
-    p, q = _shifted_components(F)
+    p, q = _fiber_equations(F)
     j4 = pp._with_vars(("x", "y", "u", "v"))
     t1 = resultant_allow_constant(p, j4, first)
     t2 = resultant_allow_constant(q, j4, first)
@@ -537,8 +462,8 @@ def exceptional_report(F, samples=5, seed=0, trials=3):
     crit = critical_values(F)
     degree = topological_degree(F, trials=trials, seed=seed + 1,
                                 avoid=cand.defining * crit.defining)
-    verdicts = certify_nonproper(F, cand, samples=samples, seed=seed,
-                                 deg_geo=degree.deg_geo)
+    verdicts = certify_nonproper(F, cand, samples=samples, deg_geo=degree.deg_geo,
+                                 critical=crit)
     product = Poly.const(1, UV)
     provenance = []
     comps = []

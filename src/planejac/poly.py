@@ -492,7 +492,8 @@ def parse_expression(text, variables=("x", "y")):
                 take()
                 e = parse_int()
             return None, (tok, e)
-        raise ParseError(f"unexpected token {tok!r}", p)
+        raise ParseError("unexpected end of input" if tok is None
+                         else f"unexpected token {tok!r}", p)
 
     def parse_term(sign):
         coeff = GaussianRational(sign)

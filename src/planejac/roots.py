@@ -11,13 +11,12 @@ with one ``find_roots_batch`` call per trimmed degree.
 ``Slice`` specializes a polynomial to a univariate slice, exactly at
 Gaussian-rational points or numerically at many complex points, with one
 numeric zero rule for leading coefficients.  It backs curve slicing,
-distance certification and sampling; fiber enumeration builds its exact
-slices in plain ints instead.
+distance certification, critical lines and the search for points on
+candidate components; fiber enumeration builds its exact slices in plain
+ints instead.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -158,45 +157,41 @@ def cluster_roots(roots, tol=1e-6):
 #: numeric zero rule of the lattice curve slices: a specialized coefficient
 #: c with |c| <= SLICE_ZERO_REL * max(1, bound) is zero
 SLICE_ZERO_REL = 1e-12
-#: the same rule in the exceptional layer, whose sample points lie on a
-#: candidate curve only to root-finding accuracy
+#: the same rule for the slices along a critical line {x = r} or {y = r} of
+#: the exceptional layer, whose root r is known only to root-finding accuracy
 SAMPLE_ZERO_REL = 1e-9
 
 
 class Slice:
     """A polynomial f viewed in one free variable, compiled once and
-    specialized at many values of the other (fixed) variables.
+    specialized at many values of the other (fixed) variable, if any.
 
-    ``coeffs`` holds the exact coefficient polynomials in the fixed variables,
+    ``coeffs`` holds the exact coefficient polynomials in the fixed variable,
     densely from the top degree (None where absent).  A[i, j] is the complex
-    coefficient of free^(top-i) times the fixed-variable monomial of column
-    j, the columns running flat over the exponents of the fixed variables
-    (with one fixed variable, column j is fixed^j).  |A| gives each
-    specialized coefficient a roundoff bound, the sum of its absolute
-    monomial values, so a coefficient is numerically zero only relative to
-    the cancellation that produced it."""
+    coefficient of free^(top-i) * fixed^j.  |A| gives each specialized
+    coefficient a roundoff bound, the sum of its absolute monomial values,
+    so a coefficient is numerically zero only relative to the cancellation
+    that produced it."""
 
     def __init__(self, f, free):
         if f.is_laurent():
             raise ValueError("slicing needs a non-Laurent polynomial")
         self.fixed = tuple(w for w in f.vars if w != free)
+        if len(self.fixed) > 1:
+            raise ValueError("a slice fixes at most one variable")
         cs = f.coeffs_in(free)
         top = max(cs, default=0)
         self.coeffs = [cs.get(d) for d in range(top, -1, -1)]
-        k = len(self.fixed)
-        dims = [max((e[j] for c in cs.values() for e in c.terms), default=0) + 1
-                for j in range(k)]
-        strides = [math.prod(dims[j + 1:]) for j in range(k)]
-        self.dims = dims
-        self.A = np.zeros((top + 1, math.prod(dims)), dtype=np.complex128)
+        width = max((sum(e) for c in cs.values() for e in c.terms), default=0) + 1
+        self.A = np.zeros((top + 1, width), dtype=np.complex128)
         for d, c in cs.items():
             for exps, a in c.terms.items():
-                self.A[top - d, sum(e * s for e, s in zip(exps, strides))] += complex(a)
+                self.A[top - d, sum(exps)] += complex(a)
         self.absA = np.abs(self.A)
 
     def exact(self, values):
-        """Descending coefficients of f at Gaussian-rational values of the
-        fixed variables, exact leading zeros dropped; None when the slice
+        """Descending coefficients of f at a Gaussian-rational value of the
+        fixed variable, exact leading zeros dropped; None when the slice
         vanishes identically."""
         point = dict(zip(self.fixed, values))
         cs = [GR_ZERO if c is None else c.evaluate(point) for c in self.coeffs]
@@ -216,33 +211,25 @@ class Slice:
         return find_roots([complex(c) for c in cs])
 
     def numeric(self, values):
-        """Descending slice coefficients (n, top+1) at n complex points, and
-        their roundoff bounds.  ``values`` is (n, k) for k fixed variables, or
-        (n,) when k = 1."""
-        t = np.asarray(values, dtype=np.complex128).reshape(len(values), len(self.fixed))
-        powers = None
-        for j, w in enumerate(self.dims):
-            pw = np.ones((t.shape[0], w), dtype=np.complex128)
-            for e in range(1, w):
-                pw[:, e] = pw[:, e - 1] * t[:, j]
-            powers = pw if powers is None else (
-                powers[:, :, None] * pw[:, None, :]).reshape(t.shape[0], -1)
+        """Descending slice coefficients (n, top+1) at n complex values of the
+        fixed variable, and their roundoff bounds."""
+        t = np.asarray(values, dtype=np.complex128).reshape(-1)
+        powers = np.ones((t.shape[0], self.A.shape[1]), dtype=np.complex128)
+        for e in range(1, self.A.shape[1]):
+            powers[:, e] = powers[:, e - 1] * t
         return powers @ self.A.T, np.abs(powers) @ self.absA.T
 
-    def flat_roots(self, values, rel, shift=0):
-        """``find_roots_grouped`` of f - shift at n complex points, where a
+    def flat_roots(self, values, rel):
+        """``find_roots_grouped`` of f at n complex points, where a
         coefficient c with |c| <= rel * max(1, bound) is numerically zero:
         all roots in row order, and each row's count (-1: all zero)."""
         c, b = self.numeric(values)
-        if shift:
-            c[:, -1] -= shift
-            b[:, -1] += abs(shift)
         return find_roots_grouped(c, ~(np.abs(c) <= rel * np.maximum(1.0, b)))
 
-    def roots(self, values, rel, shift=0):
+    def roots(self, values, rel):
         """``flat_roots`` as a list: None where every coefficient is
         numerically zero, else the row's roots (empty for a nonzero
         constant)."""
-        flat, counts = self.flat_roots(values, rel, shift)
+        flat, counts = self.flat_roots(values, rel)
         ends = np.cumsum(np.maximum(counts, 0)).tolist()
         return [None if k < 0 else flat[e - k:e] for k, e in zip(counts.tolist(), ends)]

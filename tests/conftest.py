@@ -15,8 +15,9 @@ def _warm_kernels():
 
 @pytest.fixture()
 def fail_y_slice_solves(monkeypatch):
-    """Every root solve of a Slice in y over x raises, as a failed y-solve
-    of a sample preimage count does."""
+    """Every root solve of a Slice in y over x raises.  The critical lines
+    {x = r} of ``critical_values`` are solved this way, so the exceptional
+    pipeline meets the failure there."""
     from planejac.roots import RootFindingError, Slice
     real = Slice.roots
 

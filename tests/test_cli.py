@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from planejac import exceptional as exc
 from planejac import series as ser
 from planejac.cli import EXIT_VIOLATIONS, MapFileError, load_map_file, main, _schema
-from planejac.poly import Poly
+from planejac.poly import Poly, parse_expression
 
 MAPS = os.path.join(os.path.dirname(__file__), "..", "maps")
 UV = (Poly.var("u", ("u", "v")), Poly.var("v", ("u", "v")))
@@ -199,6 +199,29 @@ def test_schema_requires_the_invert_verdict(runner):
         jsonschema.validate(rep, _schema())
 
 
+@pytest.mark.parametrize("path, bad", [
+    (("certification",), None),
+    (("components",), None),
+    (("components", 0, "confirmed"), "yes"),
+    (("components", 0, "samples", 0, "point"), [1.0, 0.0, 1.0, 0.0]),
+    (("components", 0, "samples", 0, "point"), ["1"]),
+    (("components", 0, "samples", 0, "count"), -1),
+], ids=["no-certification", "no-components", "confirmed-string", "point-floats",
+        "point-short", "count-negative"])
+def test_schema_requires_exact_exceptional_samples(runner, path, bad):
+    rep = _payload(runner.invoke(main, ["exceptional", _map("makar_limanov.json")]))
+    jsonschema.validate(rep, _schema())
+    node = rep["result"]
+    for key in path[:-1]:
+        node = node[key]
+    if bad is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = bad
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(rep, _schema())
+
+
 @pytest.mark.parametrize("shift", ["1/2,1", "1,2,3", "x,1", "1+,1"])
 def test_invert_translation_must_be_two_gaussian_integers(runner, shift):
     r = runner.invoke(main, ["invert", _map("elementary.json"), "--translate", shift])
@@ -206,6 +229,8 @@ def test_invert_translation_must_be_two_gaussian_integers(runner, shift):
     assert isinstance(r.exception, SystemExit)  # no traceback
     assert r.stdout == ""
     assert "Invalid value for '--translate'" in r.stderr
+    if shift == "1+,1":
+        assert "unexpected end of input (at position 2)" in r.stderr
 
 
 def test_invert_requires_origin_unless_translated(runner, tmp_path):
@@ -227,15 +252,32 @@ def test_exceptional_ml(runner):
     assert rep["result"]["defining"] == "u^6 - v^4"
     assert rep["result"]["deg_geo"]["value"] == 4
     assert rep["result"]["components"][0]["confirmed"]
-    # the tolerance named is the one the preimage counts are accepted at
     assert rep["result"]["certification"] == \
-        f"certified by sampling (5 points, tolerance {exc.CERTIFY_TOL})"
-    assert exc.CERTIFY_TOL == 1e-7
+        "exact preimage counts at 5 Gaussian-rational points per component"
+
+
+@pytest.mark.parametrize("name", ["makar_limanov.json", "makar_limanov_printed.json"])
+def test_exceptional_sample_points_are_exact_evidence(runner, name):
+    # every reported point parses, lies exactly on its component, is off the
+    # critical-value curve, and counts fewer than deg_geo = 4 preimages
+    r = runner.invoke(main, ["exceptional", _map(name)])
+    assert r.exit_code == 0
+    res = _payload(r)["result"]
+    crit = parse_expression(res["critical_values"]["defining"], ("u", "v"))
+    assert res["deg_geo"]["value"] == 4 and res["components"]
+    for comp in res["components"]:
+        poly = parse_expression(comp["component"], ("u", "v"))
+        assert comp["confirmed"] and len(comp["samples"]) == 5
+        for s in comp["samples"]:
+            u0, v0 = (parse_expression(t, ()).constant_value() for t in s["point"])
+            assert not poly.evaluate({"u": u0, "v": v0})
+            assert crit.evaluate({"u": u0, "v": v0})
+            assert s["count"] < 4
 
 
 def test_exceptional_printed_seed_30_survives_overflowing_candidates(runner):
-    # a far-out sample candidate overflows in the magnitude bound after the
-    # Newton polish; it is rejected, not raised
+    # the seed moves only the degree's random targets; certification is the
+    # same deterministic search at every seed
     r = runner.invoke(main, ["exceptional", _map("makar_limanov_printed.json"), "--seed", "30"])
     assert r.exit_code == 0, r.stderr
     assert _payload(r)["result"]["deg_geo"]["value"] == 4

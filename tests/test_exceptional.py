@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from planejac import exceptional as exc
-from planejac.exceptional import (ExceptionalError, PlaneCurveSet,
+from planejac.exceptional import (ExceptionalError, InfiniteFiberError, PlaneCurveSet,
                                   certify_nonproper, critical_values,
                                   exceptional_report, exceptional_set,
                                   line_intersections, nonproper_candidates,
                                   topological_degree)
 from planejac.gaussian import GaussianRational
-from planejac.poly import Poly, PolyMap, compose_maps, jacobian
-from planejac.roots import RootFindingError, Slice
+from planejac.poly import Poly, PolyMap, compose_maps, divides, jacobian
+from planejac.roots import Slice
 
-from conftest import UV, pe, random_automorphism
+from conftest import UV, pe, random_automorphism, random_point
 
 
 # ---------------------------------------------------------------- candidates
@@ -75,7 +75,8 @@ def test_degree_invariant_under_elementary_precomposition():
 
 def test_certify_ml_component_confirmed(ml_map):
     cand = nonproper_candidates(ml_map)
-    verdicts = certify_nonproper(ml_map, cand, samples=5, seed=0, deg_geo=4)
+    verdicts = certify_nonproper(ml_map, cand, samples=5, deg_geo=4,
+                                 critical=critical_values(ml_map))
     assert len(verdicts) == 1
     v = verdicts[0]
     assert v["confirmed"]
@@ -84,60 +85,152 @@ def test_certify_ml_component_confirmed(ml_map):
 
 def test_certify_empty_candidate_set():
     F = PolyMap(pe("x"), pe("y"))
-    assert certify_nonproper(F, nonproper_candidates(F), deg_geo=1) == []
+    assert certify_nonproper(F, nonproper_candidates(F), deg_geo=1,
+                             critical=critical_values(F)) == []
 
 
 def test_certify_vertical_line_confirmed():
+    # (x, xy) contracts {x = 0} to (0, 0): the search meets that point at
+    # t = 0, skips its infinite fiber, and takes the next t
     F = PolyMap(pe("x"), pe("x*y"))
-    verdicts = certify_nonproper(F, nonproper_candidates(F), samples=4,
-                                 seed=3, deg_geo=1)
+    with pytest.raises(InfiniteFiberError):
+        exc._preimage_count_exact(F, GaussianRational(0), GaussianRational(0))
+    verdicts = certify_nonproper(F, nonproper_candidates(F), samples=5, deg_geo=1,
+                                 critical=critical_values(F))
     assert len(verdicts) == 1
     assert verdicts[0]["confirmed"]
+    assert [s["point"] for s in verdicts[0]["samples"]] == [
+        ["0", "(-1-1i)"], ["0", "-1"], ["0", "(-1+1i)"], ["0", "-1i"], ["0", "1i"]]
     assert all(s["count"] == 0 for s in verdicts[0]["samples"])
 
 
 def test_certify_printed_rejects_overflowing_candidates_without_warnings(ml_map_printed):
-    # the numeric count meets candidate points so far out that F overflows
-    # there; they are rejected explicitly, and no RuntimeWarning escapes
+    # every sample of the printed map counts 3 exactly, and the root solves
+    # that propose the points raise no RuntimeWarning
     cand = nonproper_candidates(ml_map_printed)
+    crit = critical_values(ml_map_printed)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        verdicts = certify_nonproper(ml_map_printed, cand, samples=5, seed=0, deg_geo=4)
+        verdicts = certify_nonproper(ml_map_printed, cand, samples=5, deg_geo=4, critical=crit)
     assert [v["component"] for v in verdicts] == ["u^3 - v^2"]
     assert [s["count"] for s in verdicts[0]["samples"]] == [3, 3, 3, 3, 3]
     assert verdicts[0]["confirmed"]
 
 
-def test_certify_computes_the_trivariate_resultant_once(ml_map_printed, monkeypatch):
-    # every sample point is counted from one Res_y(P - u, Q - v)
+def test_certify_builds_no_resultant_in_four_variables(ml_map_printed, monkeypatch):
+    # every count is a resultant in (x, y) of the map at its exact target
     cand = nonproper_candidates(ml_map_printed)
+    crit = critical_values(ml_map_printed)
     calls = []
     real = exc.resultant_allow_constant
 
-    def counting(p, q, name):
-        calls.append(name)
+    def recording(p, q, name):
+        calls.append((p.vars, q.vars, name))
         return real(p, q, name)
 
-    monkeypatch.setattr(exc, "resultant_allow_constant", counting)
-    verdicts = certify_nonproper(ml_map_printed, cand, samples=5, seed=0, deg_geo=4)
-    assert calls == ["y"]
+    monkeypatch.setattr(exc, "resultant_allow_constant", recording)
+    verdicts = certify_nonproper(ml_map_printed, cand, samples=5, deg_geo=4, critical=crit)
+    assert calls and set(calls) == {(("x", "y"), ("x", "y"), "y")}
     assert [s["count"] for s in verdicts[0]["samples"]] == [3, 3, 3, 3, 3]
-
-
-def test_certify_raises_when_a_y_slice_solve_fails(ml_map, fail_y_slice_solves):
-    # a failed solve must not drop its candidates: a lower count is the
-    # evidence that confirms a component
-    cand = nonproper_candidates(ml_map)
-    with pytest.raises(RootFindingError):
-        certify_nonproper(ml_map, cand, samples=5, seed=0, deg_geo=4)
 
 
 def test_certify_rejects_proper_curve():
     # {u = 0} is not special for the identity: full fibers everywhere on it
     F = PolyMap(pe("x"), pe("y"))
     fake = PlaneCurveSet(pe("u", UV), ["supplied"])
-    verdicts = certify_nonproper(F, fake, samples=3, seed=0, deg_geo=1)
+    verdicts = certify_nonproper(F, fake, samples=3, deg_geo=1, critical=critical_values(F))
     assert not verdicts[0]["confirmed"]
+    assert [s["count"] for s in verdicts[0]["samples"]] == [1, 1, 1]
+
+
+def test_certify_raises_without_gaussian_rational_points():
+    # u^2 = 2 has no Gaussian-rational point, so no count can decide it
+    F = PolyMap(pe("x"), pe("y"))
+    curve = PlaneCurveSet(pe("u^2 - 2", UV), ["supplied"])
+    with pytest.raises(ExceptionalError, match=r"component u\^2 - 2"):
+        certify_nonproper(F, curve, samples=1, deg_geo=1, critical=critical_values(F))
+
+
+def test_certify_points_avoid_other_candidates_and_critical_values():
+    # on {u = 0} the search meets v = 0, which lies on the other candidate
+    # v and on the critical-value curve u + v, and skips it
+    F = PolyMap(pe("x"), pe("y"))
+    curve = PlaneCurveSet(pe("u*v", UV), ["supplied"],
+                          [("a", pe("u", UV)), ("b", pe("v", UV))])
+    crit = PlaneCurveSet(pe("u + v", UV), ["critical-value"])
+    verdicts = certify_nonproper(F, curve, samples=9, deg_geo=1, critical=crit)
+    for v in verdicts:
+        points = [tuple(s["point"]) for s in v["samples"]]
+        assert len(set(points)) == 9
+        assert ("0", "0") not in points
+        assert all(s["count"] == 1 for s in v["samples"])
+
+
+def test_line_u_zero_has_full_fibers_and_is_not_a_candidate(ml_map):
+    # the exact evidence behind criterion 2: on {u = 0}, off u^3 + v^2, the
+    # fiber has deg_geo points, and u is no factor of the candidates
+    assert topological_degree(ml_map).deg_geo == 4
+    for v0 in (GaussianRational(1), GaussianRational(2), GaussianRational(0, 1)):
+        assert critical_values(ml_map).defining.evaluate({"u": GaussianRational(0), "v": v0})
+        assert exc._preimage_count_exact(ml_map, GaussianRational(0), v0) == 4
+    assert not divides(pe("u", UV), nonproper_candidates(ml_map).defining)
+
+
+def test_exact_count_raises_at_a_critical_value():
+    # (x^2, y) has one double solution over (0, 3): no shear separates it
+    with pytest.raises(ExceptionalError, match="no shear separates"):
+        exc._preimage_count_exact(PolyMap(pe("x^2"), pe("y")), GaussianRational(0),
+                                  GaussianRational(3))
+
+
+def _sympy_fiber_size(F, u0, v0):
+    """Number of standard monomials of a grevlex Groebner basis of
+    (P - u0, Q - v0) over Q(i): the fiber size where that ideal is radical."""
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y")
+
+    def expr(f, c0=GaussianRational(0)):
+        terms = [(sp.Rational(c.a, c.d) + sp.I * sp.Rational(c.b, c.d))
+                 * x ** e[f.vars.index("x")] * y ** e[f.vars.index("y")]
+                 for e, c in f.terms.items()]
+        return sp.Add(*terms) - (sp.Rational(c0.a, c0.d) + sp.I * sp.Rational(c0.b, c0.d))
+
+    G = sp.groebner([expr(F.p, u0), expr(F.q, v0)], x, y, order="grevlex", domain=sp.QQ_I)
+    assert G.is_zero_dimensional
+    leads = [g.monoms(order="grevlex")[0] for g in G.polys]
+    top_x = min(a for a, b in leads if b == 0)
+    top_y = min(b for a, b in leads if a == 0)
+    return sum(1 for a in range(top_x) for b in range(top_y)
+               if not any(a >= la and b >= lb for la, lb in leads))
+
+
+def test_exact_count_matches_sympy_on_makar_limanov(ml_map, ml_map_printed):
+    G = GaussianRational
+    points = [(G(-1), G(0, 1)), (G(1), G(1)), (G(1, 2, 2), G(3)), (G(0), G(2))]
+    expected = {"ml": [2, 2, 4, 4], "printed": [3, 3, 4, 4]}
+    for name, F in (("ml", ml_map), ("printed", ml_map_printed)):
+        crit = critical_values(F).defining
+        counts = []
+        for u0, v0 in points:
+            assert crit.evaluate({"u": u0, "v": v0})  # radical: off the critical values
+            counts.append(exc._preimage_count_exact(F, u0, v0))
+            assert counts[-1] == _sympy_fiber_size(F, u0, v0)
+        assert counts == expected[name]
+
+
+def test_exact_count_matches_sympy_at_random_points():
+    rng = random.Random(307)
+    maps = [PolyMap(pe("x^2"), pe("y"))]
+    maps += [random_automorphism(rng, max_total_deg=6)[0] for _ in range(3)]
+    for F in maps:
+        crit = critical_values(F).defining
+        checked = 0
+        while checked < 3:
+            u0, v0 = random_point(rng)
+            if not crit.evaluate({"u": u0, "v": v0}):
+                continue
+            assert exc._preimage_count_exact(F, u0, v0) == _sympy_fiber_size(F, u0, v0)
+            checked += 1
 
 
 # ------------------------------------------------------------ critical values
@@ -200,7 +293,8 @@ def test_exceptional_report_reuses_its_stages(ml_map):
     rep = exceptional_report(ml_map, samples=5, seed=0)
     assert rep.candidates.defining == pe("u^3 - v^2", UV)
     assert rep.degree == topological_degree(ml_map, seed=1)
-    assert rep.verdicts == certify_nonproper(ml_map, rep.candidates, seed=0, deg_geo=4)
+    assert rep.verdicts == certify_nonproper(ml_map, rep.candidates, deg_geo=4,
+                                             critical=rep.critical)
     assert rep.curve.defining == exceptional_set(ml_map).defining
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from planejac.gaussian import GR_ZERO, GaussianRational
-from planejac.roots import (SAMPLE_ZERO_REL, SLICE_ZERO_REL, RootFindingError, Slice,
+from planejac.roots import (SLICE_ZERO_REL, RootFindingError, Slice,
                             cluster_roots, find_roots, find_roots_batch, find_roots_grouped)
 
 from conftest import pe, random_poly
@@ -176,32 +176,9 @@ def test_poly_roots_constant_slice_is_empty():
     del f
 
 
-def _gr(rng):
-    return GaussianRational(rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(1, 3))
-
-
-def test_slice_two_fixed_variables_match_exact_evaluation():
-    # the res_y case: a polynomial in (x, u, v) sliced in x at points (u0, v0)
-    rng = random.Random(211)
-    V = ("x", "u", "v")
-    for _ in range(25):
-        f = random_poly(rng, vars=V, max_deg=4, n_terms=7)
-        sl = Slice(f, "x")
-        u0, v0 = _gr(rng), _gr(rng)
-        spec = f.evaluate({"u": u0, "v": v0})
-        cs = spec.coeffs_in("x")
-        ref = [cs[d].constant_value() if d in cs else GR_ZERO
-               for d in range(max(cs, default=0), -1, -1)]
-        assert sl.exact([u0, v0]) == (ref if cs else None)
-        top = len(sl.coeffs) - 1
-        dense = [cs[d].constant_value() if d in cs else GR_ZERO for d in range(top, -1, -1)]
-        coeffs, bounds = sl.numeric([(complex(u0), complex(v0))])
-        assert coeffs.shape == (1, top + 1)
-        err = np.abs(coeffs[0] - [complex(c) for c in dense])
-        assert np.all(err <= 1e-14 * np.maximum(1.0, bounds[0]))
-        if cs and max(cs) > 0:
-            roots = sl.roots([(complex(u0), complex(v0))], SAMPLE_ZERO_REL)[0]
-            assert len(roots) == len(sl.exact_roots([u0, v0])) == max(cs)
+def test_slice_fixes_at_most_one_variable():
+    with pytest.raises(ValueError, match="at most one variable"):
+        Slice(pe("x*u + v", ("x", "u", "v")), "x")
 
 
 def test_slice_exact_at_gaussian_integer_points():

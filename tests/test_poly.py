@@ -72,6 +72,13 @@ def test_parse_errors_carry_position():
         pe("z")
 
 
+@pytest.mark.parametrize("text", ["1+", "x*"])
+def test_parse_names_the_end_of_input(text):
+    with pytest.raises(ParseError, match=r"^unexpected end of input \(at position 2\)$") as e:
+        pe(text)
+    assert e.value.pos == 2
+
+
 # ------------------------------------------------------------------ calculus
 
 def test_jacobian_identity_and_shear():
