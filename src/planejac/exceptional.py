@@ -15,17 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .gaussian import GR_ZERO, GaussianRational
+from .gaussian import GaussianRational
 from .poly import (Poly, PolyMap, cont_pp_static, divides, exact_div, jacobian,
-                   poly_gcd, resultant_allow_constant, squarefree_part)
-from .roots import SAMPLE_ZERO_REL, Slice, cluster_roots
+                   poly_gcd, resultant_allow_constant, squarefree_decomposition,
+                   squarefree_part)
+from .roots import Slice
 
-#: root-to-Gaussian-integer distance of a critical line; exact evaluation decides
-LATTICE_ROOT_TOL = 1e-9
-#: relative distance under which two roots of a critical-line content merge
-LINE_ROOT_MERGE_REL = 1e-8
-#: relative distance under which two v-roots of a line intersection merge
-INTERSECTION_MERGE_REL = 1e-7
 #: largest height max(|a|, |b|, d) of the t = (a + bi)/d tried as one
 #: coordinate of a point on a candidate component
 POINT_HEIGHT = 6
@@ -219,11 +214,7 @@ def topological_degree(F, trials=3, seed=0, avoid=None):
     if jacobian(F).is_zero():
         raise ExceptionalError("map is not dominant")
     if avoid is None:
-        avoid = nonproper_candidates(F).defining
-        try:
-            avoid = avoid * critical_values(F).defining
-        except ExceptionalError:
-            pass
+        avoid = nonproper_candidates(F).defining * critical_values(F).defining
     rng = random.Random(seed)
     samples = []
     attempts = 0
@@ -327,44 +318,45 @@ def certify_nonproper(F, curve, samples=5, *, deg_geo, critical):
 # --------------------------------------------------------------------------
 # critical values
 
-def _line_image_factors(F, d_poly, var):
-    """Factors in (u, v) contributed by critical lines {var = r} for the
-    numerically-found roots r of the univariate content d_poly.  Point images
-    are dropped; a line image u - c or v - c requires an exact Gaussian-integer
-    root (else reported as degenerate)."""
-    factors = []
-    if d_poly.is_constant():
-        return factors
-    d_poly = d_poly._with_vars((var,))
-    roots = Slice(d_poly, var).exact_roots(())
-    if roots is None:
-        raise ExceptionalError("degenerate content in critical-value elimination")
-    other = "y" if var == "x" else "x"
-    along = [Slice(comp, other) for comp in (F.p, F.q)]
-    for r, _ in cluster_roots(roots, tol=LINE_ROOT_MERGE_REL):
-        # image of the line var = r, parametrized by the other variable: a
-        # coordinate is constant along it when its slice has no root
-        imgs = []
-        for sl in along:
-            ys = sl.roots([r], SAMPLE_ZERO_REL)[0]
-            imgs.append(ys is None or len(ys) == 0)
-        if imgs[0] and imgs[1]:
-            continue  # both coordinates constant along the line: point image
-        for const_here, target in ((imgs[0], "u"), (imgs[1], "v")):
-            if not const_here:
-                continue
-            comp = F.p if target == "u" else F.q
-            rr = complex(r)
-            cand = GaussianRational(round(rr.real), round(rr.imag))
-            if abs(complex(cand) - rr) > LATTICE_ROOT_TOL or d_poly.evaluate({var: cand}):
-                raise ExceptionalError(
-                    "critical line at a non-lattice root; elimination degenerates"
-                )
-            val = comp.evaluate({var: cand, other: GR_ZERO})
-            # the image line is {target = comp(cand, 0)}
-            factors.append(Poly(UV, {(1, 0) if target == "u" else (0, 1): GaussianRational(1)})
-                           - Poly.const(val, UV))
-    return factors
+def _line_images(p, q, g, var, other):
+    """Square-free images of the lines {var = r}, g(r) = 0, none of which F
+    contracts to a point: Res_var(g, Res_other(P - u, Q - v)), whose factor
+    at r cuts out the image of {var = r}.  Where the leading coefficients of
+    P and Q in `other` both vanish at r, that resultant specializes to 0
+    there, so those roots are split off and taken with both leading terms
+    dropped."""
+    h = g
+    for f in (p, q):
+        h = poly_gcd(h, _leading_coeff_in(f, other))
+    out = []
+    rest = exact_div(g, h)
+    if not rest.is_constant():
+        r = resultant_allow_constant(rest, resultant_allow_constant(p, q, other), var)
+        out.append(squarefree_part(r))
+    if not h.is_constant():
+        p, q = (f - _leading_coeff_in(f, other) * Poly.var(other, f.vars) ** f.degree_in(other)
+                for f in (p, q))
+        out.extend(_line_images(p, q, h, var, other))
+    return out
+
+
+def _line_image_factors(F, d, var, other):
+    """Square-free polynomials in (u, v) whose zero sets are the images of
+    the critical lines {var = r}, r a root of d, the square-free content of
+    JF in var.  F contracts {var = r} to a point exactly when r is a root of
+    the gcd of d with every coefficient of a positive power of `other` in P
+    and Q; those lines are dropped."""
+    if d.is_constant():
+        return []
+    p, q = _fiber_equations(F)
+    d = d._with_vars(p.vars)
+    point = d
+    for f in (p, q):
+        for k, c in f.coeffs_in(other).items():
+            if k > 0:
+                point = poly_gcd(point, c._with_vars(p.vars))
+    g = exact_div(d, point)
+    return [] if g.is_constant() else _line_images(p, q, g, var, other)
 
 
 def _eliminate_order(F, pp, first):
@@ -398,39 +390,30 @@ def critical_values(F):
     """Image of the critical locus {JF = 0}.
 
     Full lines inside the locus are split off exactly (axis contents of the
-    square-free Jacobian) and their images handled directly; the remaining
+    square-free Jacobian) and their images taken by resultants with those
+    contents, with no root solve; the remaining
     primitive part goes through iterated-resultant elimination in both
     variable orders, reconciled by a gcd to kill order-specific spurious
     factors."""
     jf = jacobian(F)
     if jf.is_zero():
         raise ExceptionalError("Jacobian vanishes identically")
-    jsf = squarefree_part(jf)
-    if jsf.is_constant():
-        return _empty_curve(["critical-value"])
+    pp = squarefree_part(jf)
     line_factors = []
-    pp = jsf
-    for var in ("x", "y"):
+    for var, other in (("x", "y"), ("y", "x")):
         # the content in the other variable is a polynomial in `var` whose
         # roots r are exactly the full lines {var = r} inside {pp = 0}
-        cont, pp = cont_pp_static(pp, "y" if var == "x" else "x")
-        line_factors.extend(_line_image_factors(F, cont, var))
-    curves = []
+        cont, pp = cont_pp_static(pp, other)
+        line_factors.extend(_line_image_factors(F, cont, var, other))
+    g = Poly.const(1, UV)
     if not pp.is_constant():
-        for first in ("y", "x"):
-            e = _eliminate_order(F, pp, first)
-            if e is not None:
-                curves.append(e)
-    if curves:
-        g = curves[0]
-        for c in curves[1:]:
-            g = poly_gcd(g, c)
-        g = squarefree_part(g) if not g.is_constant() else Poly.const(1, UV)
-    else:
-        g = Poly.const(1, UV)
+        curves = [e for e in (_eliminate_order(F, pp, "y"), _eliminate_order(F, pp, "x"))
+                  if e is not None]
+        if curves:
+            g = poly_gcd(*curves) if len(curves) == 2 else curves[0]
     for lf in line_factors:
-        if not divides(lf, g):
-            g = g * lf
+        lf = lf._with_vars(UV)
+        g = g * exact_div(lf, poly_gcd(lf, g))
     if g.is_constant():
         return _empty_curve(["critical-value"])
     return PlaneCurveSet(g, ["critical-value"],
@@ -489,8 +472,10 @@ def exceptional_set(F, samples=5, seed=0):
 
 
 def line_intersections(curve, k):
-    """Complex v-roots (with multiplicities) of defining(k, v): the
-    intersection of the vertical line {u = k} with the curve.
+    """Complex v-roots of defining(k, v), the intersection of the vertical
+    line {u = k} with the curve.  Multiplicities are exact, from the
+    square-free decomposition of defining(k, v); only its factors are solved
+    numerically.
 
     Errors when (u - k) divides the defining polynomial -- the excluded
     line-inside-curve case."""
@@ -502,11 +487,12 @@ def line_intersections(curve, k):
         raise ExceptionalError(
             f"the line u = {k} is contained in the curve; intersection count undefined"
         )
-    clustered = cluster_roots(curve.v_slice.exact_roots([kq]), tol=INTERSECTION_MERGE_REL)
+    roots = sorted(((complex(z), m)
+                    for a, m in squarefree_decomposition(curve.defining.evaluate({"u": kq}), "v")
+                    for z in Slice(a, "v").exact_roots(())),
+                   key=lambda t: (t[0].real, t[0].imag))
     return {
         "k": str(k),
-        "roots": [
-            {"v": [rep.real, rep.imag], "multiplicity": m} for rep, m in clustered
-        ],
-        "count": len(clustered),
+        "roots": [{"v": [z.real, z.imag], "multiplicity": m} for z, m in roots],
+        "count": len(roots),
     }

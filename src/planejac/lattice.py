@@ -19,7 +19,7 @@ import numpy as np
 
 from .gaussian import GaussianRational, lattice_point
 from .poly import Poly
-from .roots import SLICE_ZERO_REL, find_roots_grouped
+from .roots import find_roots_grouped
 
 #: tolerance on all <= 1 comparisons; the quantities of interest sit far away
 VIOLATION_TOL = 1e-9
@@ -229,7 +229,7 @@ def _nearest_roots(sl, q, j):
     """For each target row of q: the root of ``sl`` at the other coordinate
     nearest to q[:, j] (the first of equals) and its distance; q[:, j] and 0
     where the slice vanishes, NaN and inf where it has no root."""
-    roots, counts = sl.flat_roots(q[:, 1 - j], SLICE_ZERO_REL)
+    roots, counts = sl.flat_roots(q[:, 1 - j])
     owner = np.repeat(np.arange(len(q)), np.maximum(counts, 0))
     i = _first_min(np.abs(roots - q[owner, j]), owner)
     e = roots[i] - q[owner[i], j]
@@ -265,7 +265,7 @@ def _descend(curve, q, u0, owner, best_val, best_w):
     """Every root of the slices {u = u0} is a candidate witness for target
     owner; a target's best is replaced only by a strictly closer candidate,
     the first of equals."""
-    vs, counts = curve.v_slice.flat_roots(u0, SLICE_ZERO_REL)
+    vs, counts = curve.v_slice.flat_roots(u0)
     reps = np.where(counts < 0, 1, counts)  # -1: the whole line {u = u0} is in the curve
     own = np.repeat(owner, reps)
     U, V = np.repeat(u0, reps), q[own, 1]
@@ -289,7 +289,7 @@ def dist_upper_bound_batch(qs, curve, refinement=30):
     best_val = np.full(len(q), math.inf)
     best_w = np.full((len(q), 2), np.nan, dtype=np.complex128)
     # slice witnesses in both directions: each target's q1, then its u-roots
-    us, counts = curve.u_slice.flat_roots(q[:, 1], SLICE_ZERO_REL)
+    us, counts = curve.u_slice.flat_roots(q[:, 1])
     on_line = counts < 0  # the line {v = q2} lies in the curve: q is on it
     best_val[on_line], best_w[on_line] = 0.0, q[on_line]
     pts = np.flatnonzero(~on_line)

@@ -727,6 +727,26 @@ def squarefree_part(f):
     return out.monic()
 
 
+def squarefree_decomposition(f, name):
+    """[(a, m)] with f = c * prod a^m for f univariate in `name`: each a is
+    square-free, monic and non-constant, and the a are pairwise coprime, so
+    the roots of a are the roots of f of multiplicity exactly m (Yun, SYMSAC
+    1976)."""
+    df = f.diff(name)
+    g = poly_gcd(f, df)
+    b = exact_div(f, g)
+    d = exact_div(df, g) - b.diff(name)
+    out, m = [], 1
+    while not b.is_constant():
+        a = poly_gcd(b, d)
+        b = exact_div(b, a)
+        d = exact_div(d, a) - b.diff(name)
+        if not a.is_constant():
+            out.append((a, m))
+        m += 1
+    return out
+
+
 # ------------------------------------------------------------- resultants
 
 

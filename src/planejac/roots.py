@@ -11,7 +11,7 @@ with one ``find_roots_batch`` call per trimmed degree.
 ``Slice`` specializes a polynomial to a univariate slice, exactly at
 Gaussian-rational points or numerically at many complex points, with one
 numeric zero rule for leading coefficients.  It backs curve slicing,
-distance certification, critical lines and the search for points on
+distance certification, line intersections and the search for points on
 candidate components; fiber enumeration builds its exact slices in plain
 ints instead.
 """
@@ -154,12 +154,9 @@ def cluster_roots(roots, tol=1e-6):
     return out
 
 
-#: numeric zero rule of the lattice curve slices: a specialized coefficient
-#: c with |c| <= SLICE_ZERO_REL * max(1, bound) is zero
+#: numeric zero rule of the slices: a specialized coefficient c with
+#: |c| <= SLICE_ZERO_REL * max(1, bound) is zero
 SLICE_ZERO_REL = 1e-12
-#: the same rule for the slices along a critical line {x = r} or {y = r} of
-#: the exceptional layer, whose root r is known only to root-finding accuracy
-SAMPLE_ZERO_REL = 1e-9
 
 
 class Slice:
@@ -219,17 +216,10 @@ class Slice:
             powers[:, e] = powers[:, e - 1] * t
         return powers @ self.A.T, np.abs(powers) @ self.absA.T
 
-    def flat_roots(self, values, rel):
+    def flat_roots(self, values):
         """``find_roots_grouped`` of f at n complex points, where a
-        coefficient c with |c| <= rel * max(1, bound) is numerically zero:
-        all roots in row order, and each row's count (-1: all zero)."""
+        coefficient c with |c| <= SLICE_ZERO_REL * max(1, bound) is
+        numerically zero: all roots in row order, and each row's count
+        (-1: all zero)."""
         c, b = self.numeric(values)
-        return find_roots_grouped(c, ~(np.abs(c) <= rel * np.maximum(1.0, b)))
-
-    def roots(self, values, rel):
-        """``flat_roots`` as a list: None where every coefficient is
-        numerically zero, else the row's roots (empty for a nonzero
-        constant)."""
-        flat, counts = self.flat_roots(values, rel)
-        ends = np.cumsum(np.maximum(counts, 0)).tolist()
-        return [None if k < 0 else flat[e - k:e] for k, e in zip(counts.tolist(), ends)]
+        return find_roots_grouped(c, ~(np.abs(c) <= SLICE_ZERO_REL * np.maximum(1.0, b)))

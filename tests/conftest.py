@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from planejac.poly import Poly, PolyMap, compose_maps, parse_expression
@@ -14,23 +15,28 @@ def _warm_kernels():
 
 
 @pytest.fixture()
-def fail_y_slice_solves(monkeypatch):
-    """Every root solve of a Slice in y over x raises.  The critical lines
-    {x = r} of ``critical_values`` are solved this way, so the exceptional
-    pipeline meets the failure there."""
+def fail_certification_solves(monkeypatch):
+    """Every exact slice solve raises.  Certification proposes its points on
+    a candidate component this way, so the exceptional pipeline meets the
+    failure there."""
     from planejac.roots import RootFindingError, Slice
-    real = Slice.roots
 
-    def roots(self, *args, **kw):
-        if self.fixed == ("x",):
-            raise RootFindingError("root iteration did not converge")
-        return real(self, *args, **kw)
+    def exact_roots(self, values):
+        raise RootFindingError("root iteration did not converge")
 
-    monkeypatch.setattr(Slice, "roots", roots)
+    monkeypatch.setattr(Slice, "exact_roots", exact_roots)
 
 
 XY = ("x", "y")
 UV = ("u", "v")
+
+
+def slice_rows(sl, values):
+    """``sl.flat_roots(values)`` split by row: None where every coefficient
+    is numerically zero, else the row's roots (empty for a nonzero constant)."""
+    flat, counts = sl.flat_roots(values)
+    ends = np.cumsum(np.maximum(counts, 0)).tolist()
+    return [None if k < 0 else flat[e - k:e] for k, e in zip(counts.tolist(), ends)]
 
 
 def pe(text, variables=XY):

@@ -275,7 +275,19 @@ def test_exceptional_sample_points_are_exact_evidence(runner, name):
             assert s["count"] < 4
 
 
-def test_exceptional_printed_seed_30_survives_overflowing_candidates(runner):
+def test_exceptional_with_critical_lines_off_the_lattice(runner, tmp_path):
+    # the fold lines x = +-1/2 of (4x^3 - 3x, y) map onto u = +-1
+    mf = tmp_path / "chebyshev.json"
+    mf.write_text(json.dumps({"name": "chebyshev", "p": "4*x^3 - 3*x", "q": "y"}))
+    r = runner.invoke(main, ["exceptional", str(mf)])
+    assert r.exit_code == 0, r.stderr
+    rep = _payload(r)
+    jsonschema.validate(rep, _schema())
+    assert rep["result"]["critical_values"]["defining"] == "u^2 - 1"
+    assert rep["result"]["defining"] == "u^2 - 1"
+
+
+def test_exceptional_printed_seed_30_gives_degree_4(runner):
     # the seed moves only the degree's random targets; certification is the
     # same deterministic search at every seed
     r = runner.invoke(main, ["exceptional", _map("makar_limanov_printed.json"), "--seed", "30"])
@@ -341,7 +353,7 @@ def test_exceptional_non_dominant_errors(runner, tmp_path):
     assert r.exit_code == 1
 
 
-def test_exceptional_failed_root_solve_is_an_error(runner, fail_y_slice_solves):
+def test_exceptional_failed_root_solve_is_an_error(runner, fail_certification_solves):
     r = runner.invoke(main, ["exceptional", _map("makar_limanov.json")])
     assert r.exit_code == 1
     assert "error: root iteration did not converge" in r.stderr

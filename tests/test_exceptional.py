@@ -1,3 +1,4 @@
+import os
 import random
 import warnings
 
@@ -11,10 +12,15 @@ from planejac.exceptional import (ExceptionalError, InfiniteFiberError, PlaneCur
                                   line_intersections, nonproper_candidates,
                                   topological_degree)
 from planejac.gaussian import GaussianRational
-from planejac.poly import Poly, PolyMap, compose_maps, divides, jacobian
+from planejac import roots
+from planejac.cli import load_map_file
+from planejac.poly import (Poly, PolyMap, compose_map, compose_maps, divides, exact_div,
+                           jacobian, poly_gcd, squarefree_part)
 from planejac.roots import Slice
 
-from conftest import UV, pe, random_automorphism, random_point
+from conftest import UV, XY, pe, random_automorphism, random_point
+
+MAPS = os.path.join(os.path.dirname(__file__), "..", "maps")
 
 
 # ---------------------------------------------------------------- candidates
@@ -104,7 +110,7 @@ def test_certify_vertical_line_confirmed():
     assert all(s["count"] == 0 for s in verdicts[0]["samples"])
 
 
-def test_certify_printed_rejects_overflowing_candidates_without_warnings(ml_map_printed):
+def test_certify_printed_counts_3_without_warnings(ml_map_printed):
     # every sample of the printed map counts 3 exactly, and the root solves
     # that propose the points raise no RuntimeWarning
     cand = nonproper_candidates(ml_map_printed)
@@ -280,6 +286,92 @@ def test_critical_values_pushforward_oracle(ml_map):
     assert checked >= 8
 
 
+def test_critical_lines_off_the_lattice():
+    # the critical lines x = +-sqrt(2/3) and x = +-1/2 hold no Gaussian
+    # integer; their images are the lines u = +-sqrt(32/27) and u = +-1
+    for p, want in (("x^3 - 2*x", "u^2 - 32/27"), ("4*x^3 - 3*x", "u^2 - 1")):
+        assert str(critical_values(PolyMap(pe(p), pe("y"))).defining) == want
+        assert str(critical_values(PolyMap(pe("y"), pe(p))).defining) == want.replace("u", "v")
+
+
+def test_critical_lines_with_curve_images():
+    # along {x = 1} and {x = -1} both coordinates of (x^3 - 3x + y^2, y)
+    # move, and the lines map onto the parabolas u = v^2 - 2 and u = v^2 + 2
+    crit = critical_values(PolyMap(pe("x^3 - 3*x + y^2"), pe("y")))
+    assert crit.defining == (pe("u - v^2", UV) ** 2 - pe("4", UV)).monic()
+
+
+def test_critical_line_where_both_leading_coefficients_vanish():
+    # F = (x^2 y^2 + y, x^2 y^3 + y^2): JF = 2x y^3 (x^2 y + 1).  Along
+    # {x = 0} the leading coefficients x^2 of both vanish, F = (y, y^2) there,
+    # and the line maps onto v = u^2; {y = 0} is contracted to (0, 0)
+    F = PolyMap(pe("x^2*y^2 + y"), pe("x^2*y^3 + y^2"))
+    crit = critical_values(F)
+    assert divides(pe("v - u^2", UV), crit.defining)
+    assert _uncovered_critical_locus(F, crit).is_constant()
+
+
+def _uncovered_critical_locus(F, crit):
+    """L = J / gcd(J, crit(P, Q)) for J the square-free Jacobian: the part of
+    the critical locus whose image is not on ``crit``.  Asserts that F
+    contracts each component of {L = 0} to a point, i.e. that L divides
+    L_y f_x - L_x f_y for f = P, Q, the derivatives of P and Q along it."""
+    jsf = squarefree_part(jacobian(F))
+    L = exact_div(jsf, poly_gcd(jsf, compose_map(crit.defining, F)))
+    for f in (F.p, F.q):
+        assert divides(L, L.diff("y") * f.diff("x") - L.diff("x") * f.diff("y"))
+    return L
+
+
+def _maps_with_critical_lines(n, seed=7):
+    """Seeded maps whose critical loci contain lines {x = r} at the roots r
+    of f', a random cubic: with line images (f, y + g), with a line {x = 0}
+    contracted to a point (f, x y + g), with curve images (f + y^2, y + c),
+    each also with x and y or u and v swapped.  The second flag is True when
+    no critical line is contracted."""
+    rng = random.Random(seed)
+    x, y = Poly.var("x", XY), Poly.var("y", XY)
+    swap = PolyMap(y, x)
+
+    def gi():
+        return Poly.const(GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2)), XY)
+
+    for i in range(n):
+        f = Poly.const(GaussianRational(rng.randint(1, 4), rng.randint(-1, 1)), XY) * x ** 3
+        g = gi()
+        for k in (1, 2):
+            f = f + gi() * x ** k
+            g = g + gi() * x ** k
+        F, proper = ((PolyMap(f, y + g), True), (PolyMap(f, x * y + g), False),
+                     (PolyMap(f + y ** 2, y + gi()), True))[i % 3]
+        if rng.random() < 0.5:
+            F = compose_maps(F, swap)
+        if rng.random() < 0.5:
+            F = compose_maps(swap, F)
+        yield F, proper
+
+
+def test_critical_values_push_forward_exactly():
+    # every component of {JF = 0} maps into the critical-value curve, or is
+    # contracted to a point; without contracted lines squarefree(JF) divides
+    # crit(P, Q).  The shipped maps contract {x = 0} to (0, 0), which lies on
+    # their curve u^3 + v^2
+    shipped = [(load_map_file(os.path.join(MAPS, name))[0], True) for name in sorted(os.listdir(MAPS))]
+    for F, proper in shipped + list(_maps_with_critical_lines(24)):
+        crit = critical_values(F)
+        L = _uncovered_critical_locus(F, crit)
+        assert L.is_constant() or not proper, (F, crit.defining)
+
+
+def test_critical_values_make_no_root_solve(ml_map, monkeypatch):
+    def fail(C):
+        raise AssertionError("critical_values solved a polynomial numerically")
+
+    monkeypatch.setattr(roots, "find_roots_batch", fail)
+    assert critical_values(ml_map).defining == pe("u^3 + v^2", UV)
+    assert critical_values(PolyMap(pe("4*x^3 - 3*x"), pe("y"))).defining == pe("u^2 - 1", UV)
+
+
 # ------------------------------------------------------------ exceptional set
 
 def test_exceptional_set_ml(ml_map):
@@ -340,6 +432,17 @@ def test_line_intersections_cusp_multiplicity():
     assert out["count"] == 1
     assert out["roots"][0]["multiplicity"] == 2
     assert abs(complex(*out["roots"][0]["v"])) < 1e-9
+
+
+def test_line_intersections_exact_multiplicity():
+    # (v - 1)^3 = u and (v - 1)^4 = u meet {u = 0} in one root of
+    # multiplicity 3 and 4, not in a cluster of nearby simple roots
+    for m in (3, 4):
+        curve = PlaneCurveSet(pe("v - 1", UV) ** m - pe("u", UV), ["supplied"])
+        out = line_intersections(curve, 0)
+        assert out["count"] == 1
+        assert out["roots"][0]["multiplicity"] == m
+        assert abs(complex(*out["roots"][0]["v"]) - 1) < 1e-12
 
 
 def test_line_intersections_contained_line_errors(ml_curve):

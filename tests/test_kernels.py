@@ -7,7 +7,7 @@ from planejac.gaussian import GR_ZERO, GaussianRational
 from planejac.roots import (SLICE_ZERO_REL, RootFindingError, Slice,
                             cluster_roots, find_roots, find_roots_batch, find_roots_grouped)
 
-from conftest import pe, random_poly
+from conftest import pe, random_poly, slice_rows
 
 
 # ----------------------------------------------------------------- find_roots
@@ -127,7 +127,7 @@ def test_slice_grouped_roots_match_row_by_row_solves():
     sl = Slice(pe("x^3*y^2 - 5*x^2*y^2 + 4*x*y^2 + x^3*y - 6*x^2*y + 8*x*y"
                   " + x^2 - 7*x + 12"), "y")
     xs = np.array([0, 1, 1 + 1e-14, 2, 3, 4, 0.5 + 0.5j, 5, 3, 1e-13, 4, 1, -2j])
-    got = sl.roots(xs, SLICE_ZERO_REL)
+    got = slice_rows(sl, xs)
     c, b = sl.numeric(xs)
     zero = np.abs(c) <= SLICE_ZERO_REL * np.maximum(1.0, b)
     assert len(got) == len(xs)

@@ -15,9 +15,9 @@ from planejac.lattice import (LatticeBox, MetricValue, _ring_is_zero, _ring_mul_
                               verify_dist_inequality)
 from planejac.exceptional import PlaneCurveSet
 from planejac.poly import PolyMap
-from planejac.roots import SLICE_ZERO_REL, RootFindingError, Slice
+from planejac.roots import RootFindingError, Slice
 
-from conftest import UV, pe, random_poly
+from conftest import UV, pe, random_poly, slice_rows
 
 
 # ----------------------------------------------------------------- fiber sets
@@ -349,10 +349,10 @@ def test_batched_slices_match_single_slices(curve):
     # coefficient does on the third
     sl = Slice(pe(curve, UV), "v")
     u0s = np.array([0, 1, -1, 1j, 2, 2.5 - 0.5j, 1e7 + 3e6j, 0.3 + 0.1j, 0])
-    got = sl.roots(u0s, SLICE_ZERO_REL)
+    got = slice_rows(sl, u0s)
     assert len(got) == len(u0s)
     for u0, roots in zip(u0s, got):
-        ref = sl.roots([u0], SLICE_ZERO_REL)[0]
+        ref = slice_rows(sl, [u0])[0]
         if ref is None:
             assert roots is None
         else:
