@@ -7,6 +7,7 @@ Exit codes: 0 clean, 1 error, 3 violations or unconfirmed points found.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -15,7 +16,6 @@ from importlib import resources
 
 import click
 import jsonschema
-import numpy as np
 
 from . import exceptional as exc
 from . import lattice as lat
@@ -84,10 +84,6 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, (np.floating,)):
-        x = float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
     if isinstance(x, float):
         if math.isinf(x) or math.isnan(x):
             return None
@@ -102,6 +98,13 @@ def _schema():
         return json.load(fh)
 
 
+@functools.cache
+def _validator():
+    """The Draft-7 validator of the report schema, built once per process;
+    the schema itself is checked by the test suite."""
+    return jsonschema.Draft7Validator(_schema())
+
+
 def emit(command, meta, config, result, pretty, summary_lines, exit_code=0):
     report = {
         "command": command,
@@ -109,7 +112,7 @@ def emit(command, meta, config, result, pretty, summary_lines, exit_code=0):
         "config": asdict(config),
         "result": _jsonable(result),
     }
-    jsonschema.validate(report, _schema())
+    _validator().validate(report)
     if pretty:
         out = json.dumps(report, sort_keys=True, indent=2)
     else:

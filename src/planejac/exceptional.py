@@ -13,13 +13,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .gaussian import GaussianRational
-from .poly import (Poly, PolyMap, cont_pp_static, divides, exact_div, jacobian,
+from .poly import (Poly, _coeff_list, cont_pp_static, divides, exact_div, jacobian,
                    poly_gcd, resultant_allow_constant, squarefree_decomposition,
                    squarefree_part)
-from .roots import Slice
+from .roots import find_roots
 
 #: largest height max(|a|, |b|, d) of the t = (a + bi)/d tried as one
 #: coordinate of a point on a candidate component
@@ -69,16 +68,6 @@ class PlaneCurveSet:
 
     def is_empty(self):
         return self.defining.is_constant()
-
-    @cached_property
-    def u_slice(self):
-        """The defining polynomial as a Slice in u, built once per curve."""
-        return Slice(self.defining, "u")
-
-    @cached_property
-    def v_slice(self):
-        """The defining polynomial as a Slice in v, built once per curve."""
-        return Slice(self.defining, "v")
 
     def to_json(self):
         return {
@@ -196,9 +185,9 @@ def _preimage_count_exact(F, u0, v0):
     raise ExceptionalError(f"no shear separates the solutions over ({u0}, {v0})")
 
 
-def _random_rational(rng, lo=-9, hi=9):
-    a = rng.randint(lo, hi)
-    b = rng.randint(lo, hi)
+def _random_rational(rng):
+    a = rng.randint(-9, 9)
+    b = rng.randint(-9, 9)
     d = rng.randint(1, 4)
     return GaussianRational(a, b, d)
 
@@ -256,18 +245,25 @@ def _nearby_rational(z):
                             re.denominator * im.denominator)
 
 
+def _univariate_roots(f):
+    """Complex roots of a univariate or constant Poly f, from its exact
+    coefficients; none when f is zero or constant."""
+    if f.is_constant():
+        return ()
+    (free,) = f.vars
+    return find_roots([complex(c.constant_value()) for c in _coeff_list(f, free)])
+
+
 def _component_counts(F, comp, avoid, samples):
     """``samples`` Gaussian-rational points of comp with their exact
     preimage counts.  Each t by increasing height is tried as u0 with the
-    v-slice of comp, then as v0 with its u-slice.  The root of the slice
+    slice comp(t, v), then as v0 with comp(u, t).  The root of the slice
     proposes a nearby Gaussian rational.  It is kept when comp vanishes
     there, ``avoid`` does not, and the fiber is finite."""
-    slices = ((Slice(comp, "v"), False), (Slice(comp, "u"), True))
     seen, points = set(), []
     for t in _gaussian_rationals(POINT_HEIGHT):
-        for sl, t_is_v in slices:
-            roots = sl.exact_roots([t])
-            for z in () if roots is None else roots:
+        for t_is_v in (False, True):
+            for z in _univariate_roots(comp.evaluate({"v" if t_is_v else "u": t})):
                 w = _nearby_rational(z)
                 pt = (w, t) if t_is_v else (t, w)
                 if pt in seen:
@@ -489,7 +485,7 @@ def line_intersections(curve, k):
         )
     roots = sorted(((complex(z), m)
                     for a, m in squarefree_decomposition(curve.defining.evaluate({"u": kq}), "v")
-                    for z in Slice(a, "v").exact_roots(())),
+                    for z in _univariate_roots(a)),
                    key=lambda t: (t[0].real, t[0].imag))
     return {
         "k": str(k),

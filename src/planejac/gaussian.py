@@ -84,9 +84,6 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.a, -self.b, self.d)
 
-    def conj(self):
-        return GaussianRational(self.a, -self.b, self.d)
-
     def __eq__(self, other):
         try:
             other = GaussianRational.coerce(other)

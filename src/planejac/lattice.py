@@ -7,7 +7,9 @@ canonical non-invertible example.
 Lattices are Z + Z*i*sqrt(m) for square-free m >= 1; m = 1 is the Gaussian
 integers.  Fiber membership is verified exactly, in plain-int arithmetic of
 Z[i][T]/(T^2 + m); the metrics work over C with a fixed 1e-9 comparison
-tolerance.
+tolerance.  ``Slice`` is the metrics' numeric slicer: it compiles the
+curve's defining polynomial in one variable once per sweep and specializes
+it at all targets together, with one zero rule for the coefficients.
 """
 
 from __future__ import annotations
@@ -201,6 +203,53 @@ def brute_force_fiber_points(P, k, box):
 # --------------------------------------------------------------------------
 # metrics
 
+#: numeric zero rule of the slices: a specialized coefficient c with
+#: |c| <= SLICE_ZERO_REL * max(1, bound) is zero
+SLICE_ZERO_REL = 1e-12
+
+
+class Slice:
+    """A polynomial f viewed in one free variable, compiled once and
+    specialized numerically at many values of the other (fixed) variable,
+    if any.
+
+    A[i, j] is the complex coefficient of free^(top-i) * fixed^j.  |A| gives
+    each specialized coefficient a roundoff bound, the sum of its absolute
+    monomial values, so a coefficient is numerically zero only relative to
+    the cancellation that produced it."""
+
+    def __init__(self, f, free):
+        if f.is_laurent():
+            raise ValueError("slicing needs a non-Laurent polynomial")
+        if len(f.vars) > 2:
+            raise ValueError("a slice fixes at most one variable")
+        cs = f.coeffs_in(free)
+        top = max(cs, default=0)
+        width = max((sum(e) for c in cs.values() for e in c.terms), default=0) + 1
+        self.A = np.zeros((top + 1, width), dtype=np.complex128)
+        for d, c in cs.items():
+            for exps, a in c.terms.items():
+                self.A[top - d, sum(exps)] += complex(a)
+        self.absA = np.abs(self.A)
+
+    def numeric(self, values):
+        """Descending slice coefficients (n, top+1) at n complex values of the
+        fixed variable, and their roundoff bounds."""
+        t = np.asarray(values, dtype=np.complex128).reshape(-1)
+        powers = np.ones((t.shape[0], self.A.shape[1]), dtype=np.complex128)
+        for e in range(1, self.A.shape[1]):
+            powers[:, e] = powers[:, e - 1] * t
+        return powers @ self.A.T, np.abs(powers) @ self.absA.T
+
+    def flat_roots(self, values):
+        """``find_roots_grouped`` of f at n complex points, where a
+        coefficient c with |c| <= SLICE_ZERO_REL * max(1, bound) is
+        numerically zero: all roots in row order, and each row's count
+        (-1: all zero)."""
+        c, b = self.numeric(values)
+        return find_roots_grouped(c, ~(np.abs(c) <= SLICE_ZERO_REL * np.maximum(1.0, b)))
+
+
 def dhat(q, curve):
     """``dhat_batch`` of the one target q."""
     return dhat_batch([q], curve)[0]
@@ -249,8 +298,8 @@ def dhat_batch(qs, curve):
     if curve.is_empty():
         raise ValueError("d-hat requires a nonempty curve")
     q = np.asarray(qs, dtype=np.complex128).reshape(-1, 2)
-    u, m_u = _nearest_roots(curve.u_slice, q, 0)
-    v, m_v = _nearest_roots(curve.v_slice, q, 1)
+    u, m_u = _nearest_roots(Slice(curve.defining, "u"), q, 0)
+    v, m_v = _nearest_roots(Slice(curve.defining, "v"), q, 1)
     pick = m_u >= m_v
     w = np.where(pick[:, None], np.column_stack([u, q[:, 1]]), np.column_stack([q[:, 0], v]))
     return _metric_values(np.where(pick, m_u, m_v), w, "dhat-exact-numeric")
@@ -261,11 +310,11 @@ _DIRECTIONS = np.array([complex(math.cos(2 * math.pi * j / 8), math.sin(2 * math
                         for j in range(8)])
 
 
-def _descend(curve, q, u0, owner, best_val, best_w):
-    """Every root of the slices {u = u0} is a candidate witness for target
-    owner; a target's best is replaced only by a strictly closer candidate,
-    the first of equals."""
-    vs, counts = curve.v_slice.flat_roots(u0)
+def _descend(in_v, q, u0, owner, best_val, best_w):
+    """Every root of the slices {u = u0} of ``in_v``, the curve as a Slice in
+    v, is a candidate witness for target owner; a target's best is replaced
+    only by a strictly closer candidate, the first of equals."""
+    vs, counts = in_v.flat_roots(u0)
     reps = np.where(counts < 0, 1, counts)  # -1: the whole line {u = u0} is in the curve
     own = np.repeat(owner, reps)
     U, V = np.repeat(u0, reps), q[own, 1]
@@ -286,15 +335,16 @@ def dist_upper_bound_batch(qs, curve, refinement=30):
     if curve.is_empty():
         raise ValueError("Dist bound requires a nonempty curve")
     q = np.asarray(qs, dtype=np.complex128).reshape(-1, 2)
+    in_u, in_v = Slice(curve.defining, "u"), Slice(curve.defining, "v")
     best_val = np.full(len(q), math.inf)
     best_w = np.full((len(q), 2), np.nan, dtype=np.complex128)
     # slice witnesses in both directions: each target's q1, then its u-roots
-    us, counts = curve.u_slice.flat_roots(q[:, 1])
+    us, counts = in_u.flat_roots(q[:, 1])
     on_line = counts < 0  # the line {v = q2} lies in the curve: q is on it
     best_val[on_line], best_w[on_line] = 0.0, q[on_line]
     pts = np.flatnonzero(~on_line)
     k = counts[pts]
-    _descend(curve, q, np.insert(us, np.cumsum(k) - k, q[pts, 0]), np.repeat(pts, k + 1),
+    _descend(in_v, q, np.insert(us, np.cumsum(k) - k, q[pts, 0]), np.repeat(pts, k + 1),
              best_val, best_w)
     # local descent: perturb the u-coordinate of each best witness; the base
     # is fixed within a step, so its 8 directions are solved together
@@ -302,7 +352,7 @@ def dist_upper_bound_batch(qs, curve, refinement=30):
     radius = np.maximum(best_val[pts], 0.5)
     for _ in range(refinement):
         u0 = best_w[pts, 0, None] + radius[:, None] * _DIRECTIONS
-        _descend(curve, q, u0.ravel(), np.repeat(pts, 8), best_val, best_w)
+        _descend(in_v, q, u0.ravel(), np.repeat(pts, 8), best_val, best_w)
         radius *= 0.65
     return _metric_values(best_val, best_w, "dist-upper-bound")
 

@@ -8,19 +8,14 @@ path serves every entry point: ``find_roots`` is a one-row call of
 ``find_roots_batch``, and ``find_roots_grouped`` solves rows of mixed shapes
 with one ``find_roots_batch`` call per trimmed degree.
 
-``Slice`` specializes a polynomial to a univariate slice, exactly at
-Gaussian-rational points or numerically at many complex points, with one
-numeric zero rule for leading coefficients.  It backs curve slicing,
-distance certification, line intersections and the search for points on
-candidate components; fiber enumeration builds its exact slices in plain
-ints instead.
+This module only solves: its callers specialize.  The exact layers pass
+the coefficients of ``Poly.evaluate`` slices to ``find_roots``; the lattice
+sweeps build their numeric slices with ``lattice.Slice``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .gaussian import GR_ZERO
 
 
 class RootFindingError(RuntimeError):
@@ -31,6 +26,11 @@ class RootFindingError(RuntimeError):
 TOL = 1e-13
 #: Newton polish steps per root, at most
 MAX_ITER = 50
+#: acceptance of the polished roots z of a degree-d row: |p(z)| <= RESIDUAL_REL
+#: * max(1, max |z| of the row) ** d.  It catches divergence, but is no
+#: certificate: for the roots k(1 + i/2), k = 1..40, it accepts residuals up
+#: to 1e60 (inclusion radii would bound the error instead)
+RESIDUAL_REL = 1e-6
 
 
 def _horner(c, z):
@@ -94,7 +94,7 @@ def find_roots_batch(C):
         if not active.any():
             break
     residual = np.abs(p)
-    bound = 1e-6 * np.maximum(1.0, np.abs(z).max(axis=1, keepdims=True)) ** deg
+    bound = RESIDUAL_REL * np.maximum(1.0, np.abs(z).max(axis=1, keepdims=True)) ** deg
     bad = ~(residual <= bound)  # NaN residuals are failures too
     if bad.any():
         raise RootFindingError(
@@ -152,74 +152,3 @@ def cluster_roots(roots, tol=1e-6):
         else:
             out.append((complex(r), 1))
     return out
-
-
-#: numeric zero rule of the slices: a specialized coefficient c with
-#: |c| <= SLICE_ZERO_REL * max(1, bound) is zero
-SLICE_ZERO_REL = 1e-12
-
-
-class Slice:
-    """A polynomial f viewed in one free variable, compiled once and
-    specialized at many values of the other (fixed) variable, if any.
-
-    ``coeffs`` holds the exact coefficient polynomials in the fixed variable,
-    densely from the top degree (None where absent).  A[i, j] is the complex
-    coefficient of free^(top-i) * fixed^j.  |A| gives each specialized
-    coefficient a roundoff bound, the sum of its absolute monomial values,
-    so a coefficient is numerically zero only relative to the cancellation
-    that produced it."""
-
-    def __init__(self, f, free):
-        if f.is_laurent():
-            raise ValueError("slicing needs a non-Laurent polynomial")
-        self.fixed = tuple(w for w in f.vars if w != free)
-        if len(self.fixed) > 1:
-            raise ValueError("a slice fixes at most one variable")
-        cs = f.coeffs_in(free)
-        top = max(cs, default=0)
-        self.coeffs = [cs.get(d) for d in range(top, -1, -1)]
-        width = max((sum(e) for c in cs.values() for e in c.terms), default=0) + 1
-        self.A = np.zeros((top + 1, width), dtype=np.complex128)
-        for d, c in cs.items():
-            for exps, a in c.terms.items():
-                self.A[top - d, sum(exps)] += complex(a)
-        self.absA = np.abs(self.A)
-
-    def exact(self, values):
-        """Descending coefficients of f at a Gaussian-rational value of the
-        fixed variable, exact leading zeros dropped; None when the slice
-        vanishes identically."""
-        point = dict(zip(self.fixed, values))
-        cs = [GR_ZERO if c is None else c.evaluate(point) for c in self.coeffs]
-        for i, c in enumerate(cs):
-            if c:
-                return cs[i:]
-        return None
-
-    def exact_roots(self, values):
-        """Roots of the exact slice at ``values``: None when it vanishes
-        identically, an empty array when it is a nonzero constant."""
-        cs = self.exact(values)
-        if cs is None:
-            return None
-        if len(cs) == 1:
-            return np.array([], dtype=np.complex128)
-        return find_roots([complex(c) for c in cs])
-
-    def numeric(self, values):
-        """Descending slice coefficients (n, top+1) at n complex values of the
-        fixed variable, and their roundoff bounds."""
-        t = np.asarray(values, dtype=np.complex128).reshape(-1)
-        powers = np.ones((t.shape[0], self.A.shape[1]), dtype=np.complex128)
-        for e in range(1, self.A.shape[1]):
-            powers[:, e] = powers[:, e - 1] * t
-        return powers @ self.A.T, np.abs(powers) @ self.absA.T
-
-    def flat_roots(self, values):
-        """``find_roots_grouped`` of f at n complex points, where a
-        coefficient c with |c| <= SLICE_ZERO_REL * max(1, bound) is
-        numerically zero: all roots in row order, and each row's count
-        (-1: all zero)."""
-        c, b = self.numeric(values)
-        return find_roots_grouped(c, ~(np.abs(c) <= SLICE_ZERO_REL * np.maximum(1.0, b)))

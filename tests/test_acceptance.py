@@ -19,8 +19,8 @@ from planejac.poly import PolyMap, divides, jacobian, resultant
 from planejac.series import (TruncSeries2, compose_truncated, local_inverse,
                              truncate)
 
-from conftest import (UV, pe, random_automorphism, random_poly,
-                      rename_xy_to_uv)
+from support import (UV, pe, random_automorphism, random_poly,
+                     rename_xy_to_uv)
 
 SQRT3 = math.sqrt(3.0)
 

@@ -199,6 +199,24 @@ def test_schema_requires_the_invert_verdict(runner):
         jsonschema.validate(rep, _schema())
 
 
+def test_report_schema_is_a_valid_draft7_schema():
+    # emit builds its validator once and trusts the schema; this checks it
+    jsonschema.Draft7Validator.check_schema(_schema())
+
+
+def test_emit_rejects_a_result_that_breaks_the_schema(runner, monkeypatch):
+    real = ser.automorphism_verdict
+
+    def stringly(F, G):
+        verdict, resid = real(F, G)
+        return {**verdict, "value": "yes"}, resid
+
+    monkeypatch.setattr(ser, "automorphism_verdict", stringly)
+    r = runner.invoke(main, ["invert", _map("elementary.json"), "-N", "4"])
+    assert isinstance(r.exception, jsonschema.ValidationError)
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize("path, bad", [
     (("certification",), None),
     (("components",), None),

@@ -3,11 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from planejac.gaussian import GR_ZERO, GaussianRational
-from planejac.roots import (SLICE_ZERO_REL, RootFindingError, Slice,
-                            cluster_roots, find_roots, find_roots_batch, find_roots_grouped)
+from planejac.exceptional import _univariate_roots
+from planejac.gaussian import GaussianRational
+from planejac.lattice import SLICE_ZERO_REL, Slice
+from planejac.roots import (RootFindingError, cluster_roots, find_roots, find_roots_batch,
+                            find_roots_grouped)
 
-from conftest import pe, random_poly, slice_rows
+from support import pe, slice_rows
 
 
 # ----------------------------------------------------------------- find_roots
@@ -156,53 +158,24 @@ def test_cluster_roots_tolerance_scales_with_magnitude():
     assert len(out) == 1 and out[0][1] == 2
 
 
-# ------------------------------------------------------------- Slice roots
+# ------------------------------------------------- roots of exact slices
 
 def test_poly_roots_specialization():
     f = pe("y^2 - x")
-    rs = Slice(f, "y").exact_roots([GaussianRational(4)])
+    rs = _univariate_roots(f.evaluate({"x": GaussianRational(4)}))
     assert np.allclose(sorted(rs, key=lambda z: z.real), [-2, 2])
 
 
-def test_poly_roots_vanishing_slice_is_none():
+def test_poly_roots_vanishing_slice_has_no_roots():
     f = pe("x*y")
-    assert Slice(f, "y").exact_roots([GaussianRational(0)]) is None
+    assert len(_univariate_roots(f.evaluate({"x": GaussianRational(0)}))) == 0
 
 
 def test_poly_roots_constant_slice_is_empty():
-    f = pe("x*y + 1")
-    rs = Slice(pe("x + 1"), "y").exact_roots([GaussianRational(2)])
-    assert rs is not None and len(rs) == 0
-    del f
+    rs = _univariate_roots(pe("x + 1").evaluate({"x": GaussianRational(2)}))
+    assert len(rs) == 0
 
 
 def test_slice_fixes_at_most_one_variable():
     with pytest.raises(ValueError, match="at most one variable"):
         Slice(pe("x*u + v", ("x", "u", "v")), "x")
-
-
-def test_slice_exact_at_gaussian_integer_points():
-    # coefficients at Gaussian-integer x recombine, by Horner, to the exact
-    # value of f at every (x, y); at x = i the leading coefficient x - i
-    # vanishes
-    rng = random.Random(6)
-    polys = [pe("x*y^2 - i*y^2 + x*y + 1"), pe("x^2*y^3 - 2*x*y + y - i")]
-    polys += [random_poly(rng, max_deg=3, n_terms=5, int_coeffs=True) for _ in range(6)]
-    for f in polys:
-        sl = Slice(f, "y")
-        for ax in range(-1, 2):
-            for bx in range(-1, 2):
-                xq = GaussianRational(ax, bx)
-                cs = sl.exact([xq])
-                for ay, by in ((0, 0), (1, -1), (2, 1)):
-                    yq = GaussianRational(ay, by)
-                    acc = GR_ZERO
-                    for c in cs or ():
-                        acc = acc * yq + c
-                    assert acc == f.evaluate({"x": xq, "y": yq})
-                if cs:
-                    assert cs[0]
-                    num, bound = sl.numeric([complex(xq)])
-                    err = np.abs(num[0, -len(cs):] - [complex(c) for c in cs])
-                    assert np.all(err <= 1e-13 * np.maximum(1.0, bound[0, -len(cs):]))
-    assert len(Slice(polys[0], "y").exact([GaussianRational(0, 1)])) == 2

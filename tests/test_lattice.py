@@ -6,7 +6,7 @@ import pytest
 
 from planejac.gaussian import GaussianRational, QuadElem
 from planejac import lattice, roots
-from planejac.lattice import (LatticeBox, MetricValue, _ring_is_zero, _ring_mul_add,
+from planejac.lattice import (LatticeBox, MetricValue, Slice, _ring_is_zero, _ring_mul_add,
                               brute_force_fiber_points, dhat,
                               dhat_batch, dist_upper_bound, dist_upper_bound_batch,
                               enumerate_fiber_points,
@@ -15,9 +15,9 @@ from planejac.lattice import (LatticeBox, MetricValue, _ring_is_zero, _ring_mul_
                               verify_dist_inequality)
 from planejac.exceptional import PlaneCurveSet
 from planejac.poly import PolyMap
-from planejac.roots import RootFindingError, Slice
+from planejac.roots import RootFindingError
 
-from conftest import UV, pe, random_poly, slice_rows
+from support import UV, pe, random_poly, slice_rows
 
 
 # ----------------------------------------------------------------- fiber sets

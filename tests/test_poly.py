@@ -9,7 +9,7 @@ from planejac.poly import (ParseError, Poly, PolyMap, compose_map,
                            parse_expression, poly_gcd,
                            resultant, squarefree_part, sylvester_matrix)
 
-from conftest import XY, UV, pe, random_point, random_poly
+from support import XY, UV, pe, random_point, random_poly
 
 
 # ------------------------------------------------------------------ parsing

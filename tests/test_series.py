@@ -12,8 +12,8 @@ from planejac.series import (SeriesMap, TruncSeries2, _map_into_series,
                              automorphism_verdict, compose_truncated,
                              local_inverse, translate_map, truncate)
 
-from conftest import (UV, XY, pe, random_automorphism, random_poly,
-                      rename_xy_to_uv)
+from support import (UV, XY, pe, random_automorphism, random_poly,
+                     rename_xy_to_uv)
 
 MAPS = os.path.join(os.path.dirname(__file__), "..", "maps")
 
