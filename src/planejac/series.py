@@ -3,108 +3,122 @@ with invertible linear part, origin translation, and the exact decision
 whether a map is a polynomial automorphism.
 
 All coefficients are exact Gaussian rationals; truncation is by total degree,
-so every identity below means "equal through total degree N".
+so every identity below means "equal through total degree N".  A series
+stores them as Gaussian-integer numerators over one shared denominator and
+does its arithmetic in Python ints; a `GaussianRational` is built only where
+a coefficient leaves the series.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational
 from .poly import Poly, PolyMap, jacobian
 
 
 class TruncSeries2:
-    """Bivariate series truncated at total degree `order` (inclusive)."""
+    """Bivariate series truncated at total degree `order` (inclusive).
 
-    __slots__ = ("order", "terms", "vars")
+    `num` maps (eu, ev) to a nonzero (re, im) int pair and `den` > 0 is the
+    shared denominator; the triple is reduced (gcd of `den` and every part is
+    1), so the form is canonical.
+    """
+
+    __slots__ = ("order", "num", "den", "vars")
 
     def __init__(self, order, terms=None, vars=("u", "v")):
         if order < 1:
             raise ValueError("truncation order must be positive")
         self.order = int(order)
         self.vars = tuple(vars)
-        self.terms = {}
-        if terms:
-            for (eu, ev), c in terms.items():
-                if eu < 0 or ev < 0:
-                    raise ValueError("series exponents must be nonnegative")
-                if eu + ev > self.order:
-                    continue
-                c = GaussianRational.coerce(c)
-                if c:
-                    self.terms[(eu, ev)] = c
+        kept = {}
+        for (eu, ev), c in (terms or {}).items():
+            if eu < 0 or ev < 0:
+                raise ValueError("series exponents must be nonnegative")
+            if eu + ev > self.order:
+                continue
+            c = GaussianRational.coerce(c)
+            if c:
+                kept[(eu, ev)] = c
+        # over the lcm of reduced denominators the triple is already reduced
+        self.den = lcm(*(c.d for c in kept.values()))
+        self.num = {e: (c.a * (self.den // c.d), c.b * (self.den // c.d))
+                    for e, c in kept.items()}
+
+    @classmethod
+    def _make(cls, order, num, den, vars):
+        """Trusted constructor: `num` is truncated at `order` and has no zero
+        pair; the triple is reduced here by its content."""
+        s = object.__new__(cls)
+        # with no terms the gcd is den itself, and den becomes 1
+        g = gcd(den, *(x for pair in num.values() for x in pair)) if den != 1 else 1
+        if g > 1:
+            num = {e: (re // g, im // g) for e, (re, im) in num.items()}
+        s.order, s.num, s.den, s.vars = order, num, den // g, vars
+        return s
+
+    def _at(self, order):
+        """The same coefficients at another truncation order."""
+        return TruncSeries2._make(order, {e: c for e, c in self.num.items()
+                                          if e[0] + e[1] <= order}, self.den, self.vars)
+
+    @property
+    def terms(self):
+        """{(eu, ev): GaussianRational}, the nonzero coefficients."""
+        return {e: GaussianRational(re, im, self.den) for e, (re, im) in self.num.items()}
 
     # ------------------------------------------------------------ arithmetic
 
-    def _meet(self, other):
-        if isinstance(other, TruncSeries2):
-            return min(self.order, other.order)
-        return self.order
-
     def __add__(self, other):
-        other = self._coerce(other)
-        n = self._meet(other)
-        terms = {e: c for e, c in self.terms.items() if sum(e) <= n}
-        for e, c in other.terms.items():
-            if sum(e) > n:
-                continue
-            s = terms.get(e, GR_ZERO) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return TruncSeries2(n, terms, self.vars)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries2(self.order, {e: -c for e, c in self.terms.items()}, self.vars)
+        return _combine(((1, 0, 1, self), (1, 0, 1, other)),
+                        min(self.order, other.order), self.vars)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return _combine(((1, 0, 1, self), (-1, 0, 1, other)),
+                        min(self.order, other.order), self.vars)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        n = self._meet(other)
-        terms = {}
-        for (a1, b1), c1 in self.terms.items():
-            if a1 + b1 > n:
-                continue
-            for (a2, b2), c2 in other.terms.items():
-                e = (a1 + a2, b1 + b2)
-                if e[0] + e[1] > n:
-                    continue
-                c = c1 * c2
-                s = terms.get(e)
-                if s is None:
-                    terms[e] = c
-                else:
-                    s = s + c
-                    if s:
-                        terms[e] = s
-                    else:
-                        del terms[e]
-        return TruncSeries2(n, terms, self.vars)
+        """Product with a series (truncated at the lower order) or with a
+        scalar (a `GaussianRational` or an int)."""
+        if not isinstance(other, TruncSeries2):
+            c = GaussianRational.coerce(other)
+            return _combine(((c.a, c.b, c.d, self),), self.order, self.vars)
+        n = min(self.order, other.order)
+        # exponent (a, b) of degree <= n sits at index a*w + b of a dense
+        # accumulator; the index of a product is the sum of the indices
+        w = n + 1
+        rows = other._rows(w)
+        acc_re, acc_im = [0] * (w * w), [0] * (w * w)
+        for d1, k1, r1, i1 in self._rows(w):
+            if d1 > n:
+                break
+            room = n - d1
+            for d2, k2, r2, i2 in rows:
+                if d2 > room:
+                    break
+                acc_re[k1 + k2] += r1 * r2 - i1 * i2
+                acc_im[k1 + k2] += r1 * i2 + i1 * r2
+        return _from_dense(n, acc_re, acc_im, self.den * other.den, self.vars)
 
-    __rmul__ = __mul__
-
-    def _coerce(self, x):
-        if isinstance(x, TruncSeries2):
-            return x
-        return TruncSeries2(self.order, {(0, 0): GaussianRational.coerce(x)}, self.vars)
+    def _rows(self, w):
+        """(total degree, dense index, re, im) of each term, by degree."""
+        return sorted((a + b, a * w + b, re, im) for (a, b), (re, im) in self.num.items())
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries2):
             return NotImplemented
-        return self.order == other.order and self.terms == other.terms
+        return self.order == other.order and self.den == other.den and self.num == other.num
 
     def constant(self):
-        return self.terms.get((0, 0), GR_ZERO)
+        c = self.num.get((0, 0))
+        return GR_ZERO if c is None else GaussianRational(c[0], c[1], self.den)
 
     def max_nonzero_degree(self):
-        return max((sum(e) for e in self.terms), default=None)
+        return max((e[0] + e[1] for e in self.num), default=None)
 
     def to_poly(self):
-        return Poly(self.vars, {e: c for e, c in self.terms.items()})
+        return Poly(self.vars, self.terms)
 
     def __str__(self):
         body = str(self.to_poly())
@@ -120,6 +134,34 @@ class TruncSeries2:
                 for e, c in sorted(self.terms.items())
             ],
         }
+
+
+def _from_dense(order, acc_re, acc_im, den, vars):
+    """The series whose coefficient of u^a v^b is (acc_re[k] + acc_im[k] i)/den,
+    k = a*(order+1) + b."""
+    w = order + 1
+    num = {}
+    for a in range(w):
+        for k in range(a * w, a * w + w - a):
+            if acc_re[k] or acc_im[k]:
+                num[(a, k - a * w)] = (acc_re[k], acc_im[k])
+    return TruncSeries2._make(order, num, den, vars)
+
+
+def _combine(parts, order, vars):
+    """sum of c * s over `parts` = ((c.a, c.b, c.d, s), ...), truncated at
+    `order`, over the lcm of the denominators c.d * s.den."""
+    den = lcm(*(cd * s.den for _, _, cd, s in parts))
+    w = order + 1
+    acc_re, acc_im = [0] * (w * w), [0] * (w * w)
+    for ca, cb, cd, s in parts:
+        m = den // (cd * s.den)
+        ka, kb = m * ca, m * cb
+        for (a, b), (re, im) in s.num.items():
+            if a + b <= order:
+                acc_re[a * w + b] += re * ka - im * kb
+                acc_im[a * w + b] += re * kb + im * ka
+    return _from_dense(order, acc_re, acc_im, den, vars)
 
 
 class SeriesMap:
@@ -187,17 +229,13 @@ def _map_into_series(p, q, s1, s2, order):
             row[ex] = row.get(ex, GR_ZERO) + c
         grouped.append(rows)
     top_x = max((ex for rows in grouped for row in rows.values() for ex in row), default=0)
-    pow1 = [TruncSeries2(order, {(0, 0): GR_ONE}, s1.vars)]
+    pow1 = [TruncSeries2._make(order, {(0, 0): (1, 0)}, 1, s1.vars)]
     while len(pow1) <= top_x:
         pow1.append(pow1[-1] * s1)
 
     def c_of_s1(row):
-        terms = {}
-        for ex, c in row.items():
-            for e, k in pow1[ex].terms.items():
-                s = terms.get(e)
-                terms[e] = k * c if s is None else s + k * c
-        return TruncSeries2(min(pow1[ex].order for ex in row), terms, s1.vars)
+        return _combine([(c.a, c.b, c.d, pow1[ex]) for ex, c in row.items()],
+                        min(pow1[ex].order for ex in row), s1.vars)
 
     out = []
     for rows in grouped:
@@ -223,7 +261,7 @@ def compose_truncated(G, F, order=None):
     n = order if order is not None else G.order
     if G.g1.constant() or G.g2.constant():
         raise ValueError("inner series must fix the origin (constant-term mismatch)")
-    g1, g2 = (TruncSeries2(n, g.terms, g.vars) for g in (G.g1, G.g2))
+    g1, g2 = (g._at(n) for g in (G.g1, G.g2))
     return SeriesMap(*_map_into_series(F.p, F.q, g1, g2, n))
 
 
@@ -262,8 +300,8 @@ def local_inverse(F, order):
     g1 = TruncSeries2(1, {(1, 0): inv[0][0], (0, 1): inv[0][1]})
     g2 = TruncSeries2(1, {(1, 0): inv[1][0], (0, 1): inv[1][1]})
     for n in range(2, order + 1):
-        g1 = TruncSeries2(n, g1.terms)
-        g2 = TruncSeries2(n, g2.terms)
+        g1 = g1._at(n)
+        g2 = g2._at(n)
         h1, h2 = _map_into_series(hp, hq, g1, g2, n)
         r1 = ident_u - h1
         r2 = ident_v - h2
@@ -282,8 +320,8 @@ def _linear_poly(vars, a, b):
 
 def translate_map(F, a, b):
     """F(x+a, y+b) - F(a, b); fixes the origin.  Gaussian-integer
-    coefficients and a Jacobian identical to the original are asserted
-    (translation cannot change either)."""
+    coefficients and a Jacobian identical to the original are checked
+    (translation cannot change either); a failed check raises RuntimeError."""
     xs = Poly.var("x", ("x", "y")) + Poly.const(a, ("x", "y"))
     ys = Poly.var("y", ("x", "y")) + Poly.const(b, ("x", "y"))
     vals = {"x": xs, "y": ys}
@@ -295,10 +333,11 @@ def translate_map(F, a, b):
         ga = GaussianRational.coerce(a)
         gb = GaussianRational.coerce(b)
         if ga.is_gaussian_integer() and gb.is_gaussian_integer():
-            assert G.is_integral()
+            if not G.is_integral():
+                raise RuntimeError("translation lost integral coefficients")
     jf = jacobian(F)
-    if jf.is_constant():
-        assert jacobian(G) == jf
+    if jf.is_constant() and jacobian(G) != jf:
+        raise RuntimeError("translation changed the constant Jacobian")
     return G
 
 
@@ -337,7 +376,7 @@ def automorphism_verdict(F, G):
                       FG.g2 - TruncSeries2(m, {(0, 1): GR_ONE}))
     if not constant_jf:
         return {"value": False, "reason": "JF is not a nonzero constant"}, resid
-    degrees = [sum(t) for s in (resid.g1, resid.g2) for t in s.terms]
+    degrees = [sum(t) for s in (resid.g1, resid.g2) for t in s.num]
     if degrees:
         return {"value": False,
                 "reason": f"F o G differs from (u, v) at degree {min(degrees)}"}, resid

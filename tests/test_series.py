@@ -1,3 +1,4 @@
+import math
 import os
 import random
 
@@ -213,6 +214,81 @@ def test_map_into_series_matches_monomial_substitution():
                 assert _map_into_series(f, g, s1, s2, n) == want
 
 
+# ------------------------------------ differential: the integer kernel
+
+def _ref_sum(parts, order):
+    """Oracle for series sums: sum of c * terms over plain
+    {(eu, ev): GaussianRational} dicts, truncated at `order`."""
+    out = {}
+    for c, terms in parts:
+        for e, k in terms.items():
+            if sum(e) <= order:
+                out[e] = out.get(e, _one(0)) + c * k
+    return {e: k for e, k in out.items() if k}
+
+
+def _ref_product(t1, t2, order):
+    """Oracle for series products, coefficient by coefficient in Q(i)."""
+    out = {}
+    for (a1, b1), k1 in t1.items():
+        for (a2, b2), k2 in t2.items():
+            e = (a1 + a2, b1 + b2)
+            if sum(e) <= order:
+                out[e] = out.get(e, _one(0)) + k1 * k2
+    return {e: k for e, k in out.items() if k}
+
+
+def _assert_canonical(s):
+    assert s.den > 0
+    assert math.gcd(s.den, *(x for pair in s.num.values() for x in pair)) == 1
+    assert all(re or im for re, im in s.num.values())
+    assert all(eu >= 0 and ev >= 0 and eu + ev <= s.order for eu, ev in s.num)
+    assert TruncSeries2(s.order, s.terms) == s
+
+
+def test_series_arithmetic_matches_dict_oracle():
+    rng = random.Random(5)
+    scalars = (2, -1, 0, 3, GaussianRational(1, -2, 3), GaussianRational(0, 1))
+    for _ in range(40):
+        n1, n2 = rng.randint(1, 6), rng.randint(1, 6)
+        s, t = _random_series(rng, n1), _random_series(rng, n2)
+        n = min(n1, n2)
+        cases = [(s + t, _ref_sum([(1, s.terms), (1, t.terms)], n), n),
+                 (s - t, _ref_sum([(1, s.terms), (-1, t.terms)], n), n),
+                 (s * t, _ref_product(s.terms, t.terms, n), n),
+                 (s - s, {}, n1),
+                 (s + s * (-1), {}, n1)]
+        cases += [(s * c, _ref_sum([(c, s.terms)], n1), n1) for c in scalars]
+        for got, want, order in cases:
+            _assert_canonical(got)
+            assert got.order == order
+            assert got.terms == want
+
+
+def test_series_constructor_puts_terms_over_their_lcm():
+    s = TruncSeries2(3, {(1, 0): GaussianRational(1, 1, 2), (0, 1): GaussianRational(0, 1, 3),
+                         (2, 0): 4, (0, 0): 0, (4, 0): 1})
+    _assert_canonical(s)
+    assert s.den == 6
+    assert s.num == {(1, 0): (3, 3), (0, 1): (0, 2), (2, 0): (24, 0)}
+
+
+def test_local_inverse_builds_few_gaussian_rationals(ml_map, monkeypatch):
+    # series arithmetic runs on int numerators; a reduced GaussianRational
+    # per coefficient product and partial sum made about 99,000 here
+    F = translate_map(ml_map, _one(1), _one(1))
+    calls = [0]
+    real = GaussianRational.__init__
+
+    def counting(self, *args):
+        calls[0] += 1
+        real(self, *args)
+
+    monkeypatch.setattr(GaussianRational, "__init__", counting)
+    local_inverse(F, 10)
+    assert calls[0] < 10_000
+
+
 def test_local_inverse_climbs_one_order_per_pass(monkeypatch):
     # pass k substitutes into both components of H at order k + 1; a loop
     # that ran every pass at full order would show up here
@@ -259,6 +335,22 @@ def test_translate_preserves_constant_jacobian():
     F = PolyMap(pe("x + y^3"), pe("y"))
     G = translate_map(F, GaussianRational(2), GaussianRational(-3))
     assert jacobian(G) == jacobian(F)
+
+
+def test_translate_raises_when_the_jacobian_changes(monkeypatch):
+    # the check must survive python -O, so it raises instead of asserting
+    real = series.jacobian
+    calls = []
+
+    def drifting(F):
+        calls.append(F)
+        jf = real(F)
+        return jf if len(calls) == 1 else jf + Poly.const(1, jf.vars)
+
+    monkeypatch.setattr(series, "jacobian", drifting)
+    with pytest.raises(RuntimeError, match="constant Jacobian"):
+        translate_map(PolyMap(pe("x + y^3"), pe("y")), _one(2), _one(-3))
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------- automorphism verdict
