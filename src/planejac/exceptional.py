@@ -38,10 +38,6 @@ class InfiniteFiberError(ExceptionalError):
     """The target is the image of a curve that F contracts to a point."""
 
 
-def _empty_curve(provenance=()):
-    return PlaneCurveSet(Poly.const(1, UV), list(provenance))
-
-
 @dataclass
 class PlaneCurveSet:
     """A plane curve in the value plane: square-free normalized defining
@@ -105,11 +101,6 @@ def _fiber_equations(F):
     return p, q
 
 
-def _leading_coeff_in(f, var):
-    cs = f.coeffs_in(var)
-    return cs[max(cs)]
-
-
 def nonproper_candidates(F):
     """Square-free product of the non-constant leading coefficients (in u, v)
     of Res_y(P-u, Q-v) viewed in x and Res_x(P-u, Q-v) viewed in y.  This cuts
@@ -125,7 +116,7 @@ def nonproper_candidates(F):
         if r.is_constant() or r.degree_in(view) == 0:
             failures.append(elim)
             continue
-        lead = _leading_coeff_in(r, view)
+        lead = _coeff_list(r, view)[0]
         if lead.is_constant():
             continue
         components.append((f"nonproper-candidate:{tag}", squarefree_part(lead)))
@@ -134,13 +125,12 @@ def nonproper_candidates(F):
             "both resultants degenerate (degree-0 elimination in x and y)"
         )
     if not components:
-        return _empty_curve()
+        return PlaneCurveSet(Poly.const(1, UV))
     product = Poly.const(1, UV)
     for _, c in components:
         product = product * c._with_vars(UV)
-    curve = PlaneCurveSet(product, ["nonproper-candidate"],
-                          [(t, c.monic()._with_vars(UV)) for t, c in components])
-    return curve
+    return PlaneCurveSet(product, ["nonproper-candidate"],
+                         [(t, c.monic()._with_vars(UV)) for t, c in components])
 
 
 # --------------------------------------------------------------------------
@@ -180,7 +170,7 @@ def _preimage_count_exact(F, u0, v0):
             raise InfiniteFiberError(f"fiber is infinite at ({u0}, {v0})")
         if r.is_constant():
             return 0
-        if squarefree_part(r).total_degree() == r.total_degree():
+        if poly_gcd(r, r.diff("x")).is_constant():
             return r.total_degree()
     raise ExceptionalError(f"no shear separates the solutions over ({u0}, {v0})")
 
@@ -315,31 +305,29 @@ def certify_nonproper(F, curve, samples=5, *, deg_geo, critical):
 # critical values
 
 def _line_images(p, q, g, var, other):
-    """Square-free images of the lines {var = r}, g(r) = 0, none of which F
-    contracts to a point: Res_var(g, Res_other(P - u, Q - v)), whose factor
-    at r cuts out the image of {var = r}.  Where the leading coefficients of
-    P and Q in `other` both vanish at r, that resultant specializes to 0
-    there, so those roots are split off and taken with both leading terms
-    dropped."""
+    """Images of the lines {var = r}, g(r) = 0, none of which F contracts to
+    a point: Res_var(g, Res_other(P - u, Q - v)), whose factor at r cuts out
+    the image of {var = r}.  Where the leading coefficients of P and Q in
+    `other` both vanish at r, that resultant specializes to 0 there, so those
+    roots are split off and taken with both leading terms dropped."""
     h = g
     for f in (p, q):
-        h = poly_gcd(h, _leading_coeff_in(f, other))
+        h = poly_gcd(h, _coeff_list(f, other)[0])
     out = []
     rest = exact_div(g, h)
     if not rest.is_constant():
         r = resultant_allow_constant(rest, resultant_allow_constant(p, q, other), var)
-        out.append(squarefree_part(r))
+        out.append(r)
     if not h.is_constant():
-        p, q = (f - _leading_coeff_in(f, other) * Poly.var(other, f.vars) ** f.degree_in(other)
+        p, q = (f - _coeff_list(f, other)[0] * Poly.var(other, f.vars) ** f.degree_in(other)
                 for f in (p, q))
         out.extend(_line_images(p, q, h, var, other))
     return out
 
 
 def _line_image_factors(F, d, var, other):
-    """Square-free polynomials in (u, v) whose zero sets are the images of
-    the critical lines {var = r}, r a root of d, the square-free content of
-    JF in var.  F contracts {var = r} to a point exactly when r is a root of
+    """Polynomials in (u, v) whose zero sets are the images of the critical
+    lines {var = r}, r a root of d, the square-free content of JF in var.  F contracts {var = r} to a point exactly when r is a root of
     the gcd of d with every coefficient of a positive power of `other` in P
     and Q; those lines are dropped."""
     if d.is_constant():
@@ -357,7 +345,8 @@ def _line_image_factors(F, d, var, other):
 
 def _eliminate_order(F, pp, first):
     """Eliminate `first` then the other variable from {P-u, Q-v, pp}, where pp
-    contains no full-line components.  Returns a (u,v) curve poly or None."""
+    contains no full-line components.  Returns the eliminant, a (u, v)
+    polynomial that need not be square-free, or None."""
     second = "x" if first == "y" else "y"
     p, q = _fiber_equations(F)
     j4 = pp._with_vars(("x", "y", "u", "v"))
@@ -379,7 +368,7 @@ def _eliminate_order(F, pp, first):
     e = resultant_allow_constant(t1, t2, second)
     if e.is_constant():
         return None
-    return squarefree_part(e)._with_vars(UV)
+    return e._with_vars(UV)
 
 
 def critical_values(F):
@@ -390,7 +379,10 @@ def critical_values(F):
     contents, with no root solve; the remaining
     primitive part goes through iterated-resultant elimination in both
     variable orders, reconciled by a gcd to kill order-specific spurious
-    factors."""
+    factors.  The eliminants and line images are raw; the one square-free
+    reduction is PlaneCurveSet's, of their product: over Q(i) the square-free
+    part of gcd(a, b) is the gcd of the square-free parts, and that of a
+    product cuts out the union of the factors' zero sets."""
     jf = jacobian(F)
     if jf.is_zero():
         raise ExceptionalError("Jacobian vanishes identically")
@@ -408,12 +400,8 @@ def critical_values(F):
         if curves:
             g = poly_gcd(*curves) if len(curves) == 2 else curves[0]
     for lf in line_factors:
-        lf = lf._with_vars(UV)
-        g = g * exact_div(lf, poly_gcd(lf, g))
-    if g.is_constant():
-        return _empty_curve(["critical-value"])
-    return PlaneCurveSet(g, ["critical-value"],
-                         [("critical-value", g.monic()._with_vars(UV))])
+        g = g * lf._with_vars(UV)
+    return PlaneCurveSet(g, ["critical-value"])
 
 
 # --------------------------------------------------------------------------
@@ -445,21 +433,14 @@ def exceptional_report(F, samples=5, seed=0, trials=3):
                                  critical=crit)
     product = Poly.const(1, UV)
     provenance = []
-    comps = []
-    for v, (tag, comp) in zip(verdicts, cand.component_polys):
+    for v, (_, comp) in zip(verdicts, cand.component_polys):
         if v["confirmed"]:
             product = product * comp
             provenance.append("nonproper-candidate")
-            comps.append((tag, comp))
     if not crit.is_empty():
         product = product * crit.defining
         provenance.append("critical-value")
-        comps.extend(crit.component_polys)
-    if product.is_constant():
-        curve = _empty_curve(provenance)
-    else:
-        curve = PlaneCurveSet(product, provenance, comps)
-    return ExceptionalReport(cand, crit, degree, verdicts, curve)
+    return ExceptionalReport(cand, crit, degree, verdicts, PlaneCurveSet(product, provenance))
 
 
 def exceptional_set(F, samples=5, seed=0):

@@ -1,5 +1,6 @@
 import os
 import random
+import time
 import warnings
 
 import numpy as np
@@ -264,23 +265,49 @@ def test_critical_values_ml(ml_map):
     assert crit.defining == pe("u^3 + v^2", UV)
 
 
+def _critical_point_images(F, seed=71, lines=8):
+    """Images (u0, v0) of the critical points of F on `lines` seeded
+    vertical lines x = (a + bi)/d, from the roots of JF(x, y) in y."""
+    jf = jacobian(F)
+    rng = random.Random(seed)
+    for _ in range(lines):
+        xq = GaussianRational(rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3))
+        x0 = complex(xq)
+        for y0 in exc._univariate_roots(jf.evaluate({"x": xq})):
+            at = {"x": x0, "y": complex(y0)}
+            yield complex(F.p.evaluate(at)), complex(F.q.evaluate(at))
+
+
 def test_critical_values_pushforward_oracle(ml_map):
     # every image of a critical point lies on the computed curve
     crit = critical_values(ml_map)
-    jf = jacobian(ml_map)
-    rng = random.Random(71)
     checked = 0
-    for _ in range(8):
-        xq = GaussianRational(rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3))
-        ys = exc._univariate_roots(jf.evaluate({"x": xq}))
-        x0 = complex(xq)
-        for y0 in ys:
-            u0 = complex(ml_map.p.evaluate({"x": x0, "y": complex(y0)}))
-            v0 = complex(ml_map.q.evaluate({"x": x0, "y": complex(y0)}))
-            scale = max(1.0, abs(u0) ** 3, abs(v0) ** 2)
-            val = complex(crit.defining.evaluate({"u": u0, "v": v0}))
-            assert abs(val) <= 1e-9 * scale
-            checked += 1
+    for u0, v0 in _critical_point_images(ml_map):
+        scale = max(1.0, abs(u0) ** 3, abs(v0) ** 2)
+        val = complex(crit.defining.evaluate({"u": u0, "v": v0}))
+        assert abs(val) <= 1e-9 * scale
+        checked += 1
+    assert checked >= 8
+
+
+def test_critical_values_reduce_the_curve_once():
+    # the y-first eliminant of this map has degree 14 and a spurious factor
+    # of degree 8; the square-free part of the gcd of the two raw eliminants
+    # is the degree-6 curve, found without reducing the degree-14 one
+    F = PolyMap(pe("x*y^2 + x*y - 2i*x + 2"),
+                pe("(2+2i)*x^2*y + x*y^2 - (2-1i)*x^2 + (3-2i)*x"))
+    start = time.perf_counter()
+    crit = critical_values(F)
+    assert time.perf_counter() - start < 10
+    assert crit.degree == 6
+    checked = 0
+    for u0, v0 in _critical_point_images(F):
+        # relative to the largest term of the defining polynomial there
+        terms = [abs(complex(c)) * abs(u0) ** a * abs(v0) ** b
+                 for (a, b), c in crit.defining.terms.items()]
+        val = complex(crit.defining.evaluate({"u": u0, "v": v0}))
+        assert abs(val) <= 1e-9 * max(terms)
+        checked += 1
     assert checked >= 8
 
 

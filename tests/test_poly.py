@@ -449,6 +449,30 @@ def test_squarefree_part_matches_sympy_over_qi():
         assert ours == _from_sympy(ref, XY).monic(), f
 
 
+def _repeatable_factor(rng):
+    """A random non-constant factor over Z[i] with a constant term."""
+    while True:
+        h = random_poly(rng, max_deg=2, n_terms=2, int_coeffs=True) + GaussianRational(
+            rng.randint(1, 3), rng.randint(-3, 3))
+        if not h.is_constant():
+            return h
+
+
+def test_squarefree_part_of_gcd_is_gcd_of_squarefree_parts():
+    # over Q(i), sqf(gcd(a, b)) = gcd(sqf a, sqf b): a shared factor s and
+    # unshared factors ua, ub, each raised to a random multiplicity, times
+    # cofactors with rational coefficients
+    rng = random.Random(73)
+    for _ in range(12):
+        s, ua, ub = (_repeatable_factor(rng) for _ in range(3))
+        ra, rb = (random_poly(rng, max_deg=1, n_terms=2) for _ in range(2))
+        a = s ** rng.randint(1, 3) * ua ** rng.randint(1, 2) * ra
+        b = s ** rng.randint(1, 2) * ub ** rng.randint(1, 2) * rb
+        lhs = squarefree_part(poly_gcd(a, b))
+        assert divides(s.monic(), lhs), (a, b)
+        assert lhs == poly_gcd(squarefree_part(a), squarefree_part(b)), (a, b)
+
+
 # ------------------------------------------------------------------ PolyMap caches
 
 def test_polymap_degree_caches(ml_map):
