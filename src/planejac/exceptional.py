@@ -247,14 +247,16 @@ def _univariate_roots(f):
 def _component_counts(F, comp, avoid, samples):
     """``samples`` Gaussian-rational points of comp with their exact
     preimage counts.  Each t by increasing height is tried as u0 with the
-    slice comp(t, v), then as v0 with comp(u, t).  The root of the slice
-    proposes a nearby Gaussian rational.  It is kept when comp vanishes
-    there, ``avoid`` does not, and the fiber is finite."""
+    slice comp(t, v), then as v0 with comp(u, t).  Each root of the slice
+    proposes a nearby Gaussian rational, taken in the exact order (-Im, Re),
+    whatever the order of the roots.  It is kept when comp vanishes there,
+    ``avoid`` does not, and the fiber is finite."""
     seen, points = set(), []
     for t in _gaussian_rationals(POINT_HEIGHT):
         for t_is_v in (False, True):
-            for z in _univariate_roots(comp.evaluate({"v" if t_is_v else "u": t})):
-                w = _nearby_rational(z)
+            roots = _univariate_roots(comp.evaluate({"v" if t_is_v else "u": t}))
+            for w in sorted(map(_nearby_rational, roots),
+                            key=lambda w: (-Fraction(w.b, w.d), Fraction(w.a, w.d))):
                 pt = (w, t) if t_is_v else (t, w)
                 if pt in seen:
                     continue

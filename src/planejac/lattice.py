@@ -268,10 +268,12 @@ def _metric_values(vals, ws, kind):
 
 
 def _first_min(vals, owner):
-    """Index of the first minimal entry of vals for each owner present;
-    owner is nondecreasing."""
-    order = np.lexsort((vals, owner))  # stable: the first of equals leads
-    return order[np.diff(owner[order], prepend=-1) != 0]
+    """Index of the first minimal entry of vals for each owner present; owner
+    is nondecreasing, and NaN ranks above every number, as in a sort."""
+    start = np.flatnonzero(np.diff(owner, prepend=-1))
+    low = np.repeat(np.fmin.reduceat(vals, start), np.diff(start, append=len(vals)))
+    at = (vals == low) | np.isnan(low)
+    return np.minimum.reduceat(np.where(at, np.arange(len(vals)), len(vals)), start)
 
 
 def _nearest_roots(sl, q, j):
@@ -362,10 +364,23 @@ def dist_upper_bound_batch(qs, curve, refinement=30):
 
 def _box_images(F, box):
     """The points (a, b, c, e) of box x box in sweep order, and their images
-    under F as complex pairs."""
+    under F, an (n, 2) complex array: T @ C @ T^T, C the coefficients of P or Q
+    and T the powers t^k = A + B*i*sqrt(m) of the box's values, exact in ints."""
     ps = [(a, b, c, e) for a, b in box.coords() for c, e in box.coords()]
-    return ps, [tuple(map(complex, F.evaluate(box.to_complex(a, b), box.to_complex(c, e))))
-                for a, b, c, e in ps]
+    m, sq = box.ring_m, math.sqrt(box.ring_m)
+    top = max((max(e) for f in (F.p, F.q) for e in f.terms), default=0)
+    T = []
+    for a, b in box.coords():
+        A, B = 1, 0
+        for _ in range(top + 1):
+            T.append(complex(A, B * sq))
+            A, B = A * a - m * B * b, A * b + B * a
+    T = np.array(T).reshape(-1, top + 1)
+    C = np.zeros((2, top + 1, top + 1), dtype=np.complex128)
+    for k, f in enumerate((F.p, F.q)):
+        for (i, j), c in f.terms.items():
+            C[k, i, j] = complex(c)
+    return ps, (T @ C @ T.T).reshape(2, -1).T + 0.0  # + 0.0: no -0.0 parts
 
 
 def verify_dist_inequality(F, curve, box, refinement=30, tol=VIOLATION_TOL):

@@ -570,10 +570,6 @@ class PolyMap:
     def is_integral(self):
         return self.p.has_gaussian_integer_coeffs() and self.q.has_gaussian_integer_coeffs()
 
-    def evaluate(self, x, y):
-        vals = {"x": x, "y": y}
-        return self.p.evaluate(vals), self.q.evaluate(vals)
-
     def __repr__(self):
         return f"PolyMap({self.p}, {self.q})"
 

@@ -1,12 +1,13 @@
-"""Complex root finding for the numeric layers: companion-matrix eigenvalues,
-Newton polishing, and multiplicity clustering.
+"""Complex root finding for the numeric layers: start values, one Newton
+polish, and multiplicity clustering.
 
-The eigenvalues of the companion matrix are backward stable roots of the
-polynomial (Edelman & Murakami, Math. Comp. 64, 1995); a vectorized Newton
-polish then refines each root against the coefficients themselves.  One
-path serves every entry point: ``find_roots`` is a one-row call of
-``find_roots_batch``, and ``find_roots_grouped`` solves rows of mixed shapes
-with one ``find_roots_batch`` call per trimmed degree.
+A row's start values are -c1/c0 at degree 1, the stable quadratic formula at
+degree 2, and from degree 3 the eigenvalues of the companion matrix, which
+are backward stable roots (Edelman & Murakami, Math. Comp. 64, 1995).  One
+vectorized Newton polish and one residual test then serve every degree and
+every entry point: ``find_roots`` is a one-row call of ``find_roots_batch``,
+and ``find_roots_grouped`` solves rows of mixed shapes with one
+``find_roots_batch`` call per trimmed degree.
 
 This module only solves: its callers specialize.  The exact layers pass
 the coefficients of ``Poly.evaluate`` slices to ``find_roots``; the lattice
@@ -34,24 +35,31 @@ RESIDUAL_REL = 1e-6
 
 
 def _horner(c, z):
-    """Values and derivatives of each row of c (n, d+1), descending, at the
-    columns of z (n, k)."""
-    p = np.empty_like(z)
-    p[...] = c[:, :1]
+    """Values and derivatives at each z[k] of the row c[k] (descending)."""
+    p = c[:, 0]
     dp = np.zeros_like(z)
     for j in range(1, c.shape[1]):
         dp = dp * z + p
-        p = p * z + c[:, j:j + 1]
+        p = p * z + c[:, j]
     return p, dp
+
+
+def _quadratic(b, c):
+    """The roots q and c/q of z^2 + b z + c, q = -(b + s)/2 with s = +-sqrt(b^2
+    - 4c) signed so that Re(conj(b) s) >= 0: no cancellation in b + s (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 1.8).  + 0.0: no -0.0."""
+    s = np.sqrt(b * b - 4 * c)
+    q = -0.5 * (b + np.where((b.conj() * s).real < 0, -s, s))
+    return np.column_stack([q, np.divide(c, q, out=np.zeros_like(q), where=q != 0)]) + 0.0
 
 
 def find_roots_batch(C):
     """All complex roots of each row of C, an (n, d+1) array of descending
     complex coefficients whose leading column is nonzero.  Returns an (n, d)
     array; row i holds the roots of row i.  Raises RootFindingError when a
-    row's eigenvalues cannot be computed or its polished residuals stay
-    large, or when a coefficient is not finite.  Each root takes at most
-    MAX_ITER Newton steps."""
+    coefficient, or one normalized by the leading one, is not finite, or
+    when a row's eigenvalues cannot be computed or its polished residuals
+    stay large.  Each root takes at most MAX_ITER Newton steps."""
     c = np.asarray(C, dtype=np.complex128)
     n, deg = c.shape[0], c.shape[1] - 1
     if not np.isfinite(c).all():
@@ -60,40 +68,49 @@ def find_roots_batch(C):
         return np.zeros((n, 0), dtype=np.complex128)
     if np.any(c[:, 0] == 0):
         raise ValueError("every row needs a nonzero leading coefficient")
-    with np.errstate(over="ignore", invalid="ignore"):  # eigvals rejects overflow
+    with np.errstate(over="ignore", invalid="ignore"):
         cn = c / c[:, :1]
-    comp = np.zeros((n, deg, deg), dtype=np.complex128)
-    comp[:, 0, :] = -cn[:, 1:]
-    comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-    try:
-        z = np.linalg.eigvals(comp)
-    except np.linalg.LinAlgError as e:
-        raise RootFindingError(f"companion eigenvalues failed: {e}") from None
-    # Newton polish, per root.  A step is refused when it would raise |p| or
-    # carry the root beyond a quarter of the distance from its eigenvalue to
-    # the nearest other one: near clustered or ill-conditioned roots plain
-    # Newton drifts into a neighbour, and the eigenvalue is the better answer
+    if not np.isfinite(cn).all():
+        raise RootFindingError("normalized coefficients must be finite")
+    # start values: closed forms below degree 3, companion eigenvalues above;
+    # reach is a quarter of each start value's distance to its nearest other
+    if deg == 1:
+        z, reach = -cn[:, 1:], np.full((n, 1), np.inf)
+    elif deg == 2:
+        z = _quadratic(cn[:, 1], cn[:, 2])
+        reach = 0.25 * np.abs(z - z[:, ::-1])
+    else:
+        comp = np.zeros((n, deg, deg), dtype=np.complex128)
+        comp[:, 0, :] = -cn[:, 1:]
+        comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        try:
+            z = np.linalg.eigvals(comp)
+        except np.linalg.LinAlgError as e:
+            raise RootFindingError(f"companion eigenvalues failed: {e}") from None
+        gap = np.abs(z[:, :, None] - z[:, None, :])
+        gap[:, np.arange(deg), np.arange(deg)] = np.inf
+        reach = 0.25 * gap.min(axis=2)
+    # Newton polish, per root, on the flat index array of the roots still
+    # moving.  A step is refused when it would raise |p| or carry the root
+    # beyond its reach: near clustered or ill-conditioned roots plain Newton
+    # drifts into a neighbour, and the start value is the better answer
     # there.  A root stops at dp = 0, at a refused step, or once its step is
     # below TOL relative to |z|.
-    gap = np.abs(z[:, :, None] - z[:, None, :])
-    gap[:, np.arange(deg), np.arange(deg)] = np.inf
-    reach = 0.25 * gap.min(axis=2)
-    z0 = z
-    p, dp = _horner(cn, z)
-    active = np.ones(z.shape, dtype=bool)
+    z0, reach, row = z.ravel(), reach.ravel(), np.repeat(np.arange(n), deg)
+    z = z0.copy()
+    p, dp = _horner(cn[row], z)
+    idx = np.flatnonzero(dp != 0)
     for _ in range(MAX_ITER):
-        active &= dp != 0
-        step = np.divide(p, dp, out=np.zeros_like(z), where=active)
-        z_new = z - step
-        p_new, dp_new = _horner(cn, z_new)
-        active &= (np.abs(p_new) <= np.abs(p)) & (np.abs(z_new - z0) <= reach)
-        z = np.where(active, z_new, z)
-        p = np.where(active, p_new, p)
-        dp = np.where(active, dp_new, dp)
-        active &= np.abs(step) >= TOL * (1.0 + np.abs(z))
-        if not active.any():
+        if idx.size == 0:
             break
-    residual = np.abs(p)
+        step = p[idx] / dp[idx]
+        z_new = z[idx] - step
+        p_new, dp_new = _horner(cn[row[idx]], z_new)
+        ok = (np.abs(p_new) <= np.abs(p[idx])) & (np.abs(z_new - z0[idx]) <= reach[idx])
+        idx, step, z_new, dp_new = idx[ok], step[ok], z_new[ok], dp_new[ok]
+        z[idx], p[idx], dp[idx] = z_new, p_new[ok], dp_new
+        idx = idx[(dp_new != 0) & (np.abs(step) >= TOL * (1.0 + np.abs(z_new)))]
+    z, residual = z.reshape(n, deg), np.abs(p).reshape(n, deg)
     bound = RESIDUAL_REL * np.maximum(1.0, np.abs(z).max(axis=1, keepdims=True)) ** deg
     bad = ~(residual <= bound)  # NaN residuals are failures too
     if bad.any():

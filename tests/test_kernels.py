@@ -6,8 +6,8 @@ import pytest
 from planejac.exceptional import _univariate_roots
 from planejac.gaussian import GaussianRational
 from planejac.lattice import SLICE_ZERO_REL, Slice
-from planejac.roots import (RootFindingError, cluster_roots, find_roots, find_roots_batch,
-                            find_roots_grouped)
+from planejac.roots import (MAX_ITER, RESIDUAL_REL, TOL, RootFindingError, _quadratic,
+                            cluster_roots, find_roots, find_roots_batch, find_roots_grouped)
 
 from support import pe, slice_rows
 
@@ -92,6 +92,93 @@ def test_find_roots_batch_failing_row_raises():
             find_roots_batch(np.array([good, bad, good]))
         with pytest.raises(RootFindingError):
             find_roots(bad)
+
+
+def test_find_roots_batch_overflow_raises_at_every_degree():
+    # the normalized coefficients c / c[:, :1] overflow: an error at every
+    # degree, the closed forms below 3 as well as the companion above
+    for bad in ([1e-200, 1e200], [1e-200, 0.0, 1e200], [1e-200, 1.0, 0.0, 1e200]):
+        good = [1.0] + [0.0] * (len(bad) - 2) + [-1.0]
+        with pytest.raises(RootFindingError, match="normalized"):
+            find_roots_batch(np.array([good, bad]))
+
+
+def _companion_polished(row):
+    """The companion path for one quadratic, in scalar arithmetic: the
+    eigenvalues of the 2x2 companion matrix, each then Newton-polished under
+    the rules of find_roots_batch (a step must lower |p| and stay within a
+    quarter of the eigenvalue gap; stop at dp = 0 or a step below TOL)."""
+    b, c = complex(row[1] / row[0]), complex(row[2] / row[0])
+    z0 = np.linalg.eigvals(np.array([[-b, -c], [1, 0]]))
+    reach = abs(z0[0] - z0[1]) / 4
+    out = []
+    for w in map(complex, z0):
+        z = w
+        for _ in range(MAX_ITER):
+            if 2 * z + b == 0:
+                break
+            step = ((z + b) * z + c) / (2 * z + b)
+            if (abs(((z - step + b) * (z - step) + c)) > abs((z + b) * z + c)
+                    or abs(z - step - w) > reach):
+                break
+            z -= step
+            if abs(step) < TOL * (1 + abs(z)):
+                break
+        out.append(z)
+    return np.array(out)
+
+
+def _acceptable(row, zs):
+    return all(abs(np.polyval(row / row[0], z)) <= RESIDUAL_REL * max(1, max(abs(zs))) ** 2
+               for z in zs)
+
+
+def test_closed_form_quadratics_match_the_companion_path():
+    # seeded rows plus a double root, |c| << |b|^2, purely imaginary
+    # discriminants, c = 0, b = 0, and coefficients near 1e+-150
+    rng = np.random.default_rng(181)
+    rows = list(rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3)))
+    special = [[1, -2 - 4j, -3 + 4j],                   # (z - (1 + 2i))^2
+               [1, 1e8, 1], [1, 1e6 + 1e6j, 1e-3j],      # |c| << |b|^2
+               [1, 1, 0.25 - 0.5j], [1, 2j, -1 + 1j],    # b^2 - 4c = 2i, -4i
+               [1, 3 - 1j, 0], [2j, -5, 0],              # c = 0
+               [1, 0, 4], [2, 0, -8j], [3, 0, 0],        # b = 0
+               [1e-150, 1, 1e150], [1e150, 3e150, 2e150],
+               [1e-150, 3e-150j, 2e-150], [1, 1e-150, 1e-300]]
+    rows = np.array(rows + special, dtype=complex)
+    got = find_roots_batch(rows)
+    for row, zs in zip(rows, got):
+        ref = _companion_polished(row)
+        # a double root is only determined to sqrt(eps) by the eigenvalues
+        tol = (1e-7 if np.array_equal(row, [1, -2 - 4j, -3 + 4j]) else 1e-12) * (1 + abs(ref))
+        err = min(np.abs(zs - ref), np.abs(zs[::-1] - ref), key=lambda e: (e / tol).max())
+        assert (err <= tol).all(), (row, zs, ref)
+        assert _acceptable(row, zs) and _acceptable(row, ref)
+    assert np.array_equal(got[len(rows) - len(special)], [1 + 2j, 1 + 2j])
+    # the sign of s keeps b + s free of cancellation: both start values are
+    # accurate before any polish, the small one too
+    start = _quadratic(np.array([1e8, -1e8j]), np.array([1.0, 1.0]))
+    assert np.allclose(start, [[-1e8, -1e-8], [1e8j, -1e-8j]], rtol=4e-16, atol=0)
+
+
+def test_polish_refines_perturbed_start_values(monkeypatch):
+    # the shared Newton polish, not the start values, sets the accuracy: start
+    # values off by 1e-7 relative still give the roots to 1e-13, at degree 2
+    # (closed form) and at degree 4 (companion eigenvalues)
+    from planejac import roots
+    quadratic, eigvals = roots._quadratic, np.linalg.eigvals
+    monkeypatch.setattr(roots, "_quadratic", lambda b, c: quadratic(b, c) * (1 + 1e-7))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) * (1 + 1e-7))
+    for r in (np.array([2 + 1j, -3]), np.array([1, 2 + 1j, -3, 0.5j])):
+        got = find_roots(np.poly(r))
+        assert np.abs(np.sort_complex(got) - np.sort_complex(r)).max() < 1e-13
+
+
+def test_linear_rows_are_exact_quotients():
+    rows = np.array([[2, -4], [1e-150, 1], [3 - 1j, 2 + 5j], [1j, 0]], dtype=complex)
+    got = find_roots_batch(rows)
+    assert got.shape == (4, 1)
+    assert np.array_equal(got[:, 0], -(rows[:, 1] / rows[:, 0]))
 
 
 def test_find_roots_grouped_rows_match_single_solves():

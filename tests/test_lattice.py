@@ -1,12 +1,16 @@
+import glob
 import math
+import os
 import random
 
 import numpy as np
 import pytest
 
-from planejac.gaussian import GaussianRational, QuadElem
+from planejac.cli import load_map_file
+from planejac.gaussian import GaussianRational, QuadElem, lattice_point
 from planejac import lattice, roots
-from planejac.lattice import (LatticeBox, MetricValue, Slice, _ring_is_zero, _ring_mul_add,
+from planejac.lattice import (LatticeBox, MetricValue, Slice, _box_images, _first_min,
+                              _ring_is_zero, _ring_mul_add,
                               brute_force_fiber_points, dhat,
                               dhat_batch, dist_upper_bound, dist_upper_bound_batch,
                               enumerate_fiber_points,
@@ -357,6 +361,57 @@ def test_batched_slices_match_single_slices(curve):
             assert roots is None
         else:
             assert np.array_equal(roots, ref)
+
+
+def _first_min_by_lexsort(vals, owner):
+    order = np.lexsort((vals, owner))  # stable: the first of equals leads, NaN last
+    return order[np.diff(owner[order], prepend=-1) != 0]
+
+
+def test_first_min_matches_lexsort():
+    # ties, runs of length 1, NaN entries and runs of NaN only, owners with gaps
+    rng = np.random.default_rng(191)
+    cases = [(np.array([]), np.array([], dtype=int)),
+             (np.array([2.0, 1.0, 1.0, 3.0, 0.5]), np.array([0, 0, 0, 1, 4])),
+             (np.array([np.nan, 2.0, np.nan, np.nan, 1.0, 1.0]), np.array([0, 0, 1, 1, 3, 3])),
+             (np.array([0.0, -0.0, np.inf, np.inf]), np.array([5, 5, 6, 6]))]
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        vals = rng.integers(0, 4, size=n).astype(float)
+        vals[rng.random(n) < 0.2] = np.nan
+        cases.append((vals, np.sort(rng.integers(0, n, size=n))))
+    for vals, owner in cases:
+        assert np.array_equal(_first_min(vals, owner), _first_min_by_lexsort(vals, owner))
+
+
+MAP_FILES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "maps", "*.json")))
+
+
+@pytest.mark.parametrize("path", MAP_FILES, ids=os.path.basename)
+@pytest.mark.parametrize("m,bound", [(1, 3), (2, 2), (3, 2)])
+def test_box_images_match_pointwise_evaluation(path, m, bound):
+    # Gaussian integers: equal to complex Poly.evaluate bit for bit, since
+    # every partial sum is an integer below 2^53.  Otherwise within a few
+    # ulps of the term magnitudes sum |c x^i y^j| of the exact value (the
+    # images of shear_composition cancel, so not of |image|)
+    F = load_map_file(path)[0]
+
+    def image(x, y):
+        return [f.evaluate({"x": x, "y": y}) for f in (F.p, F.q)]
+
+    box = LatticeBox(bound, m)
+    ps, got = _box_images(F, box)
+    assert ps == [(a, b, c, e) for a, b in box.coords() for c, e in box.coords()]
+    if m == 1:
+        ref = [image(complex(a, b), complex(c, e)) for a, b, c, e in ps]
+        assert got.tobytes() == np.array(ref, dtype=complex).tobytes()
+        return
+    for (a, b, c, e), g in zip(ps, got):
+        exact = image(lattice_point(a, b, m), lattice_point(c, e, m))
+        x, y = abs(box.to_complex(a, b)), abs(box.to_complex(c, e))
+        for f, gv, r in zip((F.p, F.q), g, exact):
+            scale = sum(abs(complex(k)) * x ** i * y ** j for (i, j), k in f.terms.items())
+            assert abs(gv - complex(r)) <= 4 * np.finfo(float).eps * scale
 
 
 def test_verify_dist_small_box(ml_map, ml_curve):
