@@ -45,7 +45,8 @@ class MapFileError(RuntimeError):
 
 
 def load_map_file(path):
-    """Parse a JSON map file into (PolyMap, metadata dict)."""
+    """Parse a JSON map file into (PolyMap, supplied curve or None, the
+    report's map fields)."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -74,23 +75,8 @@ def load_map_file(path):
         "p": data["p"],
         "q": data["q"],
         "curve": data.get("curve"),
-        "metadata": data.get("metadata", {}),
     }
     return F, curve, meta
-
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, float):
-        if math.isinf(x) or math.isnan(x):
-            return None
-        return x
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    return x
 
 
 def _schema():
@@ -106,23 +92,21 @@ def _validator():
 
 
 def emit(command, meta, config, result, pretty, summary_lines, exit_code=0):
-    report = {
-        "command": command,
-        "map": {k: v for k, v in meta.items() if k in ("name", "p", "q", "curve")},
-        "config": asdict(config),
-        "result": _jsonable(result),
-    }
+    """Validate and print the report, and return the command's exit code.
+    The result must hold JSON values only: a non-finite float raises
+    ValueError."""
+    report = {"command": command, "map": meta, "config": asdict(config), "result": result}
     _validator().validate(report)
     if pretty:
-        out = json.dumps(report, sort_keys=True, indent=2)
+        out = json.dumps(report, sort_keys=True, allow_nan=False, indent=2)
     else:
-        out = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        out = json.dumps(report, sort_keys=True, allow_nan=False, separators=(",", ":"))
     # explicit streams: click's cache of its default streams would keep the
     # captured output of every in-process invocation alive
     click.echo(out, file=sys.stdout)
     for line in summary_lines:
         click.echo(line, file=sys.stderr)
-    sys.exit(exit_code)
+    return exit_code
 
 
 def _parse_gaussian_constant(text):
@@ -192,6 +176,12 @@ def main():
     """Exact-arithmetic toolkit for plane polynomial maps over Z[i]."""
 
 
+@main.result_callback()
+def _exit(code):
+    # exits after the command has returned, so no traceback holds its report
+    sys.exit(code)
+
+
 def _fail(message):
     """End the command with `error: message` on stderr and exit code 1."""
     click.echo(f"error: {message}", file=sys.stderr)
@@ -223,9 +213,9 @@ def check(mapfile, **kw):
         "deg_gcd": F.deg_gcd,
         "integral": F.is_integral(),
     }
-    emit("check", meta, cfg, result, not kw["output_json"],
-         [f"{meta['name']}: JF = {result['jacobian']}"
-          + (" (unit Jacobian)" if is_unit else "")])
+    return emit("check", meta, cfg, result, not kw["output_json"],
+                [f"{meta['name']}: JF = {result['jacobian']}"
+                 + (" (unit Jacobian)" if is_unit else "")])
 
 
 @main.command()
@@ -258,9 +248,10 @@ def invert(mapfile, translate, **kw):
         "roundtrip_residual": "0" if top == 0 else f"nonzero at degree {top}",
         "automorphism": verdict,
     }
-    emit("invert", meta, cfg, result, not kw["output_json"],
-         [f"{meta['name']}: inverse to order {cfg.order}, residual {result['roundtrip_residual']}",
-          f"automorphism: {'yes' if verdict['value'] else 'no'} ({verdict['reason']})"])
+    return emit("invert", meta, cfg, result, not kw["output_json"],
+                [f"{meta['name']}: inverse to order {cfg.order}, "
+                 f"residual {result['roundtrip_residual']}",
+                 f"automorphism: {'yes' if verdict['value'] else 'no'} ({verdict['reason']})"])
 
 
 def _report(F, cfg):
@@ -301,8 +292,9 @@ def exceptional(mapfile, **kw):
         "certification": f"exact preimage counts at {cfg.samples} Gaussian-rational points"
                          " per component",
     }
-    emit("exceptional", meta, cfg, result, not kw["output_json"],
-         [f"{meta['name']}: A_F defined by {result['defining']} (deg_geo = {rep.degree.deg_geo})"])
+    return emit("exceptional", meta, cfg, result, not kw["output_json"],
+                [f"{meta['name']}: A_F defined by {result['defining']} "
+                 f"(deg_geo = {rep.degree.deg_geo})"])
 
 
 @main.command()
@@ -330,7 +322,7 @@ def fibers(mapfile, k_text, **kw):
             result["bound4"], result["bound5"] = lat.fiber_count_bounds(F, deg.deg_geo, curve)
     except ANALYSIS_ERRORS as e:
         lines.append(f"note: bound4 and bound5 are null: {e}")
-    emit("fibers", meta, cfg, result, not kw["output_json"], lines)
+    return emit("fibers", meta, cfg, result, not kw["output_json"], lines)
 
 
 @main.command()
@@ -383,7 +375,7 @@ def verify(mapfile, which, **kw):
         line = (f"{meta['name']}: bounds {b4} / {b5}, "
                 f"max count {max(s['count'] for s in sweep)}")
     result["curve"] = curve.to_json()
-    emit("verify", meta, cfg, result, not kw["output_json"], [line], exit_code=code)
+    return emit("verify", meta, cfg, result, not kw["output_json"], [line], exit_code=code)
 
 
 if __name__ == "__main__":

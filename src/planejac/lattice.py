@@ -1,8 +1,8 @@
 """Lattice fibers and curve-distance metrics: enumeration of ring points on
-fibers P = k, the metrics Dist (certified upper bounds) and d-hat (exact
-numeric over finite root sets), inequality sweeps over lattice boxes, fiber
-count bounds, the unit-disk lattice fact, and the Laurent identities of the
-canonical non-invertible example.
+fibers P = k, the metrics Dist (upper bounds: the max-distance to numeric
+curve points) and d-hat (exact numeric over finite root sets), inequality
+sweeps over lattice boxes, fiber count bounds, the unit-disk lattice fact,
+and the Laurent identities of the canonical non-invertible example.
 
 Lattices are Z + Z*i*sqrt(m) for square-free m >= 1; m = 1 is the Gaussian
 integers.  Fiber membership is verified exactly, in plain-int arithmetic of
@@ -92,15 +92,12 @@ class MetricValue:
     witness: tuple | None  # curve point (u, v) as complex pair
     kind: str  # "dist-upper-bound" | "dhat-exact-numeric"
 
-    def to_json(self):
-        return {
-            "value": None if math.isinf(self.value) else self.value,
-            "infinite": math.isinf(self.value),
-            "witness": None if self.witness is None else
-                [self.witness[0].real, self.witness[0].imag,
-                 self.witness[1].real, self.witness[1].imag],
-            "kind": self.kind,
-        }
+    @classmethod
+    def first(cls, vals, ws, kind):
+        """The MetricValue of the first row of a batch's values and
+        witnesses; no witness where the value is infinite."""
+        value = float(vals[0])
+        return cls(value, None if math.isinf(value) else tuple(map(complex, ws[0])), kind)
 
 
 # --------------------------------------------------------------------------
@@ -251,20 +248,13 @@ class Slice:
 
 
 def dhat(q, curve):
-    """``dhat_batch`` of the one target q."""
-    return dhat_batch([q], curve)[0]
+    """``dhat_batch`` of the one target q, as a MetricValue."""
+    return MetricValue.first(*dhat_batch([q], curve), "dhat-exact-numeric")
 
 
 def dist_upper_bound(q, curve, refinement=30):
-    """``dist_upper_bound_batch`` of the one target q."""
-    return dist_upper_bound_batch([q], curve, refinement)[0]
-
-
-def _metric_values(vals, ws, kind):
-    """MetricValues of n values and (n, 2) witnesses; no witness where infinite."""
-    return [MetricValue(value=float(v), kind=kind,
-                        witness=None if math.isinf(v) else tuple(map(complex, w)))
-            for v, w in zip(vals, ws)]
+    """``dist_upper_bound_batch`` of the one target q, as a MetricValue."""
+    return MetricValue.first(*dist_upper_bound_batch([q], curve, refinement), "dist-upper-bound")
 
 
 def _first_min(vals, owner):
@@ -296,15 +286,20 @@ def dhat_batch(qs, curve):
                           min{|q2 - v| : (q1, v) in V} )
     at each target q of qs, with the empty-set convention min{} = +inf.
     Exact-numeric: both minima range over complete finite root sets, which
-    are solved for all targets in one grouped call per slice direction."""
+    are solved for all targets in one grouped call per slice direction.
+    Returns the (n,) values and the (n, 2) complex witnesses (u, v), the
+    slice points that attain them; a witness row is NaN where its value is
+    infinite."""
     if curve.is_empty():
         raise ValueError("d-hat requires a nonempty curve")
     q = np.asarray(qs, dtype=np.complex128).reshape(-1, 2)
     u, m_u = _nearest_roots(Slice(curve.defining, "u"), q, 0)
     v, m_v = _nearest_roots(Slice(curve.defining, "v"), q, 1)
     pick = m_u >= m_v
+    vals = np.where(pick, m_u, m_v)
     w = np.where(pick[:, None], np.column_stack([u, q[:, 1]]), np.column_stack([q[:, 0], v]))
-    return _metric_values(np.where(pick, m_u, m_v), w, "dhat-exact-numeric")
+    w[np.isinf(vals)] = np.nan
+    return vals, w
 
 
 #: the 8 unit directions of a descent step
@@ -329,11 +324,15 @@ def _descend(in_v, q, u0, owner, best_val, best_w):
 
 
 def dist_upper_bound_batch(qs, curve, refinement=30):
-    """Certified upper bound on Dist(q, V) = inf over curve points of the
-    coordinate-max distance, at each target q of qs: best of all slice-root
-    witnesses plus a shrinking-radius descent along the curve (8 directions
-    per step).  Each step is one grouped solve over all targets.  The
-    returned witnesses lie on the curve to 1e-9."""
+    """Upper bound on Dist(q, V) = inf over curve points of the coordinate-max
+    distance, at each target q of qs: the max-distance to the nearest of the
+    numeric curve points tried, which are all slice roots plus a
+    shrinking-radius descent along the curve (8 directions per step).  Each
+    step is one grouped solve over all targets.  The curve points are
+    numeric roots that passed the solver's residual test, which certifies
+    nothing, so neither is the bound certified.  Returns the (n,) bounds and
+    the (n, 2) complex witnesses (u, v) that attain them; a witness row is
+    NaN where its bound is infinite."""
     if curve.is_empty():
         raise ValueError("Dist bound requires a nonempty curve")
     q = np.asarray(qs, dtype=np.complex128).reshape(-1, 2)
@@ -356,7 +355,7 @@ def dist_upper_bound_batch(qs, curve, refinement=30):
         u0 = best_w[pts, 0, None] + radius[:, None] * _DIRECTIONS
         _descend(in_v, q, u0.ravel(), np.repeat(pts, 8), best_val, best_w)
         radius *= 0.65
-    return _metric_values(best_val, best_w, "dist-upper-bound")
+    return best_val, best_w
 
 
 # --------------------------------------------------------------------------
@@ -383,8 +382,16 @@ def _box_images(F, box):
     return ps, (T @ C @ T.T).reshape(2, -1).T + 0.0  # + 0.0: no -0.0 parts
 
 
+def _json_rows(vals, ws):
+    """The (value, witness) pairs of a batch's (values, witnesses) as JSON
+    values, a witness as [Re u, Im u, Re v, Im v]; (None, None) where the
+    value is infinite."""
+    wits = np.column_stack([ws.real, ws.imag])[:, [0, 2, 1, 3]].tolist()
+    return [(None, None) if math.isinf(v) else (v, w) for v, w in zip(vals.tolist(), wits)]
+
+
 def verify_dist_inequality(F, curve, box, refinement=30, tol=VIOLATION_TOL):
-    """Sweep the box and certify Dist(F(p), curve) <= 1 by upper bound.
+    """Sweep the box and confirm Dist(F(p), curve) <= 1 by upper bound.
     Points whose bound exceeds 1 + tol are reported 'unconfirmed' -- an
     upper-bound failure is not a disproof."""
     if curve.is_empty():
@@ -393,23 +400,18 @@ def verify_dist_inequality(F, curve, box, refinement=30, tol=VIOLATION_TOL):
             "empty_curve": True,
             "note": "curve empty - invertible case, nothing to verify",
         }
-    unconfirmed = []
-    axis_values = []
-    max_bound = 0.0
     ps, qs = _box_images(F, box)
-    mvs = dist_upper_bound_batch(qs, curve, refinement)
-    for (a, b, c, e), mv in zip(ps, mvs):
-        max_bound = max(max_bound, mv.value)
-        if mv.value > 1 + tol:
-            unconfirmed.append({"p": [a, b, c, e], "bound": mv.value,
-                                "witness": mv.to_json()["witness"]})
-        if (a == 0 and b == 0) or (c == 0 and e == 0):
-            axis_values.append({"p": [a, b, c, e], "bound": mv.value})
+    vals, ws = dist_upper_bound_batch(qs, curve, refinement)
+    rows = list(zip(ps, _json_rows(vals, ws), (vals > 1 + tol).tolist()))
+    unconfirmed = [{"p": list(p), "bound": v, "witness": w} for p, (v, w), bad in rows if bad]
+    axis_values = [{"p": list(p), "bound": v} for p, (v, _), _ in rows
+                   if p[:2] == (0, 0) or p[2:] == (0, 0)]
+    max_bound = float(vals.max(initial=0.0))
     return {
         "checked": len(ps),
         "confirmed": len(ps) - len(unconfirmed),
         "unconfirmed": unconfirmed,
-        "max_bound": max_bound,
+        "max_bound": None if math.isinf(max_bound) else max_bound,
         "axis_points": axis_values,
         "empty_curve": False,
         "tolerance": tol,
@@ -425,18 +427,15 @@ def verify_dhat_inequality(F, curve, box, tol=VIOLATION_TOL):
             "note": "no curve - nothing to verify (invertible case)",
         }
     ps, qs = _box_images(F, box)
-    mvs = dhat_batch(qs, curve)
-    violations = [{
-        "p": list(p),
-        "value": None if math.isinf(mv.value) else mv.value,
-        "infinite": math.isinf(mv.value),
-        "witness": mv.to_json()["witness"],
-    } for p, mv in zip(ps, mvs) if mv.value > 1 + tol]
-    finite = [mv.value for mv in mvs if not math.isinf(mv.value)]
+    vals, ws = dhat_batch(qs, curve)
+    violations = [{"p": list(p), "value": v, "infinite": v is None, "witness": w}
+                  for p, (v, w), bad in zip(ps, _json_rows(vals, ws), (vals > 1 + tol).tolist())
+                  if bad]
+    finite = vals[~np.isinf(vals)]
     return {
         "checked": len(ps),
         "violations": violations,
-        "max_finite_value": max(finite) if finite else None,
+        "max_finite_value": float(finite.max()) if finite.size else None,
         "empty_curve": False,
         "tolerance": tol,
     }

@@ -1,15 +1,19 @@
 import gc
 import io
 import json
+import math
 import os
+import tracemalloc
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
 
+import planejac
 from planejac import exceptional as exc
 from planejac import series as ser
-from planejac.cli import EXIT_VIOLATIONS, MapFileError, load_map_file, main, _schema
+from planejac.cli import (EXIT_VIOLATIONS, MapFileError, RunConfig, emit, load_map_file, main,
+                          _schema)
 from planejac.poly import Poly, parse_expression
 
 MAPS = os.path.join(os.path.dirname(__file__), "..", "maps")
@@ -202,6 +206,16 @@ def test_schema_requires_the_invert_verdict(runner):
 def test_report_schema_is_a_valid_draft7_schema():
     # emit builds its validator once and trusts the schema; this checks it
     jsonschema.Draft7Validator.check_schema(_schema())
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+def test_emit_rejects_a_non_finite_float(capsys, pretty, value):
+    # a report holds JSON values only: nothing turns a float into null
+    meta = {"name": "m", "p": "x", "q": "y", "curve": None}
+    with pytest.raises(ValueError):
+        emit("check", meta, RunConfig(), {"value": value}, pretty, [])
+    assert capsys.readouterr().out == ""
 
 
 def test_emit_rejects_a_result_that_breaks_the_schema(runner, monkeypatch):
@@ -437,6 +451,24 @@ def test_verify_dist_clean_exit(runner):
     assert rep["result"]["unconfirmed"] == []
 
 
+def test_verify_prints_an_infinite_value_as_null(runner, tmp_path):
+    # the identity sends the origin to (0, 0), where neither slice of the
+    # curve uv = 1 has a root: its Dist bound and its d-hat are infinite
+    mf = tmp_path / "uv.json"
+    mf.write_text(json.dumps({"name": "uv", "p": "x", "q": "y", "curve": "u*v - 1"}))
+    origin = [0, 0, 0, 0]
+    r = runner.invoke(main, ["verify", str(mf), "dist", "-B", "1"])
+    assert r.exit_code == EXIT_VIOLATIONS
+    res = _payload(r)["result"]
+    assert {"p": origin, "bound": None, "witness": None} in res["unconfirmed"]
+    assert {"p": origin, "bound": None} in res["axis_points"]
+    assert res["max_bound"] is None
+    r = runner.invoke(main, ["verify", str(mf), "dhat", "-B", "1"])
+    assert r.exit_code == EXIT_VIOLATIONS
+    assert ({"p": origin, "value": None, "infinite": True, "witness": None}
+            in _payload(r)["result"]["violations"])
+
+
 def test_verify_bounds_sweep(runner):
     r = runner.invoke(main, ["verify", _map("makar_limanov.json"), "bounds", "-B", "2"])
     assert r.exit_code == 0
@@ -491,3 +523,30 @@ def test_repeated_invocations_release_their_output_streams(runner, tmp_path):
         assert runner.invoke(main, ["check", _map("identity.json")]).exit_code == 0
         assert runner.invoke(main, ["check", str(bad)]).exit_code == 1
     assert _live_text_streams() <= before
+
+
+def test_report_does_not_outlive_the_command(runner):
+    # the exit is taken after the command has returned, so no SystemExit
+    # traceback keeps the frames that built the report; the cyclic GC is off,
+    # as it is between two of its runs.  The first run fills the caches and
+    # the interpreter's free lists (a freed tuple's block stays traced there),
+    # so the second run's growth is what it leaves behind.
+    args = ["verify", _map("makar_limanov.json"), "dhat", "-B", "3"]
+    pkg = os.path.dirname(planejac.__file__)
+
+    def held():
+        return sum(t.size for t in tracemalloc.take_snapshot().traces
+                   if t.traceback[0].filename.startswith(pkg))
+
+    gc.disable()
+    tracemalloc.start()
+    try:
+        runner.invoke(main, args)
+        before = held()
+        r = runner.invoke(main, args)
+        after = held()
+    finally:
+        gc.enable()
+        tracemalloc.stop()
+    assert r.exit_code == EXIT_VIOLATIONS
+    assert after - before < 64 * 1024

@@ -9,7 +9,7 @@ import pytest
 from planejac.cli import load_map_file
 from planejac.gaussian import GaussianRational, QuadElem, lattice_point
 from planejac import lattice, roots
-from planejac.lattice import (LatticeBox, MetricValue, Slice, _box_images, _first_min,
+from planejac.lattice import (LatticeBox, Slice, _box_images, _first_min,
                               _ring_is_zero, _ring_mul_add,
                               brute_force_fiber_points, dhat,
                               dhat_batch, dist_upper_bound, dist_upper_bound_batch,
@@ -265,19 +265,23 @@ def test_dist_zero_on_contained_line():
 def test_batch_metrics_match_one_target_calls(curve):
     # targets solved together do not see each other: every value and witness
     # is the one-target call's, also where a slice vanishes (u = 0 on the
-    # curve "u", v = 0 on "v") or has no root
+    # curve "u", v = 0 on "v") or has no root (the witness row is then NaN)
     curve = PlaneCurveSet(pe(curve, UV), ["supplied"])
     rng = random.Random(151)
     qs = [(0, 0), (0, 2 - 1j), (1.5, 0), (3, 7), (4, 8), (-2j, 1)]
     qs += [(complex(rng.uniform(-4, 4), rng.uniform(-4, 4)),
             complex(rng.uniform(-4, 4), rng.uniform(-4, 4))) for _ in range(20)]
-    for batch, one in ((dhat_batch(qs, curve), dhat),
-                       (dist_upper_bound_batch(qs, curve, refinement=12),
-                        lambda q, c: dist_upper_bound(q, c, refinement=12))):
-        assert len(batch) == len(qs)
-        for q, mv in zip(qs, batch):
+    for (vals, ws), one in ((dhat_batch(qs, curve), dhat),
+                            (dist_upper_bound_batch(qs, curve, refinement=12),
+                             lambda q, c: dist_upper_bound(q, c, refinement=12))):
+        assert vals.shape == (len(qs),) and ws.shape == (len(qs), 2)
+        for q, value, w in zip(qs, vals, ws):
             ref = one(q, curve)
-            assert (mv.value, mv.witness, mv.kind) == (ref.value, ref.witness, ref.kind)
+            assert value == ref.value
+            if math.isinf(value):
+                assert ref.witness is None and np.isnan(w).all()
+            else:
+                assert tuple(w) == ref.witness
 
 
 def test_dhat_sweep_matches_closed_form_roots(ml_map, ml_curve):
@@ -499,9 +503,3 @@ def test_box_rejects_ring_m_with_a_square_factor(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 7])
 def test_box_accepts_square_free_ring_m(m):
     assert LatticeBox(1, m).ring_m == m
-
-
-def test_metric_json():
-    mv = MetricValue(value=math.inf, witness=None, kind="dhat-exact-numeric")
-    j = mv.to_json()
-    assert j["infinite"] and j["value"] is None and j["witness"] is None
