@@ -1,5 +1,5 @@
-"""Golden CLI bytes: the stdout, stderr and exit code of 30 in-process
-invocations, the five shipped maps under six commands, pinned in
+"""Golden CLI bytes: the stdout, stderr and exit code of 50 in-process
+invocations, the five shipped maps under ten commands, pinned in
 tests/data/cli_golden.json.  A change that claims the same outputs keeps
 every one of them byte for byte.
 
@@ -33,6 +33,10 @@ COMMANDS = (
     ("verify", ("dist", "-B", "1")),
     ("verify", ("dhat", "-B", "2")),
     ("verify", ("bounds", "-B", "2")),
+    ("fibers", ("-k", "0", "-B", "3", "--ring-m", "2")),
+    ("verify", ("bounds", "-B", "3", "--ring-m", "2")),
+    ("check", ()),
+    ("invert", ("-N", "8")),
 )
 CASES = [(cmd, name, rest) for name in MAP_FILES for cmd, rest in COMMANDS]
 
