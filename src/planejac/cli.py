@@ -37,7 +37,7 @@ class RunConfig:
     ring_m: int = 1
     trials: int = 3
     samples: int = 5
-    tol: float = 1e-9
+    tol: float = lat.VIOLATION_TOL
 
 
 class MapFileError(RuntimeError):

@@ -5,11 +5,12 @@ sweeps over lattice boxes, fiber count bounds, the unit-disk lattice fact,
 and the Laurent identities of the canonical non-invertible example.
 
 Lattices are Z + Z*i*sqrt(m) for square-free m >= 1; m = 1 is the Gaussian
-integers.  Fiber membership is verified exactly, in plain-int arithmetic of
-Z[i][T]/(T^2 + m); the metrics work over C with a fixed 1e-9 comparison
-tolerance.  ``Slice`` is the metrics' numeric slicer: it compiles the
-curve's defining polynomial in one variable once per sweep and specializes
-it at all targets together, with one zero rule for the coefficients.
+integers.  Fibers are exact: P - k is evaluated at every pair of box points
+in integer arithmetic of Z[i][T]/(T^2 + m), and no root is solved; the
+metrics work over C with a fixed 1e-9 comparison tolerance.  ``Slice`` is
+the metrics' numeric slicer: it compiles the curve's defining polynomial in
+one variable once per sweep and specializes it at all targets together,
+with one zero rule for the coefficients.
 """
 
 from __future__ import annotations
@@ -103,83 +104,74 @@ class MetricValue:
 # --------------------------------------------------------------------------
 # fiber enumeration
 
-#: candidate rounding radius: roots are located to ~1e-9, so every lattice
-#: point within 0.5 of a true root lies within 0.51 of the computed one
-ROUND_RADIUS = 0.51
-#: the 3x3 lattice neighbourhood of a rounded root
-_NEIGHBOURS = np.array([(da, db) for da in (-1, 0, 1) for db in (-1, 0, 1)]).T
-_ZERO, _ONE = (0, 0, 0, 0), (1, 0, 0, 0)
+#: pairs of box points held at once by the fiber evaluation
+_FIBER_BLOCK = 1 << 16
 
 
-def _ring_mul_add(s, t, c, m):
-    """s*t + c in Z[i][T]/(T^2 + m), an element u + v*T being the ints
-    (Re u, Im u, Re v, Im v): (u + v*T)(u' + v'*T) = (u*u' - m*v*v') + (u*v' + v*u')*T."""
-    ur, ui, vr, vi = s
-    xr, xi, yr, yi = t
-    return (c[0] + ur * xr - ui * xi - m * (vr * yr - vi * yi),
-            c[1] + ur * xi + ui * xr - m * (vr * yi + vi * yr),
-            c[2] + ur * yr - ui * yi + vr * xr - vi * xi,
-            c[3] + ur * yi + ui * yr + vr * xi + vi * xr)
+def _box_powers(box, top):
+    """The powers t^k = A + B*i*sqrt(m), k = 0..top, of the box's values t
+    in box order, as two exact (n, top + 1) object arrays of ints."""
+    a, b = np.array(list(box.coords()), dtype=object).T
+    A = np.zeros((len(a), top + 1), dtype=object)
+    B = np.zeros_like(A)
+    A[:, 0] = 1
+    for k in range(top):
+        A[:, k + 1] = A[:, k] * a - box.ring_m * B[:, k] * b
+        B[:, k + 1] = A[:, k] * b + B[:, k] * a
+    return A, B
 
 
-def _ring_is_zero(s, m):
-    """Exact test u + v*T = 0 at T = i*sqrt(m): u + v*i = 0 for m = 1; for
-    square-free m > 1, 1, i, T and i*T are linearly independent over Q."""
-    return (s[0] == s[3] and s[1] == -s[2]) if m == 1 else not any(s)
-
-
-def _ring_horner(cs, t, m):
-    """The polynomial with descending ring coefficients cs at t."""
-    acc = _ZERO
-    for c in cs:
-        acc = _ring_mul_add(acc, t, c, m)
-    return acc
+def _ring_is_zero(z, m):
+    """Elementwise exact test u + v*T = 0 at T = i*sqrt(m) of elements of
+    Z[i][T]/(T^2 + m) stacked as z = (Re u, Im u, Re v, Im v): u + v*i = 0
+    for m = 1; for square-free m > 1, 1, i, T and i*T are linearly
+    independent over Q."""
+    return (z[0] == z[3]) & (z[1] == -z[2]) if m == 1 else (z == 0).all(axis=0)
 
 
 def enumerate_fiber_points(P, k, box):
-    """All box points (x, y) of the lattice with P(x, y) = k.  With k = n/d,
-    the slices d*P(x, .) - n of every box x, a + b*i*sqrt(m) = (a, 0, b, 0),
-    are built exactly in the ring from the powers of x and solved together,
-    one batch per degree; a candidate y is kept only when Horner's rule on
-    its slice gives exactly 0.  Slices that vanish identically are recorded
-    on the line_fiber flag with the formulaic (2B+1)^2 count."""
+    """All box points (x, y) of the lattice with P(x, y) = k, found by exact
+    evaluation of f = d*P - n, k = n/d, at every box pair in the ring
+    Z[i][T]/(T^2 + m), a box value a + b*i*sqrt(m) being a + b*T.  The
+    slice coefficients s_j(x) of every box x are the exact power table of
+    the box values times f's coefficient matrix; their values at every box
+    y follow in blocks of at most _FIBER_BLOCK pairs, (2B+1)^4 evaluations
+    in all.  The arithmetic is int64 when a bound on every partial sum is
+    below 2^63, Python ints otherwise.  An x whose slice coefficients all
+    vanish is recorded on the line_fiber flag with the formulaic (2B+1)^2
+    count."""
     if P.is_laurent() or not P.has_gaussian_integer_coeffs():
         raise ValueError("fiber polynomial must be non-Laurent with Gaussian-integer coefficients")
     kq = GaussianRational.coerce(k)
-    m, sq = box.ring_m, math.sqrt(box.ring_m)
+    m = box.ring_m
     f = P._with_vars(("x", "y")) * kq.d - kq * kq.d
-    top, dx = f.degree_in("y") or 0, f.degree_in("x") or 0
-    terms = [(top - ey, ex, (c.a, c.b, 0, 0)) for (ex, ey), c in f.terms.items()]
-    xs, slices, line_xs = [], [], []
-    for ax, bx in box.coords():
-        pw = [_ONE]
-        for _ in range(dx):
-            pw.append(_ring_mul_add(pw[-1], (ax, 0, bx, 0), _ZERO, m))
-        cs = [_ZERO] * (top + 1)
-        for j, e, c in terms:
-            cs[j] = _ring_mul_add(c, pw[e], cs[j], m)
-        lead = next((j for j, c in enumerate(cs) if not _ring_is_zero(c, m)), None)
-        if lead is None:  # P(x, .) = k identically
-            line_xs.append([ax, bx])
-        elif lead < top:
-            xs.append((ax, bx))
-            slices.append(cs[lead:])
-    C = np.zeros((len(slices), top + 1), dtype=np.complex128)
-    for row, cs in zip(C, slices):
-        row[top + 1 - len(cs):] = [complex(ur - vi * sq, ui + vr * sq) for ur, ui, vr, vi in cs]
-    roots, counts = find_roots_grouped(C)
-    # candidates: the lattice neighbours of each root within ROUND_RADIUS
-    owner = np.repeat(np.arange(len(slices)), counts)
-    a = np.rint(roots.real)[:, None] + _NEIGHBOURS[0]
-    b = np.rint(roots.imag / sq)[:, None] + _NEIGHBOURS[1]
-    keep = ((np.hypot(a - roots.real[:, None], b * sq - roots.imag[:, None]) <= ROUND_RADIUS)
-            & (np.abs(a) <= box.bound) & (np.abs(b) <= box.bound))
-    cands = set(zip(np.broadcast_to(owner[:, None], a.shape)[keep].tolist(),
-                    a[keep].astype(int).tolist(), b[keep].astype(int).tolist()))
-    pts = sorted((xs[i], (ya, yb)) for i, ya, yb in cands
-                 if _ring_is_zero(_ring_horner(slices[i], (ya, 0, yb, 0), m), m))
-    line = {"x_values": sorted(line_xs), "count_each": box.side() ** 2} if line_xs else None
-    return FiberPointSet(k=k, points=pts, exhausted_box=box, line_fiber=line)
+    dx, dy = f.degree_in("x") or 0, f.degree_in("y") or 0
+    A, B = _box_powers(box, max(dx, dy))
+    C = np.zeros((2, dx + 1, dy + 1), dtype=object)  # Re, Im of the coefficient of x^i y^j
+    for (i, j), c in f.terms.items():
+        C[:, i, j] = c.a, c.b
+    M = (np.abs(A) + np.abs(B)).max(axis=0)
+    bound = (1 + m) * sum((abs(c.a) + abs(c.b)) * M[i] * M[j] for (i, j), c in f.terms.items())
+    if bound < 2 ** 63:
+        A, B, C = A.astype(np.int64), B.astype(np.int64), C.astype(np.int64)
+    # (Re u, Im u, Re v, Im v) of the slice coefficients s_j(x) = u + v*T
+    s = np.stack([X[:, :dx + 1] @ c for X in (A, B) for c in C])
+    line = _ring_is_zero(s, m).all(axis=1)
+    Ay, By = A[:, :dy + 1].T, B[:, :dy + 1].T
+    coords = list(box.coords())
+    xs = np.flatnonzero(~line)
+    step = max(1, _FIBER_BLOCK // len(coords))
+    pts = []
+    for lo in range(0, len(xs), step):
+        ur, ui, vr, vi = s[:, xs[lo:lo + step]]
+        # sum_j s_j(x) * y^j with y^j = A + B*T, in the ring
+        z = np.stack([ur @ Ay - m * (vr @ By), ui @ Ay - m * (vi @ By),
+                      ur @ By + vr @ Ay, ui @ By + vi @ Ay])
+        ix, iy = np.nonzero(_ring_is_zero(z, m))
+        pts += [(coords[i], coords[j]) for i, j in zip(xs[lo + ix].tolist(), iy.tolist())]
+    line_xs = [list(coords[i]) for i in np.flatnonzero(line)]
+    line_fiber = {"x_values": line_xs, "count_each": box.side() ** 2} if line_xs else None
+    return FiberPointSet(k=k, points=pts, exhausted_box=box, line_fiber=line_fiber)
 
 
 def brute_force_fiber_points(P, k, box):
@@ -366,15 +358,10 @@ def _box_images(F, box):
     under F, an (n, 2) complex array: T @ C @ T^T, C the coefficients of P or Q
     and T the powers t^k = A + B*i*sqrt(m) of the box's values, exact in ints."""
     ps = [(a, b, c, e) for a, b in box.coords() for c, e in box.coords()]
-    m, sq = box.ring_m, math.sqrt(box.ring_m)
     top = max((max(e) for f in (F.p, F.q) for e in f.terms), default=0)
-    T = []
-    for a, b in box.coords():
-        A, B = 1, 0
-        for _ in range(top + 1):
-            T.append(complex(A, B * sq))
-            A, B = A * a - m * B * b, A * b + B * a
-    T = np.array(T).reshape(-1, top + 1)
+    A, B = _box_powers(box, top)
+    T = np.empty(A.shape, dtype=np.complex128)
+    T.real, T.imag = A, B * math.sqrt(box.ring_m)
     C = np.zeros((2, top + 1, top + 1), dtype=np.complex128)
     for k, f in enumerate((F.p, F.q)):
         for (i, j), c in f.terms.items():

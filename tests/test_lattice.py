@@ -8,9 +8,9 @@ import pytest
 
 from planejac.cli import load_map_file
 from planejac.gaussian import GaussianRational, QuadElem, lattice_point
-from planejac import lattice, roots
-from planejac.lattice import (LatticeBox, Slice, _box_images, _first_min,
-                              _ring_is_zero, _ring_mul_add,
+from planejac import roots
+from planejac.lattice import (LatticeBox, Slice, _box_images, _box_powers, _first_min,
+                              _ring_is_zero,
                               brute_force_fiber_points, dhat,
                               dhat_batch, dist_upper_bound, dist_upper_bound_batch,
                               enumerate_fiber_points,
@@ -123,46 +123,63 @@ def test_fiber_ring_path_matches_brute_force(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_ring_arithmetic_matches_quad_elem(m):
+    # the exact power table: t^k of every box value t by QuadElem products
+    box = LatticeBox(3, m)
+    A, B = _box_powers(box, 6)
+    for (a, b), ra, rb in zip(box.coords(), A, B):
+        t, p = lattice_point(a, b, m), lattice_point(1, 0, m)
+        for k in range(7):
+            assert (p.u, p.v) == (GaussianRational(ra[k]), GaussianRational(rb[k]))
+            p = p * t
+    # the array zero rule on ring products s*t + c, and on elements u + v*T
+    # that vanish at T = i only, in int64 and in Python ints
     rng = random.Random(400 + m)
 
     def rand():
-        return tuple(rng.randint(-9, 9) for _ in range(4))
+        return QuadElem(GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9)),
+                        GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9)), m)
 
+    elems = []
     for _ in range(200):
         s, t, c = rand(), rand(), rand()
-        ref = (QuadElem(GaussianRational(*s[:2]), GaussianRational(*s[2:]), m)
-               * QuadElem(GaussianRational(*t[:2]), GaussianRational(*t[2:]), m)
-               + QuadElem(GaussianRational(*c[:2]), GaussianRational(*c[2:]), m))
-        got = _ring_mul_add(s, t, c, m)
-        assert (GaussianRational(*got[:2]), GaussianRational(*got[2:])) == (ref.u, ref.v)
-        # zero rule, also on elements u + v*T that vanish at T = i only
         vr, vi = rng.randint(-3, 3), rng.randint(-3, 3)
-        for z in (got, (vi, -vr, vr, vi), (0, 0, 0, 0)):
-            q = QuadElem(GaussianRational(*z[:2]), GaussianRational(*z[2:]), m)
-            assert _ring_is_zero(z, m) == q.equals_gaussian(0) == (abs(complex(q)) < 1e-9)
+        elems += [s * t + c, s * t - t * s,
+                  QuadElem(GaussianRational(vi, -vr), GaussianRational(vr, vi), m)]
+    z = np.array([[q.u.a, q.u.b, q.v.a, q.v.b] for q in elems]).T
+    want = [q.equals_gaussian(0) for q in elems]
+    assert want == [abs(complex(q)) < 1e-9 for q in elems]
+    assert _ring_is_zero(z, m).tolist() == _ring_is_zero(z.astype(object), m).tolist() == want
+    assert any(want) and not all(want)
 
 
-def test_fiber_candidates_cover_the_rounding_radius(ml_map, monkeypatch):
-    # a root computed up to ROUND_RADIUS away still yields its lattice point:
-    # shifted by 0.505, every root rounds to the next integer over
-    ref = [enumerate_fiber_points(ml_map.p, k, LatticeBox(2)).points for k in (1, 3)]
-    solve = lattice.find_roots_grouped
+def test_fiber_points_of_a_high_multiplicity_slice():
+    # y = 3 (and y = 2) is a root of multiplicity 17 (10) of every slice,
+    # which numeric roots locate too poorly to round to
+    y3, y2 = pe("y - 3"), pe("y - 2")
+    box = LatticeBox(3)
+    out = enumerate_fiber_points(y3 ** 17, 0, box)
+    assert out.points == [(x, (3, 0)) for x in box.coords()]
+    out = enumerate_fiber_points((y3 * y2) ** 10, 0, box)
+    assert out.points == [(x, y) for x in box.coords() for y in ((2, 0), (3, 0))]
+    assert out.count() == 98
 
-    def off(C):
-        flat, counts = solve(C)
-        return flat + 0.505, counts
-    monkeypatch.setattr(lattice, "find_roots_grouped", off)
+
+def test_fiber_beyond_the_int64_bound_matches_brute_force():
+    # |x^30| reaches (3 + 3*sqrt(2))^30 > 2^63: the evaluation runs in Python ints
+    f, box = pe("x^30*y^2 + 3*y - x"), LatticeBox(3, 2)
+    for k in (0, 2, -3):
+        out = enumerate_fiber_points(f, k, box)
+        assert _full_fiber(out, box) == brute_force_fiber_points(f, k, box)
+
+
+def test_fiber_enumeration_solves_nothing(ml_map, monkeypatch):
+    ref = [brute_force_fiber_points(ml_map.p, k, LatticeBox(2)) for k in (1, 3)]
+
+    def fail(C, *args, **kw):
+        raise RootFindingError("fiber enumeration called the root solver")
+    monkeypatch.setattr(roots, "find_roots_batch", fail)
     assert [enumerate_fiber_points(ml_map.p, k, LatticeBox(2)).points for k in (1, 3)] == ref
     assert all(ref)
-
-
-def test_fiber_enumeration_raises_when_a_solve_fails(ml_map, monkeypatch):
-    # a failed batch solve is an error, not a silent fallback
-    def fail(C, *args, **kw):
-        raise RootFindingError("root iteration did not converge")
-    monkeypatch.setattr(roots, "find_roots_batch", fail)
-    with pytest.raises(RootFindingError):
-        enumerate_fiber_points(ml_map.p, 3, LatticeBox(2))
 
 
 def test_fiber_monotone_in_box(ml_map):
