@@ -154,12 +154,8 @@ def _preimage_count_exact(F, u0, v0):
     simple, and a shear that separates their x-coordinates exists.  Raises
     InfiniteFiberError when r vanishes, and ExceptionalError when no shear
     of _SHEAR_LAMBDAS gives a square-free r."""
-    xv = Poly.var("x", ("x", "y"))
-    yv = Poly.var("y", ("x", "y"))
     for lam in _SHEAR_LAMBDAS:
-        sub = {"x": xv + Poly.const(lam, ("x", "y")) * yv, "y": yv}
-        p = F.p.evaluate(sub) - Poly.const(u0, ("x", "y"))
-        q = F.q.evaluate(sub) - Poly.const(v0, ("x", "y"))
+        p, q = (f - Poly.const(w, ("x", "y")) for f, w in zip(F.sheared(lam), (u0, v0)))
         dp, dq = p.degree_in("y"), q.degree_in("y")
         if dp <= 0 or dq <= 0:
             continue

@@ -7,12 +7,20 @@ Polynomials carry an explicit variable tuple; binary operations unify the
 tuples.  Two variables is the normal case ((x, y) for source polynomials,
 (u, v) for target curves); elimination steps temporarily produce three or
 four variables internally.
+
+Resultants and gcds run one subresultant PRS over the ring of the
+coefficients.  Where these involve at most one variable t (resultants in
+(x, y), as in exact preimage counts, and univariate gcds) that ring is the
+dense Z[i][t] of ZiPoly, on plain ints; elsewhere it is Poly.  The
+bivariate gcd stays sparse: the (u, v) curves are sparse in high degree,
+where dense coefficient lists were measured slower end to end.
 """
 
 from __future__ import annotations
 
 import re as _re
-from math import gcd
+from itertools import zip_longest
+from math import gcd, lcm
 
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, QuadElem
 
@@ -548,7 +556,7 @@ def parse_expression(text, variables=("x", "y")):
 
 class PolyMap:
     """An ordered pair of non-Laurent polynomials in (x, y), with cached
-    total degrees and their gcd."""
+    total degrees, their gcd and shears."""
 
     def __init__(self, p, q, name=None):
         if isinstance(p, str):
@@ -566,6 +574,14 @@ class PolyMap:
             self.deg_gcd = gcd(self.deg_p, self.deg_q)
         else:
             self.deg_gcd = None
+        self._shears = {}
+
+    def sheared(self, lam):
+        """(P, Q) o (x + lam*y, y), composed once per lam."""
+        if lam not in self._shears:
+            sub = {"x": Poly(("x", "y"), {(1, 0): 1, (0, 1): lam}), "y": Poly.var("y", ("x", "y"))}
+            self._shears[lam] = (self.p.evaluate(sub), self.q.evaluate(sub))
+        return self._shears[lam]
 
     def is_integral(self):
         return self.p.has_gaussian_integer_coeffs() and self.q.has_gaussian_integer_coeffs()
@@ -627,44 +643,14 @@ def divides(f, g):
     return exact_div(g, f) is not None
 
 
-def _univariate_gcd(f, g, name):
-    """Monic Euclidean gcd of polynomials involving only `name`."""
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, _poly_rem(a, b, name)
-    return a.monic()
-
-
-def _poly_rem(a, b, name):
-    """Remainder of a by b, both univariate in `name` over Q(i)."""
-    ca = a.coeffs_in(name)
-    cb = b.coeffs_in(name)
-    db = max(cb)
-    lc = cb[db].constant_value()
-    while ca:
-        da = max(ca)
-        if da < db:
-            break
-        c = ca[da].constant_value() / lc
-        for k, coef in cb.items():
-            tgt = da - db + k
-            val = ca.get(tgt, Poly(a.vars)).constant_value() - c * coef.constant_value()
-            if val:
-                ca[tgt] = Poly.const(val, a.vars)
-            else:
-                ca.pop(tgt, None)
-    out = Poly(a.vars)
-    xv = Poly.var(name, a.vars)
-    for k, coef in ca.items():
-        out = out + coef * xv ** k
-    return out
-
-
 def poly_gcd(f, g):
     """GCD over Q(i), normalized monic in graded-lex.  Subresultant PRS of
     the primitive parts in the highest-ranked used variable, recursing on
-    contents."""
+    contents; over Z[i] on the dense ring when only one variable is used,
+    where a monomial c*t^k meets the other input in t^min(k, ord_t)."""
     f, g = f._align(g)
+    if f.is_laurent() or g.is_laurent():
+        raise ValueError("gcd of Laurent polynomials")
     if f.is_zero():
         return g.monic()
     if g.is_zero():
@@ -672,13 +658,18 @@ def poly_gcd(f, g):
     used = sorted(f.used_vars() | g.used_vars(), key=_rank)
     if not used:
         return Poly.const(1, f.vars)
-    if len(used) == 1:
-        return _univariate_gcd(f, g, used[0])
     main = used[-1]
-    cf, pf = cont_pp_static(f, main)
-    cg, pg = cont_pp_static(g, main)
-    cont_gcd = poly_gcd(cf, cg)
-    A, B = _coeff_list(pf, main), _coeff_list(pg, main)
+    i = f.vars.index(main)
+    if len(used) == 1:
+        if len(f.terms) == 1 or len(g.terms) == 1:
+            return Poly.var(main, f.vars) ** min(e[i] for h in (f, g) for e in h.terms)
+        cont_gcd = Poly.const(1, f.vars)
+        (_, A), (_, B) = (_dense_coeff_list(h, main, None) for h in (f, g))
+    else:
+        cf, pf = cont_pp_static(f, main)
+        cg, pg = cont_pp_static(g, main)
+        cont_gcd = poly_gcd(cf, cg)
+        A, B = _coeff_list(pf, main), _coeff_list(pg, main)
     if len(A) < len(B):
         A, B = B, A
     for A, B, _ in _subresultant_prs(A, B):
@@ -686,7 +677,10 @@ def poly_gcd(f, g):
     if len(B) == 1:
         return cont_gcd
     # B is the last nonzero remainder; put `main` back into its terms
-    i, n = f.vars.index(main), len(B) - 1
+    if len(used) == 1:
+        return _from_dense(ZiPoly([b.c[0] if b.c else (0, 0) for b in reversed(B)]),
+                           f.vars, main, 1).monic()
+    n = len(B) - 1
     last = Poly(f.vars, {e[:i] + (n - k,) + e[i:]: c
                          for k, b in enumerate(B) for e, c in b.terms.items()})
     _, last = cont_pp_static(last, main)
@@ -741,6 +735,98 @@ def squarefree_decomposition(f, name):
             out.append((a, m))
         m += 1
     return out
+
+
+# ------------------------------------------------------- the dense Z[i][t]
+
+
+class ZiPoly:
+    """Dense polynomial in one variable t over Z[i]: (re, im) int pairs by
+    ascending degree, no zero pair on top (0 is the empty list).  The PRS
+    coefficient ring where coefficients involve at most one variable."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        while c and c[-1] == (0, 0):
+            c.pop()
+        self.c = c
+
+    def is_zero(self):
+        return not self.c
+
+    def __neg__(self):
+        return ZiPoly([(-re, -im) for re, im in self.c])
+
+    def __sub__(self, other):
+        return ZiPoly([(ar - br, ai - bi) for (ar, ai), (br, bi)
+                       in zip_longest(self.c, other.c, fillvalue=(0, 0))])
+
+    def __mul__(self, other):
+        a, b = self.c, other.c
+        re = [0] * (len(a) + len(b) - 1)
+        im = re[:]
+        for i, (ar, ai) in enumerate(a):
+            if ar or ai:
+                for k, (br, bi) in enumerate(b, i):
+                    re[k] += ar * br - ai * bi
+                    im[k] += ar * bi + ai * br
+        return ZiPoly(list(zip(re, im)))
+
+    def __pow__(self, n):
+        return _power(self, int(n), ZiPoly([(1, 0)]))
+
+    def exact_div(self, den):
+        """self / den when den divides self in Z[i][t], else None: long
+        division from the top, each step an exact division in Z[i]."""
+        d = den.c
+        if not d:
+            raise ZeroDivisionError("division by the zero polynomial")
+        n = len(self.c) - len(d) + 1
+        if n <= 0:
+            return None if self.c else self
+        re, im = [c[0] for c in self.c], [c[1] for c in self.c]
+        lr, li = d[-1]
+        norm = lr * lr + li * li
+        q = [(0, 0)] * n
+        for k in range(n - 1, -1, -1):
+            xr, xi = re[k + len(d) - 1], im[k + len(d) - 1]
+            qr, er = divmod(xr * lr + xi * li, norm)
+            qi, ei = divmod(xi * lr - xr * li, norm)
+            if er or ei:
+                return None
+            if qr or qi:
+                q[k] = (qr, qi)
+                for j, (dr, di) in enumerate(d, k):
+                    re[j] -= qr * dr - qi * di
+                    im[j] -= qr * di + qi * dr
+        if any(re[:len(d) - 1]) or any(im[:len(d) - 1]):
+            return None
+        return ZiPoly(q)
+
+
+def _dense_coeff_list(f, name, t):
+    """(s, coefficients of s*f in `name`, highest degree first, as ZiPoly in
+    t), with s the least common denominator of f's coefficients.  Every
+    other variable of f is unused; t is None when the coefficients are
+    constants."""
+    s = lcm(*(c.d for c in f.terms.values()))
+    i = f.vars.index(name)
+    j = None if t is None else f.vars.index(t)
+    rows = {}
+    for exps, c in f.terms.items():
+        m = s // c.d
+        rows.setdefault(exps[i], {})[0 if j is None else exps[j]] = (c.a * m, c.b * m)
+    return s, [ZiPoly([row.get(k, (0, 0)) for k in range(max(row, default=-1) + 1)])
+               for row in (rows.get(d, {}) for d in range(max(rows), -1, -1))]
+
+
+def _from_dense(r, vars, t, s):
+    """The Poly over `vars` of the ZiPoly r in t (None: a constant), over
+    the integer denominator s."""
+    j = None if t is None else vars.index(t)
+    return Poly(vars, {tuple(k if w == j else 0 for w in range(len(vars))):
+                       GaussianRational(re, im, s) for k, (re, im) in enumerate(r.c)})
 
 
 # ------------------------------------------------------------- resultants
@@ -826,7 +912,7 @@ def _pseudo_rem_list(a, b):
 
 
 def _div_or_raise(num, den):
-    q = exact_div(num, den)
+    q = num.exact_div(den) if isinstance(num, ZiPoly) else exact_div(num, den)
     if q is None:
         raise ArithmeticError("subresultant exact division failed")
     return q
@@ -835,9 +921,10 @@ def _div_or_raise(num, den):
 def _subresultant_prs(A, B):
     """The subresultant PRS of descending coefficient lists, len(A) >=
     len(B) (Collins, JACM 14, 1967; Cohen, Alg. 3.3.7 without the content
-    step).  Yields (A, B, h) for the input pair and each later pair; the
-    last pair has a constant B or a zero pseudo-remainder."""
-    g = h = Poly.const(1, A[0].vars)
+    step), over the ring of their entries, Poly or ZiPoly.  Yields (A, B, h)
+    for the input pair and each later pair; the last pair has a constant B
+    or a zero pseudo-remainder."""
+    g = h = A[0] ** 0
     while True:
         yield A, B, h
         if len(B) == 1:
@@ -855,10 +942,32 @@ def _subresultant_prs(A, B):
             h = _div_or_raise(g ** delta, h ** (delta - 1))
 
 
+def _prs_resultant(A, B):
+    """The Sylvester determinant of two descending coefficient lists of
+    positive degree, sign included, from their subresultant PRS."""
+    # Res(b, a) = (-1)^(deg a * deg b) Res(a, b), on the swap and at each step
+    sign = 1
+    if len(A) < len(B):
+        A, B = B, A
+        if (len(A) - 1) * (len(B) - 1) % 2:
+            sign = -1
+    for A, B, h in _subresultant_prs(A, B):
+        if (len(A) - 1) * (len(B) - 1) % 2:
+            sign = -sign
+    if len(B) > 1:
+        return B[0] - B[0]  # a zero pseudo-remainder: a common factor
+    da = len(A) - 1
+    res = B[0] if da == 1 else _div_or_raise(B[0] ** da, h ** (da - 1))
+    return -res if sign < 0 else res
+
+
 def resultant(a, b, eliminate):
     """Resultant eliminating `eliminate`: the Sylvester determinant with the
     fixed row convention (a-rows on top), sign included, computed by the
-    subresultant PRS over the polynomial ring of the other variables."""
+    subresultant PRS over the ring of the other variables.  When at most one
+    other variable t is used and neither input is Laurent, that ring is the
+    dense Z[i][t], on the inputs cleared of denominators:
+    Res(sa*a, sb*b) = sa^deg(b) * sb^deg(a) * Res(a, b)."""
     if a.is_zero() or b.is_zero():
         raise ValueError("resultant of a zero polynomial")
     da = a.degree_in(eliminate) if eliminate in a.vars else 0
@@ -866,21 +975,13 @@ def resultant(a, b, eliminate):
     if da <= 0 or db <= 0:
         raise ValueError(f"both inputs must have positive degree in {eliminate}")
     a, b = a._align(b)
-    A, B = _coeff_list(a, eliminate), _coeff_list(b, eliminate)
-    # Res(b, a) = (-1)^(deg a * deg b) Res(a, b), on the swap and at each step
-    sign = 1
-    if da < db:
-        A, B = B, A
-        if da % 2 and db % 2:
-            sign = -1
-    for A, B, h in _subresultant_prs(A, B):
-        if (len(A) - 1) * (len(B) - 1) % 2:
-            sign = -sign
-    if len(B) > 1:
-        return Poly(B[0].vars)  # a zero pseudo-remainder: a common factor
-    da = len(A) - 1
-    res = B[0] if da == 1 else _div_or_raise(B[0] ** da, h ** (da - 1))
-    return -res if sign < 0 else res
+    rest = (a.used_vars() | b.used_vars()) - {eliminate}
+    if len(rest) > 1 or a.is_laurent() or b.is_laurent():
+        return _prs_resultant(_coeff_list(a, eliminate), _coeff_list(b, eliminate))
+    t = rest.pop() if rest else None
+    (sa, A), (sb, B) = (_dense_coeff_list(f, eliminate, t) for f in (a, b))
+    return _from_dense(_prs_resultant(A, B), tuple(w for w in a.vars if w != eliminate),
+                       t, sa ** db * sb ** da)
 
 
 def resultant_allow_constant(a, b, eliminate):

@@ -140,6 +140,31 @@ def test_certify_builds_no_resultant_in_four_variables(ml_map_printed, monkeypat
     assert [s["count"] for s in verdicts[0]["samples"]] == [3, 3, 3, 3, 3]
 
 
+def test_shears_are_composed_once_per_map(ml_map, monkeypatch):
+    F = PolyMap(ml_map.p, ml_map.q)
+    composed, lams = [], set()
+    real_compose, real_sheared = Poly._compose, PolyMap.sheared
+
+    def compose(self, values):
+        composed.append(values)
+        return real_compose(self, values)
+
+    def sheared(self, lam):
+        lams.add(lam)
+        return real_sheared(self, lam)
+
+    monkeypatch.setattr(Poly, "_compose", compose)
+    monkeypatch.setattr(PolyMap, "sheared", sheared)
+    report = exceptional_report(F)
+    assert lams and len(composed) <= 2 * len(lams)
+    assert report.degree.deg_geo == 4
+    monkeypatch.undo()
+    xv, yv = Poly.var("x", XY), Poly.var("y", XY)
+    for lam in lams:
+        sub = {"x": xv + Poly.const(lam, XY) * yv, "y": yv}
+        assert F.sheared(lam) == (F.p.evaluate(sub), F.q.evaluate(sub))
+
+
 def test_certify_rejects_proper_curve():
     # {u = 0} is not special for the identity: full fibers everywhere on it
     F = PolyMap(pe("x"), pe("y"))

@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
+from planejac import poly
 from planejac.gaussian import GR_ONE, GaussianRational
-from planejac.poly import (ParseError, Poly, PolyMap, compose_map,
+from planejac.poly import (ParseError, Poly, PolyMap, ZiPoly, compose_map,
                            compose_maps, det_bareiss, divides, jacobian,
                            parse_expression, poly_gcd,
                            resultant, squarefree_part, sylvester_matrix)
@@ -349,6 +350,99 @@ def test_resultant_sheared_makar_limanov_matches_sylvester_determinant(ml_map):
     assert r.degree_in("x") == 4
 
 
+def _random_xy_coeff(rng, nonconst=False):
+    """A random polynomial in x of degree <= 2 over Q(i), as a Poly in (x, y)."""
+    terms = {(k, 0): GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3))
+             for k in range(3) if rng.random() < 0.5}
+    if nonconst:
+        terms[(rng.randint(1, 2), 0)] = GaussianRational(rng.randint(1, 3), rng.randint(-2, 2))
+    return Poly(XY, terms)
+
+
+def _random_xy_in_y(rng, deg):
+    """Degree `deg` in y with a leading coefficient that involves x."""
+    yv = Poly.var("y", XY)
+    f = _random_xy_coeff(rng, nonconst=True) * yv ** deg
+    for k in range(deg):
+        f = f + _random_xy_coeff(rng) * yv ** k
+    return f
+
+
+@pytest.fixture()
+def dense_only(monkeypatch):
+    """Fails a test whose remainder sequence runs on Poly entries."""
+    real = poly._subresultant_prs
+
+    def checked(A, B):
+        assert all(isinstance(c, ZiPoly) for c in A + B)
+        return real(A, B)
+
+    monkeypatch.setattr(poly, "_subresultant_prs", checked)
+
+
+def _swap_xy(f):
+    return Poly(XY, {(j, i): c for (i, j), c in f.terms.items()})
+
+
+def test_dense_resultant_matches_sylvester_determinant(dense_only):
+    # over Q(i)[x] on the dense ring: non-constant leading coefficients,
+    # rational coefficients, both argument orders, and x eliminated as well
+    rng = random.Random(71)
+    for _ in range(30):
+        a = _random_xy_in_y(rng, rng.randint(1, 4))
+        b = _random_xy_in_y(rng, rng.randint(1, 4))
+        assert not (a.has_gaussian_integer_coeffs() and b.has_gaussian_integer_coeffs())
+        for f, g, name in ((a, b, "y"), (b, a, "y"), (_swap_xy(a), _swap_xy(b), "x")):
+            assert resultant(f, g, name) == _sylvester_det(f, g, name), (f, g, name)
+
+
+def test_dense_resultant_defective_prs_matches_sylvester_determinant(dense_only):
+    # degree gaps, as in the (x, y, u) test above, on the dense ring
+    rng = random.Random(73)
+    yv = Poly.var("y", XY)
+    for _ in range(8):
+        a, b = _random_xy_in_y(rng, 4), _random_xy_in_y(rng, 1)
+        assert resultant(a, b, "y") == _sylvester_det(a, b, "y")
+        assert resultant(b, a, "y") == _sylvester_det(b, a, "y")
+        b3 = _random_xy_in_y(rng, 3)
+        a3 = _random_xy_coeff(rng, nonconst=True) * b3 + _random_xy_coeff(rng) * yv \
+            + _random_xy_coeff(rng)
+        assert a3.degree_in("y") == 3
+        assert resultant(a3, b3, "y") == _sylvester_det(a3, b3, "y")
+
+
+def test_dense_resultant_of_univariate_and_sharing_pairs(dense_only):
+    rng = random.Random(79)
+    for _ in range(6):
+        # no other variable: the resultant is a constant
+        a = random_poly(rng, vars=("y",), max_deg=4, n_terms=4)
+        b = random_poly(rng, vars=("y",), max_deg=3, n_terms=4) + Poly.var("y") ** 4
+        if not a.degree_in("y"):
+            a = a + Poly.var("y") ** 2
+        r = resultant(a, b, "y")
+        assert r.is_constant() and r == _sylvester_det(a, b, "y")
+        # a shared factor: the resultant is 0
+        c = _random_xy_in_y(rng, 1)
+        f, g = c * _random_xy_in_y(rng, 2), c * _random_xy_in_y(rng, rng.randint(1, 2))
+        assert resultant(f, g, "y").is_zero()
+        assert _sylvester_det(f, g, "y").is_zero()
+
+
+def test_dense_division_is_checked():
+    t1 = ZiPoly([(1, 0), (1, 0)])  # 1 + t
+    t2 = ZiPoly([(0, 1), (0, 0), (2, -1)])  # i + (2 - i) t^2
+    c = ZiPoly([(1, 1)])  # 1 + i
+    prod = t1 * t2 * c
+    assert poly._div_or_raise(prod, t2 * c).c == t1.c
+    assert poly._div_or_raise(prod, t1).c == (t2 * c).c
+    for num, den in ((ZiPoly([(1, 0)]), ZiPoly([(2, 0)])),  # 1 / 2
+                     (t2, c),  # i / (1 + i) is not in Z[i]
+                     (prod - ZiPoly([(1, 0)]), t1),  # a remainder of -1
+                     (t1, t2)):  # lower degree
+        with pytest.raises(ArithmeticError, match="subresultant exact division failed"):
+            poly._div_or_raise(num, den)
+
+
 def test_sylvester_shape():
     a = pe("y^2 - x")
     b = pe("y^3 + x*y")
@@ -435,6 +529,27 @@ def test_poly_gcd_matches_sympy_over_qi():
         assert divides(h, ours), (f, g)
         ref = _sympy_over_qi(f).gcd(_sympy_over_qi(g))
         assert ours == _from_sympy(ref, f.vars).monic(), (f, g)
+
+
+def test_univariate_gcd_matches_sympy_over_qi(dense_only):
+    pytest.importorskip("sympy")
+    U = ("u",)
+    rng = random.Random(83)
+    cases = [(pe("u^9", UV), pe("-3*u^6", UV)), (pe("x"), pe("1i*x^9")),
+             (pe("-2*u^5", UV), pe("u^3 + (1+2i)*u - 1/3", UV)),
+             (pe("u^4 - 1/2*u", UV), pe("(2-1i)/3*u^7", UV))]
+    for _ in range(25):
+        h = random_poly(rng, vars=U, max_deg=3, n_terms=3) + GaussianRational(
+            rng.randint(1, 5), rng.randint(-5, 5), rng.randint(1, 3))
+        a, b = (random_poly(rng, vars=U, max_deg=4, n_terms=4) for _ in range(2))
+        cases.append((h * a, h * b))
+    for f, g in cases:
+        ours = poly_gcd(f, g)
+        ref = _sympy_over_qi(f).gcd(_sympy_over_qi(g))
+        assert ours == _from_sympy(ref, f.vars).monic(), (f, g)
+    assert poly_gcd(*cases[0]) == pe("u^6", UV)
+    assert poly_gcd(*cases[1]) == pe("x")
+    assert poly_gcd(*cases[2]) == Poly.const(1, UV)
 
 
 def test_squarefree_part_matches_sympy_over_qi():
