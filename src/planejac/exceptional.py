@@ -279,7 +279,9 @@ def certify_nonproper(F, curve, samples=5, *, deg_geo, critical):
     off ``critical``, the critical-value curve.  Off J_F and the critical
     values a point has deg_geo preimages, and a point of J_F off the
     critical values has fewer (Jelonek, Ann. Polon. Math. 58, 1993), so each
-    count decides whether the factor of C through its point lies in J_F."""
+    count decides whether the factor of C through its point lies in J_F.  A C
+    inside the critical-value curve (so in A_F) has no point off it to count:
+    it takes no samples, is not confirmed, and is marked ``inside_critical``."""
     if samples < 1:
         raise ValueError("need at least one sample")
     comps = curve.component_polys or (
@@ -287,12 +289,14 @@ def certify_nonproper(F, curve, samples=5, *, deg_geo, critical):
     )
     verdicts = []
     for tag, comp in comps:
-        avoid = exact_div(curve.defining, comp) * critical.defining
-        counted = _component_counts(F, comp, avoid, samples)
+        inside = divides(comp, critical.defining)
+        counted = [] if inside else _component_counts(
+            F, comp, exact_div(curve.defining, comp) * critical.defining, samples)
         verdicts.append({
             "tag": tag,
             "component": str(comp),
-            "confirmed": all(c < deg_geo for _, c in counted),
+            "confirmed": not inside and all(c < deg_geo for _, c in counted),
+            "inside_critical": inside,
             "samples": [{"point": [str(u0), str(v0)], "count": c}
                         for (u0, v0), c in counted],
         })

@@ -3,26 +3,34 @@ operations the rest of the toolkit is built on: derivatives, Jacobians,
 composition, exact division, gcd, square-free parts, and fraction-free
 resultants.
 
+One kernel: a polynomial is Gaussian-integer numerators, (re, im) int pairs,
+over one shared integer denominator, in a unique reduced form, and all its
+arithmetic runs on Python ints.  A `GaussianRational` is built only at the
+boundary: the constructor's input, `terms`, `leading`, `constant_value`,
+printing, and evaluation at Gaussian-rational points.  Truncated series
+(series.TruncSeries2) are truncation on top of the same kernel.
+
 Polynomials carry an explicit variable tuple; binary operations unify the
 tuples.  Two variables is the normal case ((x, y) for source polynomials,
 (u, v) for target curves); elimination steps temporarily produce three or
 four variables internally.
 
 Resultants and gcds run one subresultant PRS over the ring of the
-coefficients.  Where these involve at most one variable t (resultants in
-(x, y), as in exact preimage counts, and univariate gcds) that ring is the
-dense Z[i][t] of ZiPoly, on plain ints; elsewhere it is Poly.  The
-bivariate gcd stays sparse: the (u, v) curves are sparse in high degree,
-where dense coefficient lists were measured slower end to end.
+coefficients, on inputs cleared of denominators.  Where these involve at
+most one variable t (resultants in (x, y), as in exact preimage counts, and
+univariate gcds) that ring is the dense Z[i][t] of ZiPoly; elsewhere it is
+Poly.  The bivariate gcd stays sparse: the (u, v) curves are sparse in high
+degree, where dense coefficient lists were measured slower end to end.
 """
 
 from __future__ import annotations
 
 import re as _re
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import gcd, lcm
+from operator import add, mul, sub
 
-from .gaussian import GR_ONE, GR_ZERO, GaussianRational, QuadElem
+from .gaussian import GR_ONE, GaussianRational, QuadElem
 
 # canonical ranking used when variable tuples are merged
 _VAR_RANK = {"x": 0, "y": 1, "u": 2, "v": 3}
@@ -45,81 +53,89 @@ class ParseError(ValueError):
 
 
 class Poly:
-    """Sparse polynomial: map from exponent tuples to nonzero GaussianRational
-    coefficients.  Negative exponents mark Laurent mode."""
+    """Sparse polynomial: `num` maps exponent tuples to nonzero (re, im) int
+    pairs over the shared denominator `den` > 0, and gcd(den, every part) = 1,
+    so the form is canonical.  Negative exponents mark Laurent mode."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "num", "den")
 
     def __init__(self, vars, terms=None):
-        self.vars = tuple(vars)
+        """From {exponents: GaussianRational or int}; equal exponents add."""
         clean = {}
-        if terms:
-            for exps, c in terms.items():
-                c = GaussianRational.coerce(c)
-                if c:
-                    exps = tuple(int(e) for e in exps)
-                    if exps in clean:
-                        c = clean[exps] + c
-                        if c:
-                            clean[exps] = c
-                        else:
-                            del clean[exps]
-                    else:
-                        clean[exps] = c
-        self.terms = clean
+        for exps, c in (terms or {}).items():
+            exps, c = tuple(int(e) for e in exps), GaussianRational.coerce(c)
+            clean[exps] = clean[exps] + c if exps in clean else c
+        clean = {e: c for e, c in clean.items() if c}
+        # over the lcm of reduced denominators the form is already reduced
+        self.den = lcm(*(c.d for c in clean.values()))
+        self.num = {e: (c.a * (self.den // c.d), c.b * (self.den // c.d))
+                    for e, c in clean.items()}
+        self.vars = tuple(vars)
+
+    @staticmethod
+    def _make(vars, num, den=1):
+        """Trusted constructor: `num` has no zero pair and den > 0; only the
+        content gcd(den, every part) is divided out."""
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(num.values()))
+            if g > 1:
+                num = {e: (re // g, im // g) for e, (re, im) in num.items()}
+                den //= g
+        p = object.__new__(Poly)
+        p.vars, p.num, p.den = vars, num, den
+        return p
+
+    @property
+    def terms(self):
+        """{exponents: GaussianRational}, the nonzero coefficients."""
+        return {e: GaussianRational(re, im, self.den) for e, (re, im) in self.num.items()}
 
     # ---------------------------------------------------------- constructors
 
     @staticmethod
     def const(c, vars=("x", "y")):
+        vars = tuple(vars)
+        if isinstance(c, int):
+            return Poly._make(vars, {(0,) * len(vars): (c, 0)} if c else {})
         c = GaussianRational.coerce(c)
-        if not c:
-            return Poly(vars)
-        return Poly(vars, {(0,) * len(vars): c})
+        return Poly._make(vars, {(0,) * len(vars): (c.a, c.b)} if c else {}, c.d)
 
     @staticmethod
     def var(name, vars=None):
-        if vars is None:
-            vars = (name,)
-        exps = tuple(1 if w == name else 0 for w in vars)
-        return Poly(vars, {exps: GR_ONE})
+        vars = (name,) if vars is None else tuple(vars)
+        return Poly._make(vars, {tuple(int(w == name) for w in vars): (1, 0)})
 
     # ------------------------------------------------------------ predicates
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def is_laurent(self):
-        return any(e < 0 for exps in self.terms for e in exps)
+        return any(e < 0 for exps in self.num for e in exps)
 
     def is_constant(self):
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return not any(any(exps) for exps in self.num)
 
     def constant_value(self):
-        return self.terms.get((0,) * len(self.vars), GR_ZERO)
+        return GaussianRational(*self.num.get((0,) * len(self.vars), (0, 0)), self.den)
 
     def has_gaussian_integer_coeffs(self):
-        return all(c.d == 1 for c in self.terms.values())
+        return self.den == 1
 
     def total_degree(self):
         """max of exponent sums; None for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return None
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.num)
 
     def degree_in(self, name):
-        if not self.terms:
+        if not self.num:
             return None
         i = self.vars.index(name)
-        return max(exps[i] for exps in self.terms)
+        return max(exps[i] for exps in self.num)
 
     def used_vars(self):
-        used = set()
-        for exps in self.terms:
-            for w, e in zip(self.vars, exps):
-                if e != 0:
-                    used.add(w)
-        return used
+        return {w for exps in self.num for w, e in zip(self.vars, exps) if e}
 
     # ------------------------------------------------------------ arithmetic
 
@@ -136,61 +152,41 @@ class Poly:
             return self
         dropped = [i for i, w in enumerate(self.vars) if w not in vars]
         idx = [self.vars.index(w) if w in self.vars else None for w in vars]
-        terms = {}
-        for exps, c in self.terms.items():
+        num = {}
+        for exps, c in self.num.items():
             if any(exps[i] != 0 for i in dropped):
                 raise ValueError("cannot drop a used variable")
-            terms[tuple(exps[i] if i is not None else 0 for i in idx)] = c
-        return Poly(vars, terms)
+            num[tuple(exps[i] if i is not None else 0 for i in idx)] = c
+        return Poly._make(vars, num, self.den)
 
     def __add__(self, other):
         a, b = self._align(other)
-        terms = dict(a.terms)
-        for exps, c in b.terms.items():
-            s = terms.get(exps, GR_ZERO) + c
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
-        return Poly(a.vars, terms)
+        return _lincomb(a.vars, ((1, 0, 1, a), (1, 0, 1, b)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.vars, {e: (-re, -im) for e, (re, im) in self.num.items()},
+                          self.den)
 
     def __sub__(self, other):
         a, b = self._align(other)
-        return a + (-b)
+        return _lincomb(a.vars, ((1, 0, 1, a), (-1, 0, 1, b)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         a, b = self._align(other)
-        terms = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
-                c = c1 * c2
-                s = terms.get(e)
-                if s is None:
-                    terms[e] = c
-                else:
-                    s = s + c
-                    if s:
-                        terms[e] = s
-                    else:
-                        del terms[e]
-        return Poly(a.vars, terms)
+        return Poly._make(a.vars, _mul_num(a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = GaussianRational.coerce(c)
         if not c:
-            return Poly(self.vars)
-        return Poly(self.vars, {e: k * c for e, k in self.terms.items()})
+            return Poly._make(self.vars, {})
+        return _lincomb(self.vars, ((c.a, c.b, c.d, self),))
 
     def __pow__(self, n):
         n = int(n)
@@ -204,24 +200,21 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self._align(other)
-        return a.terms == b.terms
+        return a.den == b.den and a.num == b.num
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+    def __hash__(self):  # blind to the variable tuple, as == is
+        return hash((self.den, frozenset(self.num.values())))
 
     # --------------------------------------------------------------- calculus
 
     def diff(self, name):
         i = self.vars.index(name)
-        terms = {}
-        for exps, c in self.terms.items():
+        num = {}
+        for exps, (re, im) in self.num.items():
             e = exps[i]
-            if e == 0:
-                continue
-            ne = list(exps)
-            ne[i] = e - 1
-            terms[tuple(ne)] = c * e
-        return Poly(self.vars, terms)
+            if e:
+                num[exps[:i] + (e - 1,) + exps[i + 1:]] = (re * e, im * e)
+        return Poly._make(self.vars, num, self.den)
 
     # ------------------------------------------------------------- evaluation
 
@@ -237,8 +230,8 @@ class Poly:
         if any(isinstance(v, (complex, float)) for v in values.values()):
             total = 0j
             vals = [complex(values[w]) for w in self.vars]
-            for exps, c in self.terms.items():
-                t = complex(c)
+            for exps, (re, im) in self.num.items():
+                t = complex(re / self.den, im / self.den)
                 for v, e in zip(vals, exps):
                     if e < 0 and v == 0:
                         raise ZeroDivisionError("Laurent evaluation at zero coordinate")
@@ -249,10 +242,10 @@ class Poly:
         if quad is not None:
             vals = [values[w] if isinstance(values[w], QuadElem) else quad._coerce(GaussianRational.coerce(values[w])) for w in self.vars]
             total = quad._coerce(0)
-            for exps, c in self.terms.items():
+            for exps, (re, im) in self.num.items():
                 if any(e < 0 for e in exps):
                     raise ZeroDivisionError("Laurent evaluation is not supported in quadratic rings")
-                t = quad._coerce(GaussianRational.coerce(c))
+                t = quad._coerce(GaussianRational(re, im, self.den))
                 for v, e in zip(vals, exps):
                     for _ in range(e):
                         t = t * v
@@ -262,30 +255,23 @@ class Poly:
 
     def _partial(self, values):
         keep = [i for i, w in enumerate(self.vars) if w not in values]
-        vals = {i: GaussianRational.coerce(values[w])
-                for i, w in enumerate(self.vars) if w in values}
-        out = Poly(tuple(self.vars[i] for i in keep))
-        terms = {}
-        for exps, c in self.terms.items():
-            t = c
-            for i, v in vals.items():
-                e = exps[i]
-                if e >= 0:
-                    t = t * _power(v, e, GR_ONE)
-                else:
-                    if not v:
-                        raise ZeroDivisionError("Laurent evaluation at zero coordinate")
-                    t = t / _power(v, -e, GR_ONE)
-            if not t:
-                continue
+        den, tables = self.den, []
+        for i, w in enumerate(self.vars):
+            if w in values:
+                table, s = _power_table(GaussianRational.coerce(values[w]),
+                                        {exps[i] for exps in self.num})
+                tables.append((i, table))
+                den *= s
+        num = {}
+        for exps, (re, im) in self.num.items():
+            for i, table in tables:
+                wr, wi = table[exps[i]]
+                re, im = re * wr - im * wi, re * wi + im * wr
             e = tuple(exps[i] for i in keep)
-            s = terms.get(e, GR_ZERO) + t
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        out.terms = terms
-        return out
+            s = num.get(e)
+            num[e] = (re, im) if s is None else (s[0] + re, s[1] + im)
+        return Poly._make(tuple(self.vars[i] for i in keep),
+                          {e: c for e, c in num.items() if c[0] or c[1]}, den)
 
     def _compose(self, values):
         # substitute polynomials (and scalars) for variables
@@ -303,7 +289,7 @@ class Poly:
             return pow_cache[key]
 
         result = None
-        for exps, c in self.terms.items():
+        for exps, (re, im) in self.num.items():
             term = None
             for w, e in zip(self.vars, exps):
                 if e == 0:
@@ -315,7 +301,7 @@ class Poly:
                 term = p if term is None else term * p
             if term is None:
                 term = Poly.const(1, self.vars)
-            term = term.scale(c)
+            term = _lincomb(term.vars, ((re, im, self.den, term),))
             result = term if result is None else result + term
         if result is None:
             result = Poly(self.vars)
@@ -327,29 +313,29 @@ class Poly:
     def _gl_key(exps):
         return (sum(exps), exps)
 
-    def sorted_terms(self):
-        """Terms in graded-lex descending order."""
-        return sorted(self.terms.items(), key=lambda kv: Poly._gl_key(kv[0]), reverse=True)
-
     def leading(self):
         """(exponents, coefficient) of the graded-lex leading term."""
-        if not self.terms:
+        if not self.num:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=Poly._gl_key)
-        return exps, self.terms[exps]
+        exps = max(self.num, key=Poly._gl_key)
+        return exps, GaussianRational(*self.num[exps], self.den)
 
     def monic(self):
         """Scale so the graded-lex leading coefficient is 1."""
-        if not self.terms:
+        if not self.num:
             return self
-        _, lc = self.leading()
-        return Poly(self.vars, {e: c / lc for e, c in self.terms.items()})
+        lr, li = self.num[max(self.num, key=Poly._gl_key)]
+        # c / lc = c * conj(lc) / |lc|^2, and the shared denominator cancels
+        return Poly._make(self.vars, {e: (re * lr + im * li, im * lr - re * li)
+                                      for e, (re, im) in self.num.items()}, lr * lr + li * li)
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
-        for idx, (exps, c) in enumerate(self.sorted_terms()):
+        # graded-lex descending
+        terms = sorted(self.terms.items(), key=lambda kv: Poly._gl_key(kv[0]), reverse=True)
+        for idx, (exps, c) in enumerate(terms):
             monos = "*".join(
                 w if e == 1 else f"{w}^{e}"
                 for w, e in zip(self.vars, exps)
@@ -377,14 +363,78 @@ class Poly:
     def coeffs_in(self, name):
         """dict degree -> Poly in the remaining variables."""
         i = self.vars.index(name)
-        rest = tuple(w for j, w in enumerate(self.vars) if j != i)
+        rest = self.vars[:i] + self.vars[i + 1:]
         out = {}
-        for exps, c in self.terms.items():
-            d = exps[i]
-            e = tuple(exps[j] for j in range(len(exps)) if j != i)
-            sub = out.setdefault(d, {})
-            sub[e] = sub.get(e, GR_ZERO) + c
-        return {d: Poly(rest, t) for d, t in out.items() if any(t.values())}
+        for exps, c in self.num.items():
+            out.setdefault(exps[i], {})[exps[:i] + exps[i + 1:]] = c
+        return {d: Poly._make(rest, num, self.den) for d, num in out.items()}
+
+
+def _lincomb(vars, parts):
+    """sum of c * p over parts = ((re, im, d, p), ...), each c = (re + im*i)/d
+    nonzero and each p over `vars`, over the lcm of the denominators d * p.den."""
+    den = lcm(*(d * p.den for _, _, d, p in parts))
+    acc = None
+    for cr, ci, d, p in parts:
+        m = den // (d * p.den)
+        kr, ki = m * cr, m * ci
+        items = p.num.items() if (kr, ki) == (1, 0) else [
+            (e, (re * kr - im * ki, re * ki + im * kr)) for e, (re, im) in p.num.items()]
+        if acc is None:
+            acc = dict(items)
+            continue
+        for e, (re, im) in items:
+            s = acc.get(e)
+            if s is None:
+                acc[e] = (re, im)
+            elif s[0] + re or s[1] + im:
+                acc[e] = (s[0] + re, s[1] + im)
+            else:
+                del acc[e]
+    return Poly._make(vars, acc, den)
+
+
+def _mul_num(a, b, order=None):
+    """The numerators of the product of the numerators a and b.  With an
+    order (series, whose exponents are nonnegative), only its terms of total
+    degree at most `order`: the terms of b go by degree, and an exponent
+    tuple e is keyed by the int sum(e_i * (order + 1)**i), so that keys add
+    as exponents do."""
+    acc = {}
+    if order is None:
+        for e1, (r1, i1) in a.items():
+            for e2, (r2, i2) in b.items():
+                e = tuple(map(add, e1, e2))
+                s = acc.get(e)
+                if s is None:
+                    acc[e] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
+                else:
+                    s[0] += r1 * r2 - i1 * i2
+                    s[1] += r1 * i2 + i1 * r2
+        return {e: tuple(c) for e, c in acc.items() if c[0] or c[1]}
+    pw = [(order + 1) ** i for i in range(len(next(iter(a), ())))]
+    B = sorted((sum(e), sum(map(mul, e, pw)), e, re, im) for e, (re, im) in b.items())
+    for e1, (r1, i1) in a.items():
+        room, k1 = order - sum(e1), sum(map(mul, e1, pw))
+        for d2, k2, e2, r2, i2 in B:
+            if d2 > room:
+                break
+            s = acc.get(k1 + k2)
+            if s is None:
+                acc[k1 + k2] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2, e1, e2]
+            else:
+                s[0] += r1 * r2 - i1 * i2
+                s[1] += r1 * i2 + i1 * r2
+    return {tuple(map(add, e1, e2)): (re, im) for re, im, e1, e2 in acc.values() if re or im}
+
+
+def _power_table(v, exps):
+    """({e: (re, im)}, s) with v**e = (re + im*i)/s for each e in exps."""
+    if not v and min(exps | {0}) < 0:
+        raise ZeroDivisionError("Laurent evaluation at zero coordinate")
+    pw = {e: _power(v, e, GR_ONE) if e >= 0 else GR_ONE / _power(v, -e, GR_ONE) for e in exps}
+    s = lcm(*(w.d for w in pw.values()))
+    return {e: (w.a * (s // w.d), w.b * (s // w.d)) for e, w in pw.items()}, s
 
 
 def _power(base, n, one):
@@ -614,26 +664,44 @@ def compose_maps(F, G):
 
 def exact_div(g, f):
     """g / f when f divides g exactly, else None.  Graded-lex leading-term
-    elimination; sound for exact multivariate divisibility."""
+    elimination on the numerators, whose top term falls at every step (the
+    order is translation-invariant): with s*G = Q*F + R throughout, Q and R
+    stay Gaussian-integer, and s grows only where a quotient coefficient
+    needs it (never when F divides G in Z[i][vars])."""
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     g, f = g._align(f)
-    if g.is_zero():
-        return Poly(g.vars)
-    fl_exps, fl_c = f.leading()
-    q_terms = {}
-    r = g
-    while not r.is_zero():
-        rl_exps, rl_c = r.leading()
-        d = tuple(a - b for a, b in zip(rl_exps, fl_exps))
+    key = Poly._gl_key
+    top_f = max(f.num, key=key)
+    lr, li = f.num[top_f]
+    n = lr * lr + li * li
+    rest = [(e, c) for e, c in f.num.items() if e != top_f]
+    r, q, s = dict(g.num), {}, 1
+    while r:
+        top = max(r, key=key)
+        d = tuple(map(sub, top, top_f))
         if any(e < 0 for e in d):
             return None
-        c = rl_c / fl_c
-        q_terms[d] = c
-        r = r - f * Poly(r.vars, {d: c})
-        if not r.is_zero() and Poly._gl_key(r.leading()[0]) >= Poly._gl_key(rl_exps):
-            return None
-    return Poly(g.vars, q_terms)
+        xr, xi = r.pop(top)
+        # x / lc(F) = (cr + ci*i) / n
+        cr, ci = xr * lr + xi * li, xi * lr - xr * li
+        k = n // gcd(n, cr, ci)
+        if k > 1:
+            r = {e: (a * k, b * k) for e, (a, b) in r.items()}
+            q = {e: (a * k, b * k) for e, (a, b) in q.items()}
+            s, cr, ci = s * k, cr * k, ci * k
+        cr, ci = cr // n, ci // n
+        q[d] = (cr, ci)
+        for e, (fr, fi) in rest:
+            e = tuple(map(add, e, d))
+            t = r.get(e, (0, 0))
+            t = (t[0] - cr * fr + ci * fi, t[1] - cr * fi - ci * fr)
+            if t[0] or t[1]:
+                r[e] = t
+            else:
+                del r[e]
+    # g / f = (G / g.den) / (F / f.den) = Q * f.den / (s * g.den)
+    return _lincomb(g.vars, ((f.den, 0, s * g.den, Poly._make(g.vars, q)),))
 
 
 def divides(f, g):
@@ -661,15 +729,16 @@ def poly_gcd(f, g):
     main = used[-1]
     i = f.vars.index(main)
     if len(used) == 1:
-        if len(f.terms) == 1 or len(g.terms) == 1:
-            return Poly.var(main, f.vars) ** min(e[i] for h in (f, g) for e in h.terms)
+        if len(f.num) == 1 or len(g.num) == 1:
+            return Poly.var(main, f.vars) ** min(e[i] for h in (f, g) for e in h.num)
         cont_gcd = Poly.const(1, f.vars)
-        (_, A), (_, B) = (_dense_coeff_list(h, main, None) for h in (f, g))
+        A, B = (_dense_coeff_list(h, main, None) for h in (f, g))
     else:
         cf, pf = cont_pp_static(f, main)
         cg, pg = cont_pp_static(g, main)
         cont_gcd = poly_gcd(cf, cg)
-        A, B = _coeff_list(pf, main), _coeff_list(pg, main)
+        # the gcd is defined up to a scalar: run the PRS on the numerators
+        A, B = (_coeff_list(Poly._make(h.vars, h.num), main) for h in (pf, pg))
     if len(A) < len(B):
         A, B = B, A
     for A, B, _ in _subresultant_prs(A, B):
@@ -681,8 +750,8 @@ def poly_gcd(f, g):
         return _from_dense(ZiPoly([b.c[0] if b.c else (0, 0) for b in reversed(B)]),
                            f.vars, main, 1).monic()
     n = len(B) - 1
-    last = Poly(f.vars, {e[:i] + (n - k,) + e[i:]: c
-                         for k, b in enumerate(B) for e, c in b.terms.items()})
+    last = Poly._make(f.vars, {e[:i] + (n - k,) + e[i:]: c
+                               for k, b in enumerate(B) for e, c in b.num.items()})
     _, last = cont_pp_static(last, main)
     return (cont_gcd * last).monic()
 
@@ -806,27 +875,24 @@ class ZiPoly:
 
 
 def _dense_coeff_list(f, name, t):
-    """(s, coefficients of s*f in `name`, highest degree first, as ZiPoly in
-    t), with s the least common denominator of f's coefficients.  Every
-    other variable of f is unused; t is None when the coefficients are
-    constants."""
-    s = lcm(*(c.d for c in f.terms.values()))
+    """The coefficients of the numerator f.den * f in `name`, highest degree
+    first, as ZiPoly in t.  Every other variable of f is unused; t is None
+    when the coefficients are constants."""
     i = f.vars.index(name)
     j = None if t is None else f.vars.index(t)
     rows = {}
-    for exps, c in f.terms.items():
-        m = s // c.d
-        rows.setdefault(exps[i], {})[0 if j is None else exps[j]] = (c.a * m, c.b * m)
-    return s, [ZiPoly([row.get(k, (0, 0)) for k in range(max(row, default=-1) + 1)])
-               for row in (rows.get(d, {}) for d in range(max(rows), -1, -1))]
+    for exps, c in f.num.items():
+        rows.setdefault(exps[i], {})[0 if j is None else exps[j]] = c
+    return [ZiPoly([row.get(k, (0, 0)) for k in range(max(row, default=-1) + 1)])
+            for row in (rows.get(d, {}) for d in range(max(rows), -1, -1))]
 
 
 def _from_dense(r, vars, t, s):
     """The Poly over `vars` of the ZiPoly r in t (None: a constant), over
     the integer denominator s."""
     j = None if t is None else vars.index(t)
-    return Poly(vars, {tuple(k if w == j else 0 for w in range(len(vars))):
-                       GaussianRational(re, im, s) for k, (re, im) in enumerate(r.c)})
+    return Poly._make(vars, {tuple(k if w == j else 0 for w in range(len(vars))): c
+                             for k, c in enumerate(r.c) if c != (0, 0)}, s)
 
 
 # ------------------------------------------------------------- resultants
@@ -836,7 +902,7 @@ def _coeff_list(f, name):
     """Coefficients of f in `name`, highest degree first, zeros included, as
     polynomials in the other variables of f."""
     cs = f.coeffs_in(name)
-    zero = Poly(tuple(w for w in f.vars if w != name))
+    zero = Poly._make(tuple(w for w in f.vars if w != name), {})
     return [cs.get(d, zero) for d in range(max(cs), -1, -1)]
 
 
@@ -913,7 +979,7 @@ def _pseudo_rem_list(a, b):
 
 def _div_or_raise(num, den):
     q = num.exact_div(den) if isinstance(num, ZiPoly) else exact_div(num, den)
-    if q is None:
+    if q is None or isinstance(q, Poly) and q.den != 1:
         raise ArithmeticError("subresultant exact division failed")
     return q
 
@@ -964,10 +1030,10 @@ def _prs_resultant(A, B):
 def resultant(a, b, eliminate):
     """Resultant eliminating `eliminate`: the Sylvester determinant with the
     fixed row convention (a-rows on top), sign included, computed by the
-    subresultant PRS over the ring of the other variables.  When at most one
-    other variable t is used and neither input is Laurent, that ring is the
-    dense Z[i][t], on the inputs cleared of denominators:
-    Res(sa*a, sb*b) = sa^deg(b) * sb^deg(a) * Res(a, b)."""
+    subresultant PRS over the ring of the other variables, on the numerators
+    sa*a and sb*b: Res(sa*a, sb*b) = sa^deg(b) * sb^deg(a) * Res(a, b).
+    When at most one other variable t is used and neither input is Laurent,
+    that ring is the dense Z[i][t]."""
     if a.is_zero() or b.is_zero():
         raise ValueError("resultant of a zero polynomial")
     da = a.degree_in(eliminate) if eliminate in a.vars else 0
@@ -975,13 +1041,14 @@ def resultant(a, b, eliminate):
     if da <= 0 or db <= 0:
         raise ValueError(f"both inputs must have positive degree in {eliminate}")
     a, b = a._align(b)
+    s = a.den ** db * b.den ** da
     rest = (a.used_vars() | b.used_vars()) - {eliminate}
     if len(rest) > 1 or a.is_laurent() or b.is_laurent():
-        return _prs_resultant(_coeff_list(a, eliminate), _coeff_list(b, eliminate))
+        r = _prs_resultant(*(_coeff_list(Poly._make(f.vars, f.num), eliminate) for f in (a, b)))
+        return Poly._make(r.vars, r.num, s)
     t = rest.pop() if rest else None
-    (sa, A), (sb, B) = (_dense_coeff_list(f, eliminate, t) for f in (a, b))
-    return _from_dense(_prs_resultant(A, B), tuple(w for w in a.vars if w != eliminate),
-                       t, sa ** db * sb ** da)
+    A, B = (_dense_coeff_list(f, eliminate, t) for f in (a, b))
+    return _from_dense(_prs_resultant(A, B), tuple(w for w in a.vars if w != eliminate), t, s)
 
 
 def resultant_allow_constant(a, b, eliminate):

@@ -3,126 +3,77 @@ with invertible linear part, origin translation, and the exact decision
 whether a map is a polynomial automorphism.
 
 All coefficients are exact Gaussian rationals; truncation is by total degree,
-so every identity below means "equal through total degree N".  A series
-stores them as Gaussian-integer numerators over one shared denominator and
-does its arithmetic in Python ints; a `GaussianRational` is built only where
-a coefficient leaves the series.
+so every identity below means "equal through total degree N".  A series is
+truncation on top of the `Poly` kernel: a `Poly` with no term above the
+order, Gaussian-integer numerators over one shared denominator, and a
+product that stops at the order.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
-
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational
-from .poly import Poly, PolyMap, jacobian
+from .poly import Poly, PolyMap, _lincomb, _mul_num, jacobian
 
 
 class TruncSeries2:
-    """Bivariate series truncated at total degree `order` (inclusive).
+    """Bivariate series truncated at total degree `order` (inclusive): the
+    polynomial `poly` of its terms, in (u, v) unless told otherwise."""
 
-    `num` maps (eu, ev) to a nonzero (re, im) int pair and `den` > 0 is the
-    shared denominator; the triple is reduced (gcd of `den` and every part is
-    1), so the form is canonical.
-    """
-
-    __slots__ = ("order", "num", "den", "vars")
+    __slots__ = ("order", "poly")
 
     def __init__(self, order, terms=None, vars=("u", "v")):
         if order < 1:
             raise ValueError("truncation order must be positive")
+        if any(eu < 0 or ev < 0 for eu, ev in terms or ()):
+            raise ValueError("series exponents must be nonnegative")
         self.order = int(order)
-        self.vars = tuple(vars)
-        kept = {}
-        for (eu, ev), c in (terms or {}).items():
-            if eu < 0 or ev < 0:
-                raise ValueError("series exponents must be nonnegative")
-            if eu + ev > self.order:
-                continue
-            c = GaussianRational.coerce(c)
-            if c:
-                kept[(eu, ev)] = c
-        # over the lcm of reduced denominators the triple is already reduced
-        self.den = lcm(*(c.d for c in kept.values()))
-        self.num = {e: (c.a * (self.den // c.d), c.b * (self.den // c.d))
-                    for e, c in kept.items()}
-
-    @classmethod
-    def _make(cls, order, num, den, vars):
-        """Trusted constructor: `num` is truncated at `order` and has no zero
-        pair; the triple is reduced here by its content."""
-        s = object.__new__(cls)
-        # with no terms the gcd is den itself, and den becomes 1
-        g = gcd(den, *(x for pair in num.values() for x in pair)) if den != 1 else 1
-        if g > 1:
-            num = {e: (re // g, im // g) for e, (re, im) in num.items()}
-        s.order, s.num, s.den, s.vars = order, num, den // g, vars
-        return s
+        self.poly = Poly(vars, {e: c for e, c in (terms or {}).items() if sum(e) <= order})
 
     def _at(self, order):
         """The same coefficients at another truncation order."""
-        return TruncSeries2._make(order, {e: c for e, c in self.num.items()
-                                          if e[0] + e[1] <= order}, self.den, self.vars)
+        p = self.poly
+        if order < self.order:
+            p = Poly._make(p.vars, {e: c for e, c in p.num.items() if sum(e) <= order}, p.den)
+        return _series(order, p)
+
+    @property
+    def vars(self):
+        return self.poly.vars
 
     @property
     def terms(self):
         """{(eu, ev): GaussianRational}, the nonzero coefficients."""
-        return {e: GaussianRational(re, im, self.den) for e, (re, im) in self.num.items()}
+        return self.poly.terms
 
     # ------------------------------------------------------------ arithmetic
 
     def __add__(self, other):
-        return _combine(((1, 0, 1, self), (1, 0, 1, other)),
-                        min(self.order, other.order), self.vars)
+        n = min(self.order, other.order)
+        return _series(n, self._at(n).poly + other._at(n).poly)
 
     def __sub__(self, other):
-        return _combine(((1, 0, 1, self), (-1, 0, 1, other)),
-                        min(self.order, other.order), self.vars)
+        n = min(self.order, other.order)
+        return _series(n, self._at(n).poly - other._at(n).poly)
 
     def __mul__(self, other):
         """Product with a series (truncated at the lower order) or with a
         scalar (a `GaussianRational` or an int)."""
         if not isinstance(other, TruncSeries2):
-            c = GaussianRational.coerce(other)
-            return _combine(((c.a, c.b, c.d, self),), self.order, self.vars)
+            return _series(self.order, self.poly.scale(other))
         n = min(self.order, other.order)
-        # exponent (a, b) of degree <= n sits at index a*w + b of a dense
-        # accumulator; the index of a product is the sum of the indices
-        w = n + 1
-        rows = other._rows(w)
-        acc_re, acc_im = [0] * (w * w), [0] * (w * w)
-        for d1, k1, r1, i1 in self._rows(w):
-            if d1 > n:
-                break
-            room = n - d1
-            for d2, k2, r2, i2 in rows:
-                if d2 > room:
-                    break
-                acc_re[k1 + k2] += r1 * r2 - i1 * i2
-                acc_im[k1 + k2] += r1 * i2 + i1 * r2
-        return _from_dense(n, acc_re, acc_im, self.den * other.den, self.vars)
-
-    def _rows(self, w):
-        """(total degree, dense index, re, im) of each term, by degree."""
-        return sorted((a + b, a * w + b, re, im) for (a, b), (re, im) in self.num.items())
+        a, b = self.poly, other.poly
+        return _series(n, Poly._make(a.vars, _mul_num(a.num, b.num, n), a.den * b.den))
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries2):
             return NotImplemented
-        return self.order == other.order and self.den == other.den and self.num == other.num
-
-    def constant(self):
-        c = self.num.get((0, 0))
-        return GR_ZERO if c is None else GaussianRational(c[0], c[1], self.den)
-
-    def max_nonzero_degree(self):
-        return max((e[0] + e[1] for e in self.num), default=None)
+        return self.order == other.order and self.poly == other.poly
 
     def to_poly(self):
-        return Poly(self.vars, self.terms)
+        return self.poly
 
     def __str__(self):
-        body = str(self.to_poly())
-        return f"{body} + O(deg {self.order + 1})"
+        return f"{self.poly} + O(deg {self.order + 1})"
 
     __repr__ = __str__
 
@@ -136,32 +87,11 @@ class TruncSeries2:
         }
 
 
-def _from_dense(order, acc_re, acc_im, den, vars):
-    """The series whose coefficient of u^a v^b is (acc_re[k] + acc_im[k] i)/den,
-    k = a*(order+1) + b."""
-    w = order + 1
-    num = {}
-    for a in range(w):
-        for k in range(a * w, a * w + w - a):
-            if acc_re[k] or acc_im[k]:
-                num[(a, k - a * w)] = (acc_re[k], acc_im[k])
-    return TruncSeries2._make(order, num, den, vars)
-
-
-def _combine(parts, order, vars):
-    """sum of c * s over `parts` = ((c.a, c.b, c.d, s), ...), truncated at
-    `order`, over the lcm of the denominators c.d * s.den."""
-    den = lcm(*(cd * s.den for _, _, cd, s in parts))
-    w = order + 1
-    acc_re, acc_im = [0] * (w * w), [0] * (w * w)
-    for ca, cb, cd, s in parts:
-        m = den // (cd * s.den)
-        ka, kb = m * ca, m * cb
-        for (a, b), (re, im) in s.num.items():
-            if a + b <= order:
-                acc_re[a * w + b] += re * ka - im * kb
-                acc_im[a * w + b] += re * kb + im * ka
-    return _from_dense(order, acc_re, acc_im, den, vars)
+def _series(order, poly):
+    """Trusted constructor: `poly` has no term above total degree `order`."""
+    s = object.__new__(TruncSeries2)
+    s.order, s.poly = order, poly
+    return s
 
 
 class SeriesMap:
@@ -211,7 +141,7 @@ def truncate(f, order, vars=("u", "v")):
 
 
 def _map_into_series(p, q, s1, s2, order):
-    """(p(s1, s2), q(s1, s2)) truncated at `order`.
+    """(p(s1, s2), q(s1, s2)) truncated at `order`, which s1 and s2 reach.
 
     Each polynomial is grouped as sum_j c_j(x) y^j: each c_j(s1) is a scalar
     combination of the powers of s1, which both polynomials share, and the
@@ -223,31 +153,30 @@ def _map_into_series(p, q, s1, s2, order):
         ix = f.vars.index("x") if "x" in f.vars else None
         iy = f.vars.index("y") if "y" in f.vars else None
         rows = {}
-        for exps, c in f.terms.items():
+        for exps, c in f.num.items():
             ex = exps[ix] if ix is not None else 0
-            row = rows.setdefault(exps[iy] if iy is not None else 0, {})
-            row[ex] = row.get(ex, GR_ZERO) + c
-        grouped.append(rows)
-    top_x = max((ex for rows in grouped for row in rows.values() for ex in row), default=0)
-    pow1 = [TruncSeries2._make(order, {(0, 0): (1, 0)}, 1, s1.vars)]
+            rows.setdefault(exps[iy] if iy is not None else 0, {})[ex] = c
+        grouped.append((rows, f.den))
+    top_x = max((ex for rows, _ in grouped for row in rows.values() for ex in row), default=0)
+    pow1 = [_series(order, Poly.const(1, s1.vars))]
     while len(pow1) <= top_x:
         pow1.append(pow1[-1] * s1)
 
-    def c_of_s1(row):
-        return _combine([(c.a, c.b, c.d, pow1[ex]) for ex, c in row.items()],
-                        min(pow1[ex].order for ex in row), s1.vars)
+    def c_of_s1(row, den):
+        return _series(order, _lincomb(s1.vars, [(re, im, den, pow1[ex].poly)
+                                                 for ex, (re, im) in row.items()]))
 
     out = []
-    for rows in grouped:
+    for rows, den in grouped:
         if not rows:
-            out.append(TruncSeries2(order, {}, s1.vars))
+            out.append(_series(order, Poly._make(s1.vars, {})))
             continue
         top_y = max(rows)
-        result = c_of_s1(rows[top_y])
+        result = c_of_s1(rows[top_y], den)
         for j in range(top_y - 1, -1, -1):
             result = result * s2
             if j in rows:
-                result = result + c_of_s1(rows[j])
+                result = result + c_of_s1(rows[j], den)
         out.append(result)
     return tuple(out)
 
@@ -259,7 +188,7 @@ def compose_truncated(G, F, order=None):
     series at the origin in any controlled sense here).
     """
     n = order if order is not None else G.order
-    if G.g1.constant() or G.g2.constant():
+    if G.g1.poly.constant_value() or G.g2.poly.constant_value():
         raise ValueError("inner series must fix the origin (constant-term mismatch)")
     g1, g2 = (g._at(n) for g in (G.g1, G.g2))
     return SeriesMap(*_map_into_series(F.p, F.q, g1, g2, n))
@@ -369,14 +298,14 @@ def automorphism_verdict(F, G):
     constant_jf = has_constant_jacobian(F)
     m = G.order
     if constant_jf:
-        e = max(G.g1.max_nonzero_degree() or 0, G.g2.max_nonzero_degree() or 0)
+        e = max(G.g1.poly.total_degree() or 0, G.g2.poly.total_degree() or 0)
         m = max(m, max(F.deg_p, F.deg_q) * e)
     FG = compose_truncated(G, F, m)
     resid = SeriesMap(FG.g1 - TruncSeries2(m, {(1, 0): GR_ONE}),
                       FG.g2 - TruncSeries2(m, {(0, 1): GR_ONE}))
     if not constant_jf:
         return {"value": False, "reason": "JF is not a nonzero constant"}, resid
-    degrees = [sum(t) for s in (resid.g1, resid.g2) for t in s.num]
+    degrees = [sum(t) for s in (resid.g1, resid.g2) for t in s.poly.num]
     if degrees:
         return {"value": False,
                 "reason": f"F o G differs from (u, v) at degree {min(degrees)}"}, resid

@@ -197,6 +197,30 @@ def test_certify_points_avoid_other_candidates_and_critical_values():
         assert all(s["count"] == 1 for s in v["samples"])
 
 
+# seeds 12 and 14 of tools/seeded_maps.py: the only candidate (v, resp. u)
+# divides the critical-value curve, so every point of it is on the avoid
+# locus and there is nothing to sample
+_INSIDE_CRITICAL = [
+    ("(4-2i)*x*y^2 - (1-5i)*x*y + (1-5i)*x", "(-3+2i)*x^2*y^2", "v"),
+    ("(5+3i)*x^2*y^2", "(-1-1i)*x*y^2 + (5+2i)*x^2", "u"),
+]
+
+
+@pytest.mark.parametrize("p, q, comp", _INSIDE_CRITICAL, ids=["seed12", "seed14"])
+def test_candidate_inside_the_critical_curve_takes_no_samples(p, q, comp):
+    report = exceptional_report(PolyMap(p, q))
+    assert divides(pe(comp, UV), report.critical.defining)
+    assert report.verdicts == [{"tag": report.verdicts[0]["tag"], "component": comp,
+                                "confirmed": False, "inside_critical": True, "samples": []}]
+    # A_F is the critical-value curve, which holds the candidate already
+    assert report.curve.defining == report.critical.defining
+
+
+def test_verdicts_off_the_critical_curve_are_marked(ml_map):
+    verdicts = exceptional_report(ml_map).verdicts
+    assert verdicts and all(v["inside_critical"] is False and v["samples"] for v in verdicts)
+
+
 def test_line_u_zero_has_full_fibers_and_is_not_a_candidate(ml_map):
     # the exact evidence behind criterion 2: on {u = 0}, off u^3 + v^2, the
     # fiber has deg_geo points, and u is no factor of the candidates

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -605,3 +606,196 @@ def _coeff_list(f, var, t0):
         c = cs.get(d)
         out.append(GaussianRational(0) if c is None else c.evaluate({"t": t0}))
     return out
+
+
+# ------------------------------------------------ resultants in four variables
+
+XYUV = ("x", "y", "u", "v")
+
+
+def test_four_variable_resultants_match_sylvester_determinant():
+    # shaped like exceptional._fiber_equations: P - u and Q - v over
+    # (x, y, u, v) with rational coefficients, on the sparse path.  y is
+    # eliminated from each against a third polynomial h in (x, y), and x
+    # then from the two results, as in exceptional._eliminate_order
+    rng = random.Random(83)
+    # a leading coefficient in y that involves x
+    pairs = [(pe("1/2*x*y^2 + (1-2i)/3*y + x"), pe("(2+1i)*x^2*y - 3/4*y + x"))]
+    while len(pairs) < 5:
+        p, q = (random_poly(rng, max_deg=2, n_terms=4) for _ in range(2))
+        if all(f.degree_in(w) for f in (p, q) for w in XY):
+            pairs.append((p, q))
+    u, v = Poly.var("u", XYUV), Poly.var("v", XYUV)
+    for p, q in pairs:
+        f, g = p._with_vars(XYUV) - u, q._with_vars(XYUV) - v
+        assert not (f.has_gaussian_integer_coeffs() and g.has_gaussian_integer_coeffs())
+        for name in XY:
+            assert resultant(f, g, name) == _sylvester_det(f, g, name), (p, q, name)
+        h = random_poly(rng, max_deg=1, n_terms=3)._with_vars(XYUV) + Poly.var("y", XYUV)
+        t1, t2 = resultant(f, h, "y"), resultant(g, h, "y")
+        assert t1 == _sylvester_det(f, h, "y") and t2 == _sylvester_det(g, h, "y")
+        if t1.degree_in("x") and t2.degree_in("x"):
+            assert resultant(t1, t2, "x") == _sylvester_det(t1, t2, "x"), (p, q, h)
+
+
+# ------------------------------------------ the int kernel against an oracle
+# A per-term oracle in Q(i): a polynomial is {monomial: GaussianRational},
+# a monomial the sorted ((variable, exponent), ...) of its used variables,
+# so that operands over different variable tuples need no alignment.
+
+def _mono(vars, exps):
+    return tuple(sorted((w, e) for w, e in zip(vars, exps) if e))
+
+
+def _ref(p):
+    return {_mono(p.vars, e): c for e, c in p.terms.items()}
+
+
+def _ref_sum(pairs):
+    out = {}
+    for m, c in pairs:
+        out[m] = out.get(m, GaussianRational(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    def mono_mul(m1, m2):
+        d = dict(m1)
+        for w, e in m2:
+            d[w] = d.get(w, 0) + e
+        return tuple(sorted((w, e) for w, e in d.items() if e))
+    return _ref_sum((mono_mul(m1, m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items())
+
+
+def _ref_monic(p):
+    """Divided by the coefficient of the graded-lex largest exponent tuple."""
+    terms = p.terms
+    lc = terms[max(terms, key=lambda e: (sum(e), e))] if terms else None
+    return {_mono(p.vars, e): c / lc for e, c in terms.items()}
+
+
+def _ref_exact_div(g, f):
+    """Graded-lex leading-term elimination, one GaussianRational per term."""
+    g, f = g._align(f)
+    key = lambda e: (sum(e), e)  # noqa: E731
+    r, ft = g.terms, f.terms
+    top = max(ft, key=key)
+    q = {}
+    while r:
+        rt = max(r, key=key)
+        d = tuple(a - b for a, b in zip(rt, top))
+        if any(e < 0 for e in d):
+            return None
+        c = r[rt] / ft[top]
+        q[_mono(g.vars, d)] = c
+        for e, k in ft.items():
+            e = tuple(a + b for a, b in zip(e, d))
+            r[e] = r.get(e, GaussianRational(0)) - c * k
+            if not r[e]:
+                del r[e]
+    return q
+
+
+def _assert_kernel_form(p):
+    assert p.den > 0
+    assert all(re or im for re, im in p.num.values())
+    assert math.gcd(p.den, *(x for pair in p.num.values() for x in pair)) == 1
+    assert Poly(p.vars, p.terms) == p
+
+
+_KERNEL_VARS = (XY, ("y", "x"), ("x",), ("x", "y", "u"), ("u", "v"))
+
+
+def test_kernel_matches_per_term_oracle():
+    rng = random.Random(89)
+    zero = Poly(XY)
+    for _ in range(60):
+        a, b = (random_poly(rng, vars=rng.choice(_KERNEL_VARS), max_deg=3, n_terms=5,
+                            laurent=rng.random() < 0.3) for _ in range(2))
+        neg_b = {m: -c for m, c in _ref(b).items()}
+        cases = [(a + b, _ref_sum([*_ref(a).items(), *_ref(b).items()])),
+                 (a - b, _ref_sum([*_ref(a).items(), *neg_b.items()])),
+                 (a - a, {}), (a + (-a), {}), (a + zero, _ref(a)), (a * zero, {}),
+                 (a * b, _ref_mul(_ref(a), _ref(b))),
+                 (a.monic(), _ref_monic(a))]
+        for c in (0, 2, GaussianRational(1, -2, 3)):
+            cases.append((a.scale(c), {m: k * c for m, k in _ref(a).items() if k * c}))
+        ab = a * b
+        r = random_poly(rng, vars=a.vars, max_deg=2, n_terms=2)
+        for g, f in ((ab, b), (ab, a), (ab + r, b), (a, b), (zero, b)):
+            got, want = poly.exact_div(g, f), _ref_exact_div(g, f)
+            assert (got is None) == (want is None), (g, f)
+            if got is not None:
+                cases.append((got, want))
+        if not (a.is_laurent() or b.is_laurent()):
+            # (on Laurent input, leading-term elimination can miss a quotient)
+            assert _ref(poly.exact_div(ab, b)) == _ref(a)
+        for got, want in cases:
+            _assert_kernel_form(got)
+            assert _ref(got) == want, (a, b, got)
+        for x, y in ((a + b, b + a), (a * b, b * a), (a, a._with_vars(XYUV + a.vars[4:]))):
+            if set(y.vars) >= set(x.vars):
+                assert x == y and hash(x) == hash(y)
+
+
+def test_kernel_edge_cases():
+    # the zero polynomial, and a sum that cancels to zero
+    zero = Poly(UV)
+    assert zero.is_zero() and zero.den == 1 and zero.monic() == zero
+    f = pe("1/2*u^2 + (1+1i)/3*v", UV)
+    s = f + pe("-1/2*u^2 - (1+1i)/3*v", UV)
+    assert s.is_zero() and s.den == 1 and s == zero and hash(s) == hash(zero)
+    assert f.scale(0).is_zero() and f.scale(0).den == 1
+    # monic with a non-real leading coefficient
+    g = Poly(XY, {(2, 0): GaussianRational(1, 2, 3), (0, 1): GaussianRational(5)})
+    m = g.monic()
+    _assert_kernel_form(m)
+    assert m.leading() == ((2, 0), GaussianRational(1))
+    assert _ref(m) == _ref_monic(g)
+    # exact_div gives None where the oracle does, also on Laurent input
+    for num, den in ((pe("x^2 + 1"), pe("x + 1")), (pe("x*y + 1"), pe("2*x")),
+                     (pe("x^-1*y^2 + y"), pe("x^-1 + 1/3*y^2")), (pe("1"), pe("x"))):
+        assert poly.exact_div(num, den) is None and _ref_exact_div(num, den) is None
+    # a quotient with non-integral coefficients, divided by a non-monic f
+    h = pe("(1+2i)/5*x*y - 3/7")
+    q = poly.exact_div(h * pe("(2-1i)*x + 1/2*y"), pe("(2-1i)*x + 1/2*y"))
+    assert q == h and q.den == 35
+    # equal polynomials over different variable tuples hash alike
+    assert f == f._with_vars(XYUV) and hash(f) == hash(f._with_vars(XYUV))
+
+
+def _ref_evaluate(p, values):
+    """Per-term substitution of Gaussian rationals, Laurent exponents too."""
+    out = {}
+    for exps, c in p.terms.items():
+        for w, e in zip(p.vars, exps):
+            if w in values:
+                for _ in range(abs(e)):
+                    c = c * values[w] if e > 0 else c / values[w]
+        m = _mono([w for w in p.vars if w not in values],
+                  [e for w, e in zip(p.vars, exps) if w not in values])
+        out[m] = out.get(m, GaussianRational(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def test_evaluation_at_gaussian_rationals_matches_per_term_oracle():
+    rng = random.Random(97)
+    for _ in range(40):
+        f = random_poly(rng, vars=("x", "y", "u"), max_deg=3, n_terms=6, laurent=rng.random() < 0.5)
+        x0, y0 = (v or GaussianRational(1, 1, 2) for v in random_point(rng))
+        for values in ({"x": x0}, {"x": x0, "u": y0}):
+            got = f.evaluate(values)
+            _assert_kernel_form(got)
+            assert _ref(got) == _ref_evaluate(f, values), (f, values)
+        full = {"x": x0, "y": y0, "u": y0}
+        assert f.evaluate(full) == _ref_evaluate(f, full).get((), GaussianRational(0))
+
+
+def test_sparse_prs_division_must_be_gaussian_integral():
+    # every coefficient of the sparse remainder sequence is a numerator over
+    # Z[i]: a division that is exact only over Q(i) is an error
+    xy = pe("x*y")
+    assert poly._div_or_raise(xy * pe("(1+1i)*x - 2"), pe("(1+1i)*x - 2")) == xy
+    for num, den in ((pe("x"), pe("2")), (pe("x*y"), pe("(1+1i)*x")), (pe("x + 1"), pe("x"))):
+        with pytest.raises(ArithmeticError, match="subresultant exact division failed"):
+            poly._div_or_raise(num, den)

@@ -239,10 +239,11 @@ def _ref_product(t1, t2, order):
 
 
 def _assert_canonical(s):
-    assert s.den > 0
-    assert math.gcd(s.den, *(x for pair in s.num.values() for x in pair)) == 1
-    assert all(re or im for re, im in s.num.values())
-    assert all(eu >= 0 and ev >= 0 and eu + ev <= s.order for eu, ev in s.num)
+    p = s.poly
+    assert p.den > 0
+    assert math.gcd(p.den, *(x for pair in p.num.values() for x in pair)) == 1
+    assert all(re or im for re, im in p.num.values())
+    assert all(eu >= 0 and ev >= 0 and eu + ev <= s.order for eu, ev in p.num)
     assert TruncSeries2(s.order, s.terms) == s
 
 
@@ -269,8 +270,8 @@ def test_series_constructor_puts_terms_over_their_lcm():
     s = TruncSeries2(3, {(1, 0): GaussianRational(1, 1, 2), (0, 1): GaussianRational(0, 1, 3),
                          (2, 0): 4, (0, 0): 0, (4, 0): 1})
     _assert_canonical(s)
-    assert s.den == 6
-    assert s.num == {(1, 0): (3, 3), (0, 1): (0, 2), (2, 0): (24, 0)}
+    assert s.poly.den == 6
+    assert s.poly.num == {(1, 0): (3, 3), (0, 1): (0, 2), (2, 0): (24, 0)}
 
 
 def test_local_inverse_builds_few_gaussian_rationals(ml_map, monkeypatch):
