@@ -1044,11 +1044,18 @@ def resultant(a, b, eliminate):
     s = a.den ** db * b.den ** da
     rest = (a.used_vars() | b.used_vars()) - {eliminate}
     if len(rest) > 1 or a.is_laurent() or b.is_laurent():
+        _reject_negative_powers(a, b, eliminate)
         r = _prs_resultant(*(_coeff_list(Poly._make(f.vars, f.num), eliminate) for f in (a, b)))
         return Poly._make(r.vars, r.num, s)
     t = rest.pop() if rest else None
     A, B = (_dense_coeff_list(f, eliminate, t) for f in (a, b))
     return _from_dense(_prs_resultant(A, B), tuple(w for w in a.vars if w != eliminate), t, s)
+
+
+def _reject_negative_powers(a, b, name):
+    """The Sylvester matrix has no column for a negative power of `name`."""
+    if any(e[f.vars.index(name)] < 0 for f in (a, b) if name in f.vars for e in f.num):
+        raise ValueError(f"resultant of a Laurent polynomial in {name}")
 
 
 def resultant_allow_constant(a, b, eliminate):
@@ -1060,6 +1067,7 @@ def resultant_allow_constant(a, b, eliminate):
     da, db = da or 0, db or 0
     if da > 0 and db > 0:
         return resultant(a, b, eliminate)
+    _reject_negative_powers(a, b, eliminate)
     if da == 0 and db == 0:
         return Poly.const(1, a.vars)
     if da == 0:

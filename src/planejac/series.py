@@ -198,15 +198,16 @@ def local_inverse(F, order):
     """The truncated formal inverse series G with F o G = id = G o F through
     total degree `order`.
 
-    Requires F(0,0) = (0,0) and an invertible linear part.  Splits F = L + H
-    and iterates G <- L^{-1} o (Id - H o G) on a precision ladder: G starts
-    as L^{-1}, exact through degree 1, and pass k runs at order k + 1.  H has
-    no terms below degree 2, so that pass makes G exact through degree k + 1
-    and no pass computes a coefficient the next one overwrites.
+    Requires F(0,0) = (0,0) and an invertible linear part L.  Newton's
+    iteration on the series (Brent & Kung, JACM 25, 1978): G starts as
+    L^{-1}, exact through degree 1, and a step from degree n to
+    m = min(2n, order) sets G <- G - DG.E at order m, with E = F o G - (u, v)
+    and DG the Jacobian matrix of G, so ceil(log2(order)) substitutions in
+    all.  DG stands in for DF(G)^{-1}: with G* the true inverse,
+    DF(G*).DG* = I, and as G - G* and E start at degree n + 1 while
+    DG - DG* starts at degree n, DG.E = G - G* through degree 2n.
     """
-    p00 = F.p.evaluate({"x": 0, "y": 0})
-    q00 = F.q.evaluate({"x": 0, "y": 0})
-    if p00 or q00:
+    if F.p.evaluate({"x": 0, "y": 0}) or F.q.evaluate({"x": 0, "y": 0}):
         raise ValueError("map must fix the origin; translate first")
     # linear part L = [[a, b], [c, d]] acting on (x, y)
     a = F.p.terms.get(_exps(F.p.vars, 1, 0), GR_ZERO)
@@ -216,35 +217,24 @@ def local_inverse(F, order):
     det = a * d - b * c
     if not det:
         raise ValueError("linear part is singular; no formal inverse")
-    # L^{-1} applied to (u, v)
-    inv = (
-        (d / det, -b / det),
-        (-c / det, a / det),
-    )
-    hp = F.p - _linear_poly(F.p.vars, a, b)
-    hq = F.q - _linear_poly(F.q.vars, c, d)
-
+    g1 = TruncSeries2(1, {(1, 0): d / det, (0, 1): -b / det})
+    g2 = TruncSeries2(1, {(1, 0): -c / det, (0, 1): a / det})
     ident_u = TruncSeries2(order, {(1, 0): GR_ONE})
     ident_v = TruncSeries2(order, {(0, 1): GR_ONE})
-    g1 = TruncSeries2(1, {(1, 0): inv[0][0], (0, 1): inv[0][1]})
-    g2 = TruncSeries2(1, {(1, 0): inv[1][0], (0, 1): inv[1][1]})
-    for n in range(2, order + 1):
-        g1 = g1._at(n)
-        g2 = g2._at(n)
-        h1, h2 = _map_into_series(hp, hq, g1, g2, n)
-        r1 = ident_u - h1
-        r2 = ident_v - h2
-        g1 = r1 * inv[0][0] + r2 * inv[0][1]
-        g2 = r1 * inv[1][0] + r2 * inv[1][1]
+    n = 1
+    while n < order:
+        n = min(2 * n, order)
+        g1, g2 = g1._at(n), g2._at(n)
+        f1, f2 = _map_into_series(F.p, F.q, g1, g2, n)
+        e1, e2 = f1 - ident_u, f2 - ident_v
+        g1u, g1v, g2u, g2v = (_series(n, g.poly.diff(w)) for g in (g1, g2) for w in "uv")
+        g1 = g1 - (e1 * g1u + e2 * g1v)
+        g2 = g2 - (e1 * g2u + e2 * g2v)
     return SeriesMap(g1, g2)
 
 
 def _exps(vars, ex, ey):
     return tuple(ex if w == "x" else ey if w == "y" else 0 for w in vars)
-
-
-def _linear_poly(vars, a, b):
-    return Poly(vars, {_exps(vars, 1, 0): a, _exps(vars, 0, 1): b})
 
 
 def translate_map(F, a, b):

@@ -219,6 +219,17 @@ def test_resultant_degenerate_degree_errors():
     assert r == pe("u*y - v", ("x", "y", "u", "v"))
 
 
+def test_resultant_rejects_negative_powers_of_the_eliminated_variable():
+    # the Sylvester matrix has no column for y^-1: this gave 4*x, and the
+    # constant-degree variant returned x + y^-1 as if of degree 0 in y
+    with pytest.raises(ValueError, match="Laurent"):
+        resultant(pe("x*y^2 + y^-1"), pe("y - 2"), "y")
+    with pytest.raises(ValueError, match="Laurent"):
+        poly.resultant_allow_constant(pe("y^-1 + x"), pe("y - 1"), "y")
+    # negative powers of the other variables stay allowed
+    assert poly.resultant_allow_constant(pe("x^-1"), pe("y - 1"), "y") == pe("x^-1")
+
+
 def test_resultant_vanishes_iff_common_root():
     rng = random.Random(37)
     hits = 0

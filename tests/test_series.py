@@ -290,9 +290,10 @@ def test_local_inverse_builds_few_gaussian_rationals(ml_map, monkeypatch):
     assert calls[0] < 10_000
 
 
-def test_local_inverse_climbs_one_order_per_pass(monkeypatch):
-    # pass k substitutes into both components of H at order k + 1; a loop
-    # that ran every pass at full order would show up here
+def test_local_inverse_doubles_its_order_per_newton_step(monkeypatch):
+    # each Newton step substitutes G into F once, at twice the order it had
+    # reached, capped at the target; a ladder of one order per pass, or a
+    # loop at full order throughout, would show up here
     orders = []
     real = series._map_into_series
 
@@ -302,10 +303,35 @@ def test_local_inverse_climbs_one_order_per_pass(monkeypatch):
 
     monkeypatch.setattr(series, "_map_into_series", recording)
     F = PolyMap(pe("x + y^2"), pe("y + x^3"))
-    for n in (1, 2, 9):
+    for n, want in ((1, []), (2, [2]), (9, [2, 4, 8, 9]), (16, [2, 4, 8, 16])):
         orders.clear()
         local_inverse(F, n)
-        assert orders == list(range(2, n + 1))
+        assert orders == want
+
+
+@pytest.mark.parametrize("n", [3, 5, 12, 17, 24])
+def test_local_inverse_recovers_automorphism_inverses_at_high_orders(n):
+    # orders off the powers of two, where the last Newton step stops short
+    # of doubling, and past the differential loop's 10
+    rng = random.Random(4100 + n)
+    maps = []
+    while len(maps) < 3 or max(max(M.deg_p, M.deg_q) for M, _ in maps) < 8:
+        maps = maps[-2:] + [random_automorphism(rng, max_total_deg=8, max_factors=3,
+                                                max_factor_deg=4)]
+    idu = TruncSeries2(n, {(1, 0): _one(1)})
+    idv = TruncSeries2(n, {(0, 1): _one(1)})
+    for M, Minv in maps:
+        G = local_inverse(M, n)
+        assert G.g1 == truncate(rename_xy_to_uv(Minv.p), n)
+        assert G.g2 == truncate(rename_xy_to_uv(Minv.q), n)
+        C = compose_truncated(G, M)
+        assert C.g1 == idu and C.g2 == idv
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_local_inverse_of_the_non_automorphism_matches_fixed_point_loop(ml_map, n):
+    F = translate_map(ml_map, _one(1), _one(1))
+    assert local_inverse(F, n) == _fixed_point_inverse(F, n)
 
 
 # ---------------------------------------------------------------- translation
