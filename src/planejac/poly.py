@@ -667,7 +667,8 @@ def exact_div(g, f):
     elimination on the numerators, whose top term falls at every step (the
     order is translation-invariant): with s*G = Q*F + R throughout, Q and R
     stay Gaussian-integer, and s grows only where a quotient coefficient
-    needs it (never when F divides G in Z[i][vars])."""
+    needs it (never when F divides G in Z[i][vars]).  Raises ValueError at a
+    negative quotient exponent on Laurent input, which it does not decide."""
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     g, f = g._align(f)
@@ -681,6 +682,8 @@ def exact_div(g, f):
         top = max(r, key=key)
         d = tuple(map(sub, top, top_f))
         if any(e < 0 for e in d):
+            if g.is_laurent() or f.is_laurent():
+                raise ValueError(f"Laurent polynomial {g if g.is_laurent() else f} in exact_div")
             return None
         xr, xi = r.pop(top)
         # x / lc(F) = (cr + ci*i) / n
@@ -906,19 +909,6 @@ def _coeff_list(f, name):
     return [cs.get(d, zero) for d in range(max(cs), -1, -1)]
 
 
-def sylvester_matrix(a, b, name):
-    """Sylvester matrix with a-coefficient rows on top, coefficients listed
-    from highest degree.  Its determinant (``det_bareiss``) is the definition
-    ``resultant`` is checked against."""
-    a, b = a._align(b)
-    A, B = _coeff_list(a, name), _coeff_list(b, name)
-    m, n = len(A) - 1, len(B) - 1
-    zero = Poly(A[0].vars)
-    rows = [[zero] * s + A + [zero] * (n - 1 - s) for s in range(n)]
-    rows += [[zero] * s + B + [zero] * (m - 1 - s) for s in range(m)]
-    return rows
-
-
 def det_bareiss(matrix):
     """Fraction-free determinant of a square matrix of Poly entries."""
     n = len(matrix)
@@ -1045,7 +1035,10 @@ def resultant(a, b, eliminate):
     rest = (a.used_vars() | b.used_vars()) - {eliminate}
     if len(rest) > 1 or a.is_laurent() or b.is_laurent():
         _reject_negative_powers(a, b, eliminate)
-        r = _prs_resultant(*(_coeff_list(Poly._make(f.vars, f.num), eliminate) for f in (a, b)))
+        try:
+            r = _prs_resultant(*(_coeff_list(Poly._make(f.vars, f.num), eliminate) for f in (a, b)))
+        except ValueError:  # only a Laurent exact_div raises it
+            raise ValueError(f"Laurent polynomial {a if a.is_laurent() else b} in resultant") from None
         return Poly._make(r.vars, r.num, s)
     t = rest.pop() if rest else None
     A, B = (_dense_coeff_list(f, eliminate, t) for f in (a, b))

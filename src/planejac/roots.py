@@ -1,8 +1,8 @@
 """Complex root finding for the numeric layers: start values, one Newton
 polish, and multiplicity clustering.
 
-A row's start values are -c1/c0 at degree 1, the stable quadratic formula at
-degree 2, and from degree 3 the eigenvalues of the companion matrix, which
+A row's start values are -c1/c0 at degree 1, stable closed forms at degrees
+2 and 3, and from degree 4 the eigenvalues of the companion matrix, which
 are backward stable roots (Edelman & Murakami, Math. Comp. 64, 1995).  One
 vectorized Newton polish and one residual test then serve every degree and
 every entry point: ``find_roots`` is a one-row call of ``find_roots_batch``,
@@ -53,13 +53,38 @@ def _quadratic(b, c):
     return np.column_stack([q, np.divide(c, q, out=np.zeros_like(q), where=q != 0)]) + 0.0
 
 
+def _cardano(a, b, c):
+    """Cardano's three roots of z^3 + a z^2 + b z + c, from the cube root of
+    the larger of -q/2 +- sqrt(q^2/4 + p^3/27): no cancellation there."""
+    p, q = b - a * a / 3, (2 * a * a - 9 * b) * a / 27 + c
+    r = np.sqrt(q * q / 4 + p ** 3 / 27)
+    u = (np.where((q.conj() * r).real > 0, -r, r) - q / 2) ** (1 / 3)
+    v = np.divide(-p, 3 * u, out=np.zeros_like(u), where=u != 0)
+    w = np.exp(2j * np.pi / 3 * np.arange(3))
+    return u[:, None] * w + v[:, None] * w.conj() - a[:, None] / 3
+
+
+def _cubic(a, b, c):
+    """The roots of z^3 + a z^2 + b z + c: Cardano's largest, z1, and the
+    ``_quadratic`` of the others' sum -a - z1 and product -c/z1, which
+    Cardano alone loses for a widely spread row (roots 1e-8, 1, 1e8)."""
+    bound = np.maximum(np.maximum(np.abs(a), np.sqrt(np.abs(b))), np.cbrt(np.abs(c)))  # Fujiwara
+    s = np.ldexp(1.0, np.frexp(bound)[1])  # 2^k in (bound, 2 bound], 1 at 0: exact scaling
+    a, c = a / s, c / s / s / s  # unscaled, Cardano's terms overflow near roots 1e80
+    z = _cardano(a, b / s / s, c)
+    z1 = z[np.arange(len(z)), np.abs(z).argmax(axis=1)]
+    rest = _quadratic(a + z1, np.divide(-c, z1, out=np.zeros_like(z1), where=z1 != 0))
+    return s[:, None] * np.column_stack([z1, rest])
+
+
 def find_roots_batch(C):
     """All complex roots of each row of C, an (n, d+1) array of descending
     complex coefficients whose leading column is nonzero.  Returns an (n, d)
     array; row i holds the roots of row i.  Raises RootFindingError when a
     coefficient, or one normalized by the leading one, is not finite, or
-    when a row's eigenvalues cannot be computed or its polished residuals
-    stay large.  Each root takes at most MAX_ITER Newton steps."""
+    when the eigenvalues of a row (degree 4 up) cannot be computed or its
+    polished residuals stay large.  Each root takes at most MAX_ITER Newton
+    steps."""
     c = np.asarray(C, dtype=np.complex128)
     n, deg = c.shape[0], c.shape[1] - 1
     if not np.isfinite(c).all():
@@ -72,13 +97,14 @@ def find_roots_batch(C):
         cn = c / c[:, :1]
     if not np.isfinite(cn).all():
         raise RootFindingError("normalized coefficients must be finite")
-    # start values: closed forms below degree 3, companion eigenvalues above;
+    # start values: closed forms up to degree 3, companion eigenvalues above;
     # reach is a quarter of each start value's distance to its nearest other
     if deg == 1:
-        z, reach = -cn[:, 1:], np.full((n, 1), np.inf)
+        z = -cn[:, 1:]
     elif deg == 2:
         z = _quadratic(cn[:, 1], cn[:, 2])
-        reach = 0.25 * np.abs(z - z[:, ::-1])
+    elif deg == 3:
+        z = _cubic(cn[:, 1], cn[:, 2], cn[:, 3])
     else:
         comp = np.zeros((n, deg, deg), dtype=np.complex128)
         comp[:, 0, :] = -cn[:, 1:]
@@ -87,9 +113,9 @@ def find_roots_batch(C):
             z = np.linalg.eigvals(comp)
         except np.linalg.LinAlgError as e:
             raise RootFindingError(f"companion eigenvalues failed: {e}") from None
-        gap = np.abs(z[:, :, None] - z[:, None, :])
-        gap[:, np.arange(deg), np.arange(deg)] = np.inf
-        reach = 0.25 * gap.min(axis=2)
+    gap = np.abs(z[:, :, None] - z[:, None, :])
+    gap[:, np.arange(deg), np.arange(deg)] = np.inf
+    reach = 0.25 * gap.min(axis=2)
     # Newton polish, per root, on the flat index array of the roots still
     # moving.  A step is refused when it would raise |p| or carry the root
     # beyond its reach: near clustered or ill-conditioned roots plain Newton

@@ -1,8 +1,11 @@
+import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+from planejac import roots
 from planejac.exceptional import _univariate_roots
 from planejac.gaussian import GaussianRational
 from planejac.lattice import SLICE_ZERO_REL, Slice
@@ -104,24 +107,35 @@ def test_find_roots_batch_overflow_raises_at_every_degree():
 
 
 def _companion_polished(row):
-    """The companion path for one quadratic, in scalar arithmetic: the
-    eigenvalues of the 2x2 companion matrix, each then Newton-polished under
-    the rules of find_roots_batch (a step must lower |p| and stay within a
-    quarter of the eigenvalue gap; stop at dp = 0 or a step below TOL)."""
-    b, c = complex(row[1] / row[0]), complex(row[2] / row[0])
-    z0 = np.linalg.eigvals(np.array([[-b, -c], [1, 0]]))
-    reach = abs(z0[0] - z0[1]) / 4
+    """The companion path for one row, in scalar arithmetic: the eigenvalues
+    of its companion matrix, each then Newton-polished under the rules of
+    find_roots_batch (a step must lower |p| and stay within a quarter of the
+    distance to the nearest other eigenvalue; stop at dp = 0 or a step below
+    TOL)."""
+    cn = [complex(c / row[0]) for c in row]
+    comp = np.eye(len(cn) - 1, k=-1, dtype=complex)
+    comp[0] = [-c for c in cn[1:]]
+    z0 = list(map(complex, np.linalg.eigvals(comp)))
+
+    def horner(z):
+        p, dp = cn[0], 0j
+        for c in cn[1:]:
+            dp, p = dp * z + p, p * z + c
+        return p, dp
+
     out = []
-    for w in map(complex, z0):
+    for k, w in enumerate(z0):
+        reach = min(abs(w - o) for j, o in enumerate(z0) if j != k) / 4
         z = w
+        p, dp = horner(z)
         for _ in range(MAX_ITER):
-            if 2 * z + b == 0:
+            if dp == 0:
                 break
-            step = ((z + b) * z + c) / (2 * z + b)
-            if (abs(((z - step + b) * (z - step) + c)) > abs((z + b) * z + c)
-                    or abs(z - step - w) > reach):
+            step = p / dp
+            p_new, dp_new = horner(z - step)
+            if abs(p_new) > abs(p) or abs(z - step - w) > reach:
                 break
-            z -= step
+            z, p, dp = z - step, p_new, dp_new
             if abs(step) < TOL * (1 + abs(z)):
                 break
         out.append(z)
@@ -129,8 +143,8 @@ def _companion_polished(row):
 
 
 def _acceptable(row, zs):
-    return all(abs(np.polyval(row / row[0], z)) <= RESIDUAL_REL * max(1, max(abs(zs))) ** 2
-               for z in zs)
+    return all(abs(np.polyval(row / row[0], z))
+               <= RESIDUAL_REL * max(1, max(abs(zs))) ** (len(row) - 1) for z in zs)
 
 
 def test_closed_form_quadratics_match_the_companion_path():
@@ -161,17 +175,87 @@ def test_closed_form_quadratics_match_the_companion_path():
     assert np.allclose(start, [[-1e8, -1e-8], [1e8j, -1e-8j]], rtol=4e-16, atol=0)
 
 
+def _matched(zs, ref, tol):
+    """zs in the order that best matches ref, relative to tol."""
+    return min((zs[list(p)] for p in itertools.permutations(range(len(zs)))),
+               key=lambda z: (np.abs(z - ref) / tol).max())
+
+
+def test_closed_form_cubics_match_the_companion_path(monkeypatch):
+    # each seeded row against the companion path (scalar oracle) and against
+    # 50-digit mpmath roots of the same float row.  A row is (coefficients,
+    # scale s): its roots are compared as z / s, so a scaled row is held to
+    # the tolerance of its unscaled base.  A reference root with n - 1 others
+    # within 1e-4 relative is n-fold, and is only determined to about
+    # eps^(1/n) by the coefficients
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(191)
+    rows = [(r, 1) for r in rng.normal(size=(150, 4)) + 1j * rng.normal(size=(150, 4))]
+    rows += [(r, 1) for r in rng.normal(size=(50, 4)) + 0j]
+    rows += [([1, 0, 0, -c], 1)                                      # binomials z^3 - c
+             for c in np.logspace(-6, 6, 13) * np.exp(2j * np.pi * rng.random(13))]
+    rows += [(np.poly(rng.integers(-5, 6, 3) + 1j * rng.integers(-5, 6, 3)), 1)
+             for _ in range(20)]                                   # Gaussian-integer roots
+    rows += [([1, 2 - 1j, 3j, 0], 1), ([2, -1, 5, 0], 1),          # c = 0
+             ([1, 3 + 4j, 0, 0], 1), ([1j, -2, 0, 0], 1)]          # b = c = 0
+    rows += [(np.poly(r), 1) for r in ([1e-8, 1, 1e8], [1e-8j, -1, 1e8 + 1e8j], [-1e-8, 1j, -1e8],
+                                       [1 + 2j, 1 + 2j, -3], [2, 2, 1j],      # double roots
+                                       [2 - 1j] * 3, [-3] * 3,                # triple roots
+                                       [1, 1 + 1e-7, 1 - 1e-7j], [1, 1 + 1e-7, 5])]
+    base = np.array([1 + 1j, -2, 0.5j])
+    rows += [(np.poly(s * base), s) for s in (1e-100, 1e-50, 1e-8, 1e8, 1e50, 1e80, 1e100)]
+    C = np.array([r for r, _ in rows], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = find_roots_batch(C)
+    with mpmath.workdps(50):  # the roots of the row over s^k, that is z / s
+        exact = [np.array([complex(z) for z in mpmath.polyroots(
+            [mpmath.mpc(c) / mpmath.mpf(s) ** k for k, c in enumerate(row)],
+            maxsteps=400, extraprec=400)]) for (_, s), row in zip(rows, C)]
+    for (_, s), row, zs, ref_m in zip(rows, C, got, exact):
+        ref_c = _companion_polished(row)
+        assert _acceptable(row, ref_c) and _acceptable(row, zs)
+        for ref in (ref_c / s, ref_m):
+            n = (np.abs(ref[:, None] - ref) <= 1e-4 * np.abs(ref)[:, None]).sum(axis=1)
+            tol = np.choose(n - 1, [1e-12, 2e-7, 3e-5]) * (1 + np.abs(ref))
+            assert (np.abs(_matched(zs / s, ref, tol) - ref) <= tol).all(), (row, zs, ref)
+    # Cardano for all three roots loses the small roots of 1e-8, 1, 1e8, and
+    # the residual test accepts them; unscaled, its terms overflow for roots
+    # near 1e80, which the rows above solve
+    monkeypatch.setattr(roots, "_cubic", roots._cardano)
+    got = find_roots_batch(np.poly([1e-8, 1, 1e8])[None, :])
+    assert np.abs(np.sort(got[0].real) - [1e-8, 1, 1e8]).max() > 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            roots._cardano(*np.poly(1e80 * base)[1:, None])
+
+
 def test_polish_refines_perturbed_start_values(monkeypatch):
     # the shared Newton polish, not the start values, sets the accuracy: start
-    # values off by 1e-7 relative still give the roots to 1e-13, at degree 2
-    # (closed form) and at degree 4 (companion eigenvalues)
-    from planejac import roots
-    quadratic, eigvals = roots._quadratic, np.linalg.eigvals
+    # values off by 1e-7 relative still give the roots to 1e-13, at degrees 2
+    # and 3 (closed forms) and at degree 4 (companion eigenvalues)
+    quadratic, cubic, eigvals = roots._quadratic, roots._cubic, np.linalg.eigvals
     monkeypatch.setattr(roots, "_quadratic", lambda b, c: quadratic(b, c) * (1 + 1e-7))
+    monkeypatch.setattr(roots, "_cubic", lambda a, b, c: cubic(a, b, c) * (1 + 1e-7))
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) * (1 + 1e-7))
-    for r in (np.array([2 + 1j, -3]), np.array([1, 2 + 1j, -3, 0.5j])):
+    for r in (np.array([2 + 1j, -3]), np.array([1 - 1j, 2 + 1j, -3]),
+              np.array([1, 2 + 1j, -3, 0.5j])):
         got = find_roots(np.poly(r))
         assert np.abs(np.sort_complex(got) - np.sort_complex(r)).max() < 1e-13
+
+
+def test_eigenvalues_start_at_degree_4(monkeypatch):
+    def fail(a):
+        raise AssertionError("companion eigenvalues computed")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    rng = np.random.default_rng(7)
+    for deg in (1, 2, 3):
+        C = rng.normal(size=(20, deg + 1)) + 1j * rng.normal(size=(20, deg + 1))
+        assert find_roots_batch(C).shape == (20, deg)
+    with pytest.raises(AssertionError, match="companion"):
+        find_roots_batch(rng.normal(size=(1, 5)))
 
 
 def test_linear_rows_are_exact_quotients():

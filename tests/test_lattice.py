@@ -328,6 +328,26 @@ def test_dhat_sweep_matches_closed_form_roots(ml_map, ml_curve):
     assert out["checked"] == 625 and decided >= 600
 
 
+def test_dhat_sweep_matches_50_digit_dhat(ml_map, ml_curve):
+    # the sweep's d-hat at all 625 points of the B = 2 box (m = 1) against
+    # d-hat of u^4 - u*v^2 at the exact images, from the slices' roots in
+    # closed form at 50 digits: u in {0} and the cube roots of q2^2, v the
+    # square roots of q1^3 (every v where q1 = 0)
+    mpmath = pytest.importorskip("mpmath")
+    ps, qs = _box_images(ml_map, LatticeBox(2))
+    vals, _ = dhat_batch(qs, ml_curve)
+    assert len(ps) == 625
+    with mpmath.workdps(50):
+        for (a, b, c, e), got in zip(ps, vals):
+            x, y = mpmath.mpc(a, b), mpmath.mpc(c, e)
+            q1 = x ** 6 * y ** 4 + 2 * x ** 2 * y
+            q2 = x ** 9 * y ** 6 + 3 * x ** 5 * y ** 3 + 3 * x
+            m_u = min(abs(q1 - u) for u in [0] + [mpmath.root(q2 ** 2, 3, k) for k in range(3)])
+            m_v = 0 if q1 == 0 else min(abs(q2 - s * mpmath.sqrt(q1 ** 3)) for s in (1, -1))
+            ref = max(m_u, m_v)
+            assert abs(got - ref) <= 1e-10 * ref, ((a, b, c, e), got, ref)
+
+
 # ----------------------------------------------------------------- sweeps
 
 def test_curve_slices_match_exact_specialization():
