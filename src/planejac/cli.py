@@ -52,10 +52,18 @@ def load_map_file(path):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise MapFileError(f"cannot read map file {path}: {e}")
+    if not isinstance(data, dict):
+        raise MapFileError(f"map file {path}: the top level is not an object")
     for key in ("name", "p", "q"):
         if key not in data:
             raise MapFileError(f"map file {path} is missing required field '{key}'")
-    variables = tuple(data.get("variables", ["x", "y"]))
+    for key, kind in (("name", str), ("p", str), ("q", str), ("curve", (str, type(None)))):
+        if not isinstance(data.get(key), kind):
+            raise MapFileError(f"map file {path}: field '{key}' is not a string")
+    variables = data.get("variables", ["x", "y"])
+    if not (isinstance(variables, list) and all(isinstance(w, str) for w in variables)):
+        raise MapFileError(f"map file {path}: field 'variables' is not a list of names")
+    variables = tuple(variables)
     try:
         p = parse_expression(data["p"], variables)
         q = parse_expression(data["q"], variables)

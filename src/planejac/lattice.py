@@ -54,9 +54,6 @@ class LatticeBox:
     def contains_coords(self, a, b):
         return abs(a) <= self.bound and abs(b) <= self.bound
 
-    def to_complex(self, a, b):
-        return complex(a, b * math.sqrt(self.ring_m))
-
     def to_json(self):
         return {"B": self.bound, "m": self.ring_m}
 

@@ -8,7 +8,9 @@ over one shared integer denominator, in a unique reduced form, and all its
 arithmetic runs on Python ints.  A `GaussianRational` is built only at the
 boundary: the constructor's input, `terms`, `leading`, `constant_value`,
 printing, and evaluation at Gaussian-rational points.  Truncated series
-(series.TruncSeries2) are truncation on top of the same kernel.
+(series.TruncSeries2) are truncation on top of the same kernel, and
+`substitute`, Horner's rule with an optional truncation order, is the one
+composition of polynomials and series alike.
 
 Polynomials carry an explicit variable tuple; binary operations unify the
 tuples.  Two variables is the normal case ((x, y) for source polynomials,
@@ -26,6 +28,7 @@ degree, where dense coefficient lists were measured slower end to end.
 from __future__ import annotations
 
 import re as _re
+from functools import reduce
 from itertools import chain, zip_longest
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -221,10 +224,11 @@ class Poly:
     def evaluate(self, values):
         """Full or partial substitution.  values maps variable name to
         GaussianRational / int / QuadElem / complex / Poly.  Exact inputs give
-        exact outputs; any Poly value triggers polynomial composition.
-        Laurent exponents require invertible (nonzero) values."""
+        exact outputs; Poly values go to `substitute`, and then every value
+        must be a Poly.  Laurent exponents require invertible (nonzero)
+        scalar values."""
         if any(isinstance(v, Poly) for v in values.values()):
-            return self._compose(values)
+            return substitute((self,), values)[0]
         if any(w not in values for w in self.vars):
             return self._partial(values)
         if any(isinstance(v, (complex, float)) for v in values.values()):
@@ -272,40 +276,6 @@ class Poly:
             num[e] = (re, im) if s is None else (s[0] + re, s[1] + im)
         return Poly._make(tuple(self.vars[i] for i in keep),
                           {e: c for e, c in num.items() if c[0] or c[1]}, den)
-
-    def _compose(self, values):
-        # substitute polynomials (and scalars) for variables
-        pow_cache = {}
-
-        def power(name, e):
-            key = (name, e)
-            if key not in pow_cache:
-                v = values[name]
-                if not isinstance(v, Poly):
-                    raise TypeError("mixed scalar/poly composition: pass scalars as constant Poly")
-                if e < 0:
-                    raise ValueError("negative exponent in polynomial composition")
-                pow_cache[key] = v ** e
-            return pow_cache[key]
-
-        result = None
-        for exps, (re, im) in self.num.items():
-            term = None
-            for w, e in zip(self.vars, exps):
-                if e == 0:
-                    continue
-                if w in values:
-                    p = power(w, e)
-                else:
-                    p = Poly.var(w) ** e
-                term = p if term is None else term * p
-            if term is None:
-                term = Poly.const(1, self.vars)
-            term = _lincomb(term.vars, ((re, im, self.den, term),))
-            result = term if result is None else result + term
-        if result is None:
-            result = Poly(self.vars)
-        return result
 
     # ---------------------------------------------------- ordering / printing
 
@@ -426,6 +396,55 @@ def _mul_num(a, b, order=None):
                 s[0] += r1 * r2 - i1 * i2
                 s[1] += r1 * i2 + i1 * r2
     return {tuple(map(add, e1, e2)): (re, im) for re, im, e1, e2 in acc.values() if re or im}
+
+
+def substitute(fs, values, order=None):
+    """(f(values) for f in fs): `values` maps variable names to polynomials,
+    and a variable without a value stays itself.  Together the fs use at
+    most two variables, w1 and w2 by rank.  With an `order` every product
+    stops at total degree `order`, as the products of series do.
+
+    Each f is grouped as sum_j c_j(w1) w2^j.  At the value s1 of w1, each
+    c_j is a combination of the powers of s1, which all of fs share, and
+    the sum is evaluated by Horner's rule at the value s2 of w2, so the
+    products number the largest w1-degree plus the w2-degree of each f."""
+    if not all(isinstance(v, Poly) for v in values.values()):
+        raise TypeError("mixed scalar/poly composition: pass scalars as constant Poly")
+    if any(g.is_laurent() for g in chain(fs, values.values())):
+        raise ValueError("polynomial substitution with a Laurent polynomial")
+    names = sorted(set().union(*(f.used_vars() for f in fs)), key=_rank)
+    if len(names) > 2:
+        raise ValueError(f"substitution into a polynomial in {', '.join(names)}")
+    vals = [values[w] if w in values else Poly.var(w) for w in names]
+    vars = reduce(_merge_vars, (v.vars for v in chain(values.values(), vals)))
+    s1, s2 = [v._with_vars(vars) for v in vals] + [None] * (2 - len(vals))
+
+    def product(a, b):
+        return Poly._make(vars, _mul_num(a.num, b.num, order), a.den * b.den)
+
+    grouped = []
+    for f in fs:
+        i1, i2 = [f.vars.index(w) if w in f.vars else None for w in names] + [None] * (2 - len(names))
+        rows = {}
+        for e, c in f.num.items():
+            rows.setdefault(0 if i2 is None else e[i2], {})[0 if i1 is None else e[i1]] = c
+        grouped.append((rows, f.den))
+    top_x = max((ex for rows, _ in grouped for row in rows.values() for ex in row), default=0)
+    pow1 = [Poly.const(1, vars)]
+    while len(pow1) <= top_x:
+        pow1.append(product(pow1[-1], s1))
+    out = []
+    for rows, den in grouped:
+        acc, top_y = Poly._make(vars, {}), max(rows, default=0)
+        for j in range(top_y, -1, -1):
+            parts = [(re, im, den, pow1[ex]) for ex, (re, im) in rows.get(j, {}).items()]
+            if j < top_y:
+                acc = product(acc, s2)
+                parts.append((1, 0, 1, acc))
+            if parts:
+                acc = _lincomb(vars, parts)
+        out.append(acc)
+    return tuple(out)
 
 
 def _power_table(v, exps):
@@ -630,7 +649,7 @@ class PolyMap:
         """(P, Q) o (x + lam*y, y), composed once per lam."""
         if lam not in self._shears:
             sub = {"x": Poly(("x", "y"), {(1, 0): 1, (0, 1): lam}), "y": Poly.var("y", ("x", "y"))}
-            self._shears[lam] = (self.p.evaluate(sub), self.q.evaluate(sub))
+            self._shears[lam] = substitute((self.p, self.q), sub)
         return self._shears[lam]
 
     def is_integral(self):
@@ -647,16 +666,13 @@ def jacobian(F):
 
 def compose_map(f, F):
     """f(P, Q) for f in the target variables (u, v)."""
-    if f.is_laurent() or F.p.is_laurent():
-        raise ValueError("compose_map requires non-Laurent inputs")
     u, v = f.vars[:2] if len(f.vars) >= 2 else ("u", "v")
-    return f.evaluate({u: F.p, v: F.q})
+    return substitute((f,), {u: F.p, v: F.q})[0]
 
 
 def compose_maps(F, G):
     """The map F o G, componentwise."""
-    vals = {"x": G.p, "y": G.q}
-    return PolyMap(F.p.evaluate(vals), F.q.evaluate(vals))
+    return PolyMap(*substitute((F.p, F.q), {"x": G.p, "y": G.q}))
 
 
 # ------------------------------------------------- division / gcd machinery

@@ -6,13 +6,14 @@ All coefficients are exact Gaussian rationals; truncation is by total degree,
 so every identity below means "equal through total degree N".  A series is
 truncation on top of the `Poly` kernel: a `Poly` with no term above the
 order, Gaussian-integer numerators over one shared denominator, and a
-product that stops at the order.
+product that stops at the order.  Series go into a map by
+`poly.substitute` at the series order.
 """
 
 from __future__ import annotations
 
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational
-from .poly import Poly, PolyMap, _lincomb, _mul_num, jacobian
+from .poly import Poly, PolyMap, _mul_num, jacobian, substitute
 
 
 class TruncSeries2:
@@ -120,65 +121,7 @@ class SeriesMap:
 
 def truncate(f, order, vars=("u", "v")):
     """Poly -> TruncSeries2, dropping terms of total degree > order."""
-    if f.is_laurent():
-        raise ValueError("cannot truncate a Laurent polynomial into a series")
-    terms = {}
-    src_vars = f.vars
-    for exps, c in f.terms.items():
-        eu = ev = 0
-        for w, e in zip(src_vars, exps):
-            if e == 0:
-                continue
-            if w == vars[0]:
-                eu = e
-            elif w == vars[1]:
-                ev = e
-            else:
-                raise ValueError(f"unexpected variable {w} in series truncation")
-        if eu + ev <= order:
-            terms[(eu, ev)] = c
-    return TruncSeries2(order, terms, vars)
-
-
-def _map_into_series(p, q, s1, s2, order):
-    """(p(s1, s2), q(s1, s2)) truncated at `order`, which s1 and s2 reach.
-
-    Each polynomial is grouped as sum_j c_j(x) y^j: each c_j(s1) is a scalar
-    combination of the powers of s1, which both polynomials share, and the
-    sum is evaluated by Horner's rule in s2, so the series products number
-    the larger x-degree plus the y-degree of each polynomial.
-    """
-    grouped = []
-    for f in (p, q):
-        ix = f.vars.index("x") if "x" in f.vars else None
-        iy = f.vars.index("y") if "y" in f.vars else None
-        rows = {}
-        for exps, c in f.num.items():
-            ex = exps[ix] if ix is not None else 0
-            rows.setdefault(exps[iy] if iy is not None else 0, {})[ex] = c
-        grouped.append((rows, f.den))
-    top_x = max((ex for rows, _ in grouped for row in rows.values() for ex in row), default=0)
-    pow1 = [_series(order, Poly.const(1, s1.vars))]
-    while len(pow1) <= top_x:
-        pow1.append(pow1[-1] * s1)
-
-    def c_of_s1(row, den):
-        return _series(order, _lincomb(s1.vars, [(re, im, den, pow1[ex].poly)
-                                                 for ex, (re, im) in row.items()]))
-
-    out = []
-    for rows, den in grouped:
-        if not rows:
-            out.append(_series(order, Poly._make(s1.vars, {})))
-            continue
-        top_y = max(rows)
-        result = c_of_s1(rows[top_y], den)
-        for j in range(top_y - 1, -1, -1):
-            result = result * s2
-            if j in rows:
-                result = result + c_of_s1(rows[j], den)
-        out.append(result)
-    return tuple(out)
+    return TruncSeries2(order, f._with_vars(tuple(vars)).terms, vars)
 
 
 def compose_truncated(G, F, order=None):
@@ -190,8 +133,8 @@ def compose_truncated(G, F, order=None):
     n = order if order is not None else G.order
     if G.g1.poly.constant_value() or G.g2.poly.constant_value():
         raise ValueError("inner series must fix the origin (constant-term mismatch)")
-    g1, g2 = (g._at(n) for g in (G.g1, G.g2))
-    return SeriesMap(*_map_into_series(F.p, F.q, g1, g2, n))
+    vals = {"x": G.g1.poly, "y": G.g2.poly}
+    return SeriesMap(*(_series(n, f) for f in substitute((F.p, F.q), vals, n)))
 
 
 def local_inverse(F, order):
@@ -207,13 +150,10 @@ def local_inverse(F, order):
     DF(G*).DG* = I, and as G - G* and E start at degree n + 1 while
     DG - DG* starts at degree n, DG.E = G - G* through degree 2n.
     """
-    if F.p.evaluate({"x": 0, "y": 0}) or F.q.evaluate({"x": 0, "y": 0}):
+    if F.p.constant_value() or F.q.constant_value():
         raise ValueError("map must fix the origin; translate first")
     # linear part L = [[a, b], [c, d]] acting on (x, y)
-    a = F.p.terms.get(_exps(F.p.vars, 1, 0), GR_ZERO)
-    b = F.p.terms.get(_exps(F.p.vars, 0, 1), GR_ZERO)
-    c = F.q.terms.get(_exps(F.q.vars, 1, 0), GR_ZERO)
-    d = F.q.terms.get(_exps(F.q.vars, 0, 1), GR_ZERO)
+    (a, b), (c, d) = ([f.terms.get(e, GR_ZERO) for e in ((1, 0), (0, 1))] for f in (F.p, F.q))
     det = a * d - b * c
     if not det:
         raise ValueError("linear part is singular; no formal inverse")
@@ -225,29 +165,22 @@ def local_inverse(F, order):
     while n < order:
         n = min(2 * n, order)
         g1, g2 = g1._at(n), g2._at(n)
-        f1, f2 = _map_into_series(F.p, F.q, g1, g2, n)
-        e1, e2 = f1 - ident_u, f2 - ident_v
+        f1, f2 = substitute((F.p, F.q), {"x": g1.poly, "y": g2.poly}, n)
+        e1, e2 = _series(n, f1) - ident_u, _series(n, f2) - ident_v
         g1u, g1v, g2u, g2v = (_series(n, g.poly.diff(w)) for g in (g1, g2) for w in "uv")
         g1 = g1 - (e1 * g1u + e2 * g1v)
         g2 = g2 - (e1 * g2u + e2 * g2v)
     return SeriesMap(g1, g2)
 
 
-def _exps(vars, ex, ey):
-    return tuple(ex if w == "x" else ey if w == "y" else 0 for w in vars)
-
-
 def translate_map(F, a, b):
     """F(x+a, y+b) - F(a, b); fixes the origin.  Gaussian-integer
     coefficients and a Jacobian identical to the original are checked
     (translation cannot change either); a failed check raises RuntimeError."""
-    xs = Poly.var("x", ("x", "y")) + Poly.const(a, ("x", "y"))
-    ys = Poly.var("y", ("x", "y")) + Poly.const(b, ("x", "y"))
-    vals = {"x": xs, "y": ys}
-    fa = F.p.evaluate({"x": a, "y": b})
-    fb = F.q.evaluate({"x": a, "y": b})
-    G = PolyMap(F.p.evaluate(vals) - Poly.const(fa, ("x", "y")),
-                F.q.evaluate(vals) - Poly.const(fb, ("x", "y")))
+    vals = {"x": Poly(("x", "y"), {(1, 0): 1, (0, 0): a}),
+            "y": Poly(("x", "y"), {(0, 1): 1, (0, 0): b})}
+    G = PolyMap(*(f - Poly.const(f.constant_value(), ("x", "y"))
+                  for f in substitute((F.p, F.q), vals)))
     if F.is_integral():
         ga = GaussianRational.coerce(a)
         gb = GaussianRational.coerce(b)

@@ -48,6 +48,12 @@ def test_load_map_file_with_curve():
 BAD_MAP_FILES = {
     "laurent-p": {"name": "laurent", "p": "x^-1", "q": "y"},
     "zero-curve": {"name": "zero-curve", "p": "x", "q": "y", "curve": "0"},
+    "number": 3,
+    "string": "name p q",
+    "int-p": {"name": "int-p", "p": 5, "q": "y"},
+    "int-curve": {"name": "int-curve", "p": "x", "q": "y", "curve": 7},
+    "int-variables": {"name": "int-variables", "p": "x", "q": "y", "variables": 5},
+    "int-name": {"name": 5, "p": "x", "q": "y"},
 }
 
 

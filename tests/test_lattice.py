@@ -449,7 +449,7 @@ def test_box_images_match_pointwise_evaluation(path, m, bound):
         return
     for (a, b, c, e), g in zip(ps, got):
         exact = image(lattice_point(a, b, m), lattice_point(c, e, m))
-        x, y = abs(box.to_complex(a, b)), abs(box.to_complex(c, e))
+        x, y = (abs(complex(s, t * math.sqrt(m))) for s, t in ((a, b), (c, e)))
         for f, gv, r in zip((F.p, F.q), g, exact):
             scale = sum(abs(complex(k)) * x ** i * y ** j for (i, j), k in f.terms.items())
             assert abs(gv - complex(r)) <= 4 * np.finfo(float).eps * scale

@@ -8,10 +8,10 @@ from planejac import series
 from planejac.cli import load_map_file
 from planejac.exceptional import exceptional_report
 from planejac.gaussian import GaussianRational
-from planejac.poly import Poly, PolyMap, compose_map, jacobian
-from planejac.series import (SeriesMap, TruncSeries2, _map_into_series,
-                             automorphism_verdict, compose_truncated,
-                             local_inverse, translate_map, truncate)
+from planejac.poly import Poly, PolyMap, compose_map, jacobian, substitute
+from planejac.series import (SeriesMap, TruncSeries2, automorphism_verdict,
+                             compose_truncated, local_inverse, translate_map,
+                             truncate)
 
 from support import (UV, XY, pe, random_automorphism, random_poly,
                      rename_xy_to_uv)
@@ -114,12 +114,16 @@ def test_local_inverse_recovers_exact_automorphism_inverse():
 # ------------------------------------------- differential: reference loops
 
 def _monomial_substitution(f, s1, s2, order):
-    """Oracle for _map_into_series: one full series product per monomial."""
+    """Oracle for substitute: one full product per monomial, of series at
+    `order` or, with order None, of polynomials."""
     ix = f.vars.index("x") if "x" in f.vars else None
     iy = f.vars.index("y") if "y" in f.vars else None
-    one = TruncSeries2(order, {(0, 0): _one(1)}, s1.vars)
+    if order is None:
+        one, result = Poly.const(1, s1.vars), Poly(s1.vars)
+    else:
+        one = TruncSeries2(order, {(0, 0): _one(1)}, s1.vars)
+        result = TruncSeries2(order, {}, s1.vars)
     pow1, pow2 = [one], [one]
-    result = TruncSeries2(order, {}, s1.vars)
     for exps, c in f.terms.items():
         ex = exps[ix] if ix is not None else 0
         ey = exps[iy] if iy is not None else 0
@@ -202,16 +206,34 @@ def test_map_into_series_matches_monomial_substitution():
         Poly.const(GaussianRational(2, 3, 5), XY),
         Poly(XY, {}),
     ]
-    for n in range(1, 7):
-        for extra in (0, 2):
-            s1 = _random_series(rng, n + extra)
-            s2 = _random_series(rng, n + extra)
-            # each polynomial once as p and once as q, beside one of another
-            # x-degree: the powers of s1 both share must cover the larger
-            for f, g in zip(polys, polys[1:] + polys[:1]):
-                want = (_monomial_substitution(f, s1, s2, n),
-                        _monomial_substitution(g, s1, s2, n))
-                assert _map_into_series(f, g, s1, s2, n) == want
+    values = [(_random_series(rng, n + extra), _random_series(rng, n + extra), n)
+              for n in range(1, 7) for extra in (0, 2)]
+    # order None: plain polynomial composition, with values in (x, y) as
+    # for maps and in (u, v) as for curves
+    values += [(random_poly(rng, vars=vs, max_deg=2, n_terms=3),
+                random_poly(rng, vars=vs, max_deg=2, n_terms=3), None)
+               for vs in (XY, XY, UV, UV)]
+    for s1, s2, n in values:
+        vals = {"x": s1 if n is None else s1.poly, "y": s2 if n is None else s2.poly}
+        # each polynomial once as p and once as q, beside one of another
+        # x-degree: the powers of s1 both share must cover the larger
+        for f, g in zip(polys, polys[1:] + polys[:1]):
+            want = [_monomial_substitution(h, s1, s2, n) for h in (f, g)]
+            got = substitute((f, g), vals, n)
+            assert list(got) == [w if n is None else w.poly for w in want]
+            if n is None:
+                assert f.evaluate(vals) == want[0]
+    # a variable without a value stays itself
+    assert pe("x*y").evaluate({"x": pe("x + y")}) == pe("x*y + y^2")
+    x = Poly.var("x", XY)
+    with pytest.raises(ValueError):  # Laurent, into or of
+        pe("x^-1 + y").evaluate({"x": x})
+    with pytest.raises(ValueError):
+        pe("x + y").evaluate({"x": pe("x^-1 + y")})
+    with pytest.raises(ValueError):  # a third variable
+        pe("x*y*u", ("x", "y", "u")).evaluate({"x": x})
+    with pytest.raises(TypeError):  # mixed scalar and polynomial values
+        pe("x*y").evaluate({"x": x, "y": 3})
 
 
 # ------------------------------------ differential: the integer kernel
@@ -295,13 +317,13 @@ def test_local_inverse_doubles_its_order_per_newton_step(monkeypatch):
     # reached, capped at the target; a ladder of one order per pass, or a
     # loop at full order throughout, would show up here
     orders = []
-    real = series._map_into_series
+    real = series.substitute
 
-    def recording(p, q, s1, s2, order):
+    def recording(fs, values, order=None):
         orders.append(order)
-        return real(p, q, s1, s2, order)
+        return real(fs, values, order)
 
-    monkeypatch.setattr(series, "_map_into_series", recording)
+    monkeypatch.setattr(series, "substitute", recording)
     F = PolyMap(pe("x + y^2"), pe("y + x^3"))
     for n, want in ((1, []), (2, [2]), (9, [2, 4, 8, 9]), (16, [2, 4, 8, 16])):
         orders.clear()
