@@ -5,9 +5,9 @@ sweeps over lattice boxes, fiber count bounds, the unit-disk lattice fact,
 and the Laurent identities of the canonical non-invertible example.
 
 Lattices are Z + Z*i*sqrt(m) for square-free m >= 1; m = 1 is the Gaussian
-integers.  Fibers are exact: P - k is evaluated at every pair of box points
-in integer arithmetic of Z[i][T]/(T^2 + m), and no root is solved; the
-metrics work over C with a fixed 1e-9 comparison tolerance.  ``Slice`` is
+integers.  Fibers are exact: P - k is evaluated in integer arithmetic of
+Z[i][T]/(T^2 + m) at the box pairs inside a root bound, and no root is
+solved; the metrics work over C with a fixed 1e-9 comparison tolerance.  ``Slice`` is
 the metrics' numeric slicer: it compiles the curve's defining polynomial in
 one variable once per sweep and specializes it at all targets together,
 with one zero rule for the coefficients.
@@ -103,6 +103,8 @@ class MetricValue:
 
 #: pairs of box points held at once by the fiber evaluation
 _FIBER_BLOCK = 1 << 16
+#: relative margin of the fibers' log-domain root bound, far above its rounding
+_LOG_MARGIN = 1e-12
 
 
 def _box_powers(box, top):
@@ -126,17 +128,41 @@ def _ring_is_zero(z, m):
     return (z[0] == z[3]) & (z[1] == -z[2]) if m == 1 else (z == 0).all(axis=0)
 
 
+def _log_abs(a):
+    """log|a| elementwise, -inf at 0, of int64s or of Python ints of any size."""
+    if a.dtype == object:
+        return np.array([math.log(abs(v)) if v else -math.inf for v in a.flat]).reshape(a.shape)
+    return np.log(np.abs(a.astype(float)), out=np.full(a.shape, -math.inf), where=a != 0)
+
+
+def _log_norm(s, m, lower=False):
+    """A bound on log|s|^2 = log(P + Q*sqrt(m)), P and Q ints, of ring elements
+    s = (Re u, Im u, Re v, Im v) at T = i*sqrt(m), -inf at 0.  Exact for m = 1,
+    from the ints Re u - Im v and Im u + Re v (below the partial-sum bound).
+    For m > 1, (|Re u| + sqrt(m)*|Im v|)^2 + (|Im u| + sqrt(m)*|Re v|)^2, or
+    with `lower`, for Q < 0, the exact norm P^2 - m*Q^2 over P + |Q|*sqrt(m)."""
+    if m == 1:
+        return np.logaddexp(2 * _log_abs(s[0] - s[3]), 2 * _log_abs(s[1] + s[2]))
+    h = 0.5 * math.log(m)
+    if not lower:
+        ur, ui, vr, vi = map(_log_abs, s)
+        return np.logaddexp(2 * np.logaddexp(ur, vi + h), 2 * np.logaddexp(ui, vr + h))
+    ur, ui, vr, vi = s.astype(object)
+    P, Q = ur * ur + ui * ui + m * (vr * vr + vi * vi), 2 * (ui * vr - ur * vi)
+    t = np.logaddexp(_log_abs(P), _log_abs(Q) + h)  # log(P + |Q|*sqrt(m)), no cancellation
+    return np.where(Q >= 0, t, _log_abs(P * P - m * Q * Q) - t)
+
+
 def enumerate_fiber_points(P, k, box):
     """All box points (x, y) of the lattice with P(x, y) = k, found by exact
-    evaluation of f = d*P - n, k = n/d, at every box pair in the ring
-    Z[i][T]/(T^2 + m), a box value a + b*i*sqrt(m) being a + b*T.  The
-    slice coefficients s_j(x) of every box x are the exact power table of
-    the box values times f's coefficient matrix; their values at every box
-    y follow in blocks of at most _FIBER_BLOCK pairs, (2B+1)^4 evaluations
-    in all.  The arithmetic is int64 when a bound on every partial sum is
-    below 2^63, Python ints otherwise.  An x whose slice coefficients all
-    vanish is recorded on the line_fiber flag with the formulaic (2B+1)^2
-    count."""
+    evaluation of f = d*P - n, k = n/d, in Z[i][T]/(T^2 + m), a box value
+    a + b*i*sqrt(m) being a + b*T, at the box y inside Fujiwara's bound
+    |y| <= 2*max_{j<d} |s_j/s_d|^(1/(d-j)), s_0 halved, on the roots of the
+    slice at x, T = i*sqrt(m).  The s_j(x) are the box values' power table
+    times f's coefficient matrix; the x, by bound, meet the y, by |y|, in
+    blocks of at most _FIBER_BLOCK pairs, in int64 when a bound on every
+    partial sum is below 2^63, Python ints otherwise.  A slice of degree 0 has
+    no point; one that vanishes puts x on the line_fiber flag, count (2B+1)^2."""
     if P.is_laurent() or not P.has_gaussian_integer_coeffs():
         raise ValueError("fiber polynomial must be non-Laurent with Gaussian-integer coefficients")
     kq = GaussianRational.coerce(k)
@@ -153,22 +179,35 @@ def enumerate_fiber_points(P, k, box):
         A, B, C = A.astype(np.int64), B.astype(np.int64), C.astype(np.int64)
     # (Re u, Im u, Re v, Im v) of the slice coefficients s_j(x) = u + v*T
     s = np.stack([X[:, :dx + 1] @ c for X in (A, B) for c in C])
-    line = _ring_is_zero(s, m).all(axis=1)
-    Ay, By = A[:, :dy + 1].T, B[:, :dy + 1].T
+    zero = _ring_is_zero(s, m)
+    xs = np.flatnonzero(~zero[:, 1:].all(axis=1))
+    d = dy - np.argmin(zero[xs, ::-1], axis=1)
+    low = _log_norm(s[:, xs, d], m, lower=True)[:, None]
+    gap = d[:, None] - np.arange(dy + 1)  # s_0 is halved: |s_0|^2 / 4
+    hi = np.where(gap > 0, _log_norm(s[:, xs], m) - math.log(4) * (gap == d[:, None]), -math.inf)
+    log_r2 = math.log(4) + ((hi - low) / np.maximum(gap, 1)).max(axis=1, initial=-math.inf)
+    size = max(np.abs(low).max(initial=0), np.abs(hi[hi > -math.inf]).max(initial=0))
     coords = list(box.coords())
-    xs = np.flatnonzero(~line)
-    step = max(1, _FIBER_BLOCK // len(coords))
-    pts = []
-    for lo in range(0, len(xs), step):
-        ur, ui, vr, vi = s[:, xs[lo:lo + step]]
+    norms = np.array([a * a + m * b * b for a, b in coords])
+    ys = np.argsort(norms, kind="stable")
+    keep = np.searchsorted(_log_abs(norms[ys]), log_r2 + _LOG_MARGIN * (1 + size), side="right")
+    xs, keep = xs[np.argsort(keep, kind="stable")], np.sort(keep)  # how many y by |y| each x keeps
+    Ay, By = A[:, :dy + 1].T[:, ys], B[:, :dy + 1].T[:, ys]
+    pts, stop = [], len(xs)
+    while stop:  # blocks from the largest bound down, each of at most _FIBER_BLOCK pairs
+        n = keep[stop - 1]
+        start = max(0, stop - max(1, _FIBER_BLOCK // n))
+        ur, ui, vr, vi = s[:, xs[start:stop]]
+        ay, by = Ay[:, :n], By[:, :n]
         # sum_j s_j(x) * y^j with y^j = A + B*T, in the ring
-        z = np.stack([ur @ Ay - m * (vr @ By), ui @ Ay - m * (vi @ By),
-                      ur @ By + vr @ Ay, ui @ By + vi @ Ay])
+        z = np.stack([ur @ ay - m * (vr @ by), ui @ ay - m * (vi @ by),
+                      ur @ by + vr @ ay, ui @ by + vi @ ay])
         ix, iy = np.nonzero(_ring_is_zero(z, m))
-        pts += [(coords[i], coords[j]) for i, j in zip(xs[lo + ix].tolist(), iy.tolist())]
-    line_xs = [list(coords[i]) for i in np.flatnonzero(line)]
+        pts += [(coords[i], coords[j]) for i, j in zip(xs[start + ix].tolist(), ys[iy].tolist())]
+        stop = start
+    line_xs = [list(coords[i]) for i in np.flatnonzero(zero.all(axis=1))]
     line_fiber = {"x_values": line_xs, "count_each": box.side() ** 2} if line_xs else None
-    return FiberPointSet(k=k, points=pts, exhausted_box=box, line_fiber=line_fiber)
+    return FiberPointSet(k=k, points=sorted(pts), exhausted_box=box, line_fiber=line_fiber)
 
 
 def brute_force_fiber_points(P, k, box):

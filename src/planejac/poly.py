@@ -665,9 +665,10 @@ def jacobian(F):
 
 
 def compose_map(f, F):
-    """f(P, Q) for f in the target variables (u, v)."""
-    u, v = f.vars[:2] if len(f.vars) >= 2 else ("u", "v")
-    return substitute((f,), {u: F.p, v: F.q})[0]
+    """f(P, Q) for f in the target variables u and v, by name."""
+    if f.used_vars() - {"u", "v"}:
+        raise ValueError(f"compose_map of a polynomial in {', '.join(sorted(f.used_vars()))}")
+    return substitute((f,), {"u": F.p, "v": F.q})[0]
 
 
 def compose_maps(F, G):

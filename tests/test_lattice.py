@@ -21,7 +21,7 @@ from planejac.exceptional import PlaneCurveSet
 from planejac.poly import PolyMap
 from planejac.roots import RootFindingError
 
-from support import UV, pe, random_poly, slice_rows
+from support import UV, pe, random_automorphism, random_poly, slice_rows
 
 
 # ----------------------------------------------------------------- fiber sets
@@ -170,6 +170,57 @@ def test_fiber_beyond_the_int64_bound_matches_brute_force():
     for k in (0, 2, -3):
         out = enumerate_fiber_points(f, k, box)
         assert _full_fiber(out, box) == brute_force_fiber_points(f, k, box)
+
+
+@pytest.mark.parametrize("p, q", [(665857, 470832), (26102926097, 18457556052)])
+def test_fiber_root_bound_survives_a_near_cancelling_leading_coefficient(p, q):
+    # p^2 - 2*q^2 = 1: at x = i*sqrt(2) the leading coefficient p + q*i*x of
+    # the slice is p - q*sqrt(2), about 1/(2p); the root y = x attains
+    # Fujiwara's bound |s_0/s_1| = |x|
+    f, box = pe(f"{p}*y - {p}*x + {q}i*x*y - {q}i*x^2"), LatticeBox(2, 2)
+    out = enumerate_fiber_points(f, 0, box)
+    assert out.points == brute_force_fiber_points(f, 0, box) == [(x, x) for x in box.coords()]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_fiber_root_bound_takes_coefficients_beyond_the_float_range(m):
+    N = 10 ** 400
+    f, box = pe(f"y^2 + {N}*x - {N}"), LatticeBox(1, m)
+    out = enumerate_fiber_points(f, 0, box)
+    assert out.points == brute_force_fiber_points(f, 0, box) == [((1, 0), (0, 0))]
+
+
+def test_fiber_contains_the_image_of_a_line_under_an_automorphism():
+    # P o G = u for P the first component of F = G^-1, so every G(0, t) in
+    # the box lies on the fiber P = 0, as a point or on a line fiber
+    rng, box, hits = random.Random(7), LatticeBox(25), 0
+    for _ in range(4):
+        G, F = random_automorphism(rng)
+        out = enumerate_fiber_points(F.p, 0, box)
+        lines = (out.line_fiber or {}).get("x_values", [])
+        found = set(out.points) | {(tuple(x), None) for x in lines}
+        # g(0, t) = sum c_k t^k at every box t, exactly: t^k = A + B*i
+        A, B = _box_powers(box, max(g.degree_in("y") or 0 for g in (G.p, G.q)))
+
+        def on_axis(g):
+            re, im = np.zeros(len(A), dtype=object), np.zeros(len(A), dtype=object)
+            for (i, k), c in g.terms.items():
+                assert c.d == 1
+                if i == 0:
+                    re, im = re + c.a * A[:, k] - c.b * B[:, k], im + c.a * B[:, k] + c.b * A[:, k]
+            return re, im
+        for x, y in zip(zip(*on_axis(G.p)), zip(*on_axis(G.q))):
+            if box.contains_coords(*x) and box.contains_coords(*y):
+                hits += 1
+                assert {(x, y), (x, None)} & found
+    assert hits > 300
+
+
+def test_fiber_at_a_large_box_is_pinned(ml_map):
+    # 214M pairs of box points: evaluating each of them would stall this test
+    out = enumerate_fiber_points(ml_map.p, 1, LatticeBox(60))
+    assert out.points == [((0, -1), (-1, 0)), ((0, 1), (-1, 0))]
+    assert out.line_fiber is None
 
 
 def test_fiber_enumeration_solves_nothing(ml_map, monkeypatch):

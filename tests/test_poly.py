@@ -180,6 +180,11 @@ def test_compose_map_examples():
     F2 = PolyMap(pe("x + y"), pe("x - y"))
     assert compose_map(pe("u*v", UV), F2) == pe("x^2 - y^2")
     assert compose_map(pe("u", UV), F2) == F2.p
+    # u and v are substituted by name, whatever the other variables
+    F3 = PolyMap(pe("x + y^2"), pe("y"))
+    assert compose_map(pe("u*v", XYUV), F3) == compose_map(pe("u*v", UV), F3) == pe("y^3 + x*y")
+    with pytest.raises(ValueError):
+        compose_map(pe("u*x", XYUV), F3)
 
 
 def test_jacobian_chain_rule():

@@ -22,6 +22,7 @@ answers.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -43,46 +44,63 @@ def seeded_map(seed):
     return PolyMap(p, q)
 
 
-def _run(seed, conn):
+def _prepare(seed):
     from planejac.exceptional import exceptional_report
     from planejac.poly import jacobian
 
     F = seeded_map(seed)
-    conn.send(None)  # imported: the clock starts
-    t0 = time.perf_counter()
-    if jacobian(F).is_zero():
-        out = {"status": "zero-jacobian"}
-    else:
+
+    def work():
+        if jacobian(F).is_zero():
+            return {"status": "zero-jacobian"}
         try:
             report = exceptional_report(F)
         except Exception as e:  # reported on the seed's line
-            out = {"status": "error", "error": f"{type(e).__name__}: {e}"}
-        else:
-            out = {
-                "status": "ok",
-                "defining": str(report.critical.defining),
-                "curve": str(report.curve.defining),
-                "deg_geo": report.degree.deg_geo,
-                "degree_counts": [c for _, c in report.degree.samples],
-                "verdict_counts": [[s["count"] for s in v["samples"]] for v in report.verdicts],
-            }
-    conn.send({"seconds": round(time.perf_counter() - t0, 3), **out})
+            return {"status": "error", "error": f"{type(e).__name__}: {e}"}
+        return {
+            "status": "ok",
+            "defining": str(report.critical.defining),
+            "curve": str(report.curve.defining),
+            "deg_geo": report.degree.deg_geo,
+            "degree_counts": [c for _, c in report.degree.samples],
+            "verdict_counts": [[s["count"] for s in v["samples"]] for v in report.verdicts],
+        }
+    return work
 
 
-def run_seed(ctx, seed):
-    """The line of one seed, computed in a child process."""
+def _run(prepare, arg, repeat, conn):
+    work = prepare(arg)
+    conn.send(None)  # imported and prepared: the clock starts
+    best = math.inf
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = work()
+        best = min(best, time.perf_counter() - t0)
+    conn.send({"seconds": round(best, 3), **out})
+
+
+def run_in_child(ctx, prepare, arg, timeout=TIMEOUT_S, repeat=1):
+    """{"seconds", "status", ...} of work = prepare(arg), both run in a child
+    process: "seconds" is the best time of `repeat` calls of work() alone,
+    and the rest is its dict, or a "timeout" or "error" status after
+    `timeout` seconds of work in all.  `prepare` must be importable by name."""
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_run, args=(seed, send))
+    child = ctx.Process(target=_run, args=(prepare, arg, repeat, send))
     child.start()
     send.close()
     try:
         recv.recv()
-        out = recv.recv() if recv.poll(TIMEOUT_S) else {"seconds": TIMEOUT_S, "status": "timeout"}
+        out = recv.recv() if recv.poll(timeout) else {"seconds": timeout, "status": "timeout"}
     except EOFError:  # the child died without a result
         out = {"seconds": None, "status": "error", "error": "the process ended without a result"}
     child.terminate()
     child.join()
-    return {"seed": seed, **out}
+    return out
+
+
+def run_seed(ctx, seed):
+    """The line of one seed, computed in a child process."""
+    return {"seed": seed, **run_in_child(ctx, _prepare, seed)}
 
 
 def main():
