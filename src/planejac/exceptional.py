@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gaussian import GaussianRational
-from .poly import (Poly, _coeff_list, cont_pp_static, divides, exact_div, jacobian,
-                   poly_gcd, resultant_allow_constant, squarefree_decomposition,
+from .poly import (Poly, PolyMap, _coeff_list, cont_pp_static, divides, exact_div,
+                   jacobian, poly_gcd, resultant_allow_constant, squarefree_decomposition,
                    squarefree_part)
 from .roots import find_roots
 
@@ -329,20 +329,13 @@ def _line_images(p, q, g, var, other):
 
 def _line_image_factors(F, d, var, other):
     """Polynomials in (u, v) whose zero sets are the images of the critical
-    lines {var = r}, r a root of d, the square-free content of JF in var.  F contracts {var = r} to a point exactly when r is a root of
-    the gcd of d with every coefficient of a positive power of `other` in P
-    and Q; those lines are dropped."""
+    lines {var = r}, r a root of d, the square-free content of JF in var.
+    None of these lines is contracted to a point: `critical_values` has
+    divided the contracted components out."""
     if d.is_constant():
         return []
     p, q = _fiber_equations(F)
-    d = d._with_vars(p.vars)
-    point = d
-    for f in (p, q):
-        for k, c in f.coeffs_in(other).items():
-            if k > 0:
-                point = poly_gcd(point, c._with_vars(p.vars))
-    g = exact_div(d, point)
-    return [] if g.is_constant() else _line_images(p, q, g, var, other)
+    return _line_images(p, q, d._with_vars(p.vars), var, other)
 
 
 def _eliminate_order(F, pp, first):
@@ -376,7 +369,9 @@ def _eliminate_order(F, pp, first):
 def critical_values(F):
     """Image of the critical locus {JF = 0}.
 
-    Full lines inside the locus are split off exactly (axis contents of the
+    Components that F contracts to a point are divided out of the
+    square-free Jacobian first: their images are points.  Full lines inside
+    the locus are split off exactly (axis contents of the
     square-free Jacobian) and their images taken by resultants with those
     contents, with no root solve; the remaining
     primitive part goes through iterated-resultant elimination in both
@@ -389,6 +384,16 @@ def critical_values(F):
     if jf.is_zero():
         raise ExceptionalError("Jacobian vanishes identically")
     pp = squarefree_part(jf)
+    # on a component C of {pp = 0}, {f, pp} = f_x pp_y - f_y pp_x is the
+    # derivative of f along C up to a factor nonzero on C, so
+    # k = gcd(pp, {P, pp}, {Q, pp}) is the product of the components that F
+    # contracts to points, which are no curve components of the image
+    k = pp
+    for f in (F.p, F.q):
+        if not k.is_constant():
+            k = poly_gcd(k, jacobian(PolyMap(f, pp)))
+    if not k.is_constant():
+        pp = exact_div(pp, k)
     line_factors = []
     for var, other in (("x", "y"), ("y", "x")):
         # the content in the other variable is a polynomial in `var` whose

@@ -20,16 +20,18 @@ four variables internally.
 Resultants and gcds run one subresultant PRS over the ring of the
 coefficients, on inputs cleared of denominators.  Where these involve at
 most one variable t (resultants in (x, y), as in exact preimage counts, and
-univariate gcds) that ring is the dense Z[i][t] of ZiPoly; elsewhere it is
-Poly.  The bivariate gcd stays sparse: the (u, v) curves are sparse in high
-degree, where dense coefficient lists were measured slower end to end.
+univariate gcds) that ring is the Gaussian-integer scalars of Zi: univariate
+gcds have constant coefficients, and a resultant takes its coefficients at
+t = 2^k, large enough that r(2^k) spells out r(t) digit by digit (see
+`resultant`).  Elsewhere the ring is Poly; the bivariate gcd stays sparse,
+as the (u, v) curves are sparse in high degree.
 """
 
 from __future__ import annotations
 
 import re as _re
 from functools import reduce
-from itertools import chain, zip_longest
+from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -752,7 +754,7 @@ def poly_gcd(f, g):
         if len(f.num) == 1 or len(g.num) == 1:
             return Poly.var(main, f.vars) ** min(e[i] for h in (f, g) for e in h.num)
         cont_gcd = Poly.const(1, f.vars)
-        A, B = (_dense_coeff_list(h, main, None) for h in (f, g))
+        A, B = ([Zi(*row.get(0, (0, 0))) for row in _rows(h, main, None)] for h in (f, g))
     else:
         cf, pf = cont_pp_static(f, main)
         cg, pg = cont_pp_static(g, main)
@@ -766,10 +768,10 @@ def poly_gcd(f, g):
     if len(B) == 1:
         return cont_gcd
     # B is the last nonzero remainder; put `main` back into its terms
-    if len(used) == 1:
-        return _from_dense(ZiPoly([b.c[0] if b.c else (0, 0) for b in reversed(B)]),
-                           f.vars, main, 1).monic()
     n = len(B) - 1
+    if len(used) == 1:
+        return Poly._make(f.vars, {tuple(n - k if w == main else 0 for w in f.vars): (b.re, b.im)
+                                   for k, b in enumerate(B) if not b.is_zero()}).monic()
     last = Poly._make(f.vars, {e[:i] + (n - k,) + e[i:]: c
                                for k, b in enumerate(B) for e, c in b.num.items()})
     _, last = cont_pp_static(last, main)
@@ -826,93 +828,72 @@ def squarefree_decomposition(f, name):
     return out
 
 
-# ------------------------------------------------------- the dense Z[i][t]
+# ------------------------------------------------- Gaussian-integer scalars
 
 
-class ZiPoly:
-    """Dense polynomial in one variable t over Z[i]: (re, im) int pairs by
-    ascending degree, no zero pair on top (0 is the empty list).  The PRS
-    coefficient ring where coefficients involve at most one variable."""
+class Zi:
+    """A Gaussian integer re + im*i: the PRS coefficient ring of univariate
+    gcds and of resultants whose coefficients are evaluated at t = 2^k."""
 
-    __slots__ = ("c",)
+    __slots__ = ("re", "im")
 
-    def __init__(self, c):
-        while c and c[-1] == (0, 0):
-            c.pop()
-        self.c = c
+    def __init__(self, re, im=0):
+        self.re, self.im = re, im
 
     def is_zero(self):
-        return not self.c
+        return not (self.re or self.im)
 
     def __neg__(self):
-        return ZiPoly([(-re, -im) for re, im in self.c])
+        return Zi(-self.re, -self.im)
 
     def __sub__(self, other):
-        return ZiPoly([(ar - br, ai - bi) for (ar, ai), (br, bi)
-                       in zip_longest(self.c, other.c, fillvalue=(0, 0))])
+        return Zi(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other):
-        a, b = self.c, other.c
-        re = [0] * (len(a) + len(b) - 1)
-        im = re[:]
-        for i, (ar, ai) in enumerate(a):
-            if ar or ai:
-                for k, (br, bi) in enumerate(b, i):
-                    re[k] += ar * br - ai * bi
-                    im[k] += ar * bi + ai * br
-        return ZiPoly(list(zip(re, im)))
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return Zi(a * c - b * d, a * d + b * c)
 
     def __pow__(self, n):
-        return _power(self, int(n), ZiPoly([(1, 0)]))
+        return _power(self, int(n), Zi(1))
 
     def exact_div(self, den):
-        """self / den when den divides self in Z[i][t], else None: long
-        division from the top, each step an exact division in Z[i]."""
-        d = den.c
-        if not d:
-            raise ZeroDivisionError("division by the zero polynomial")
-        n = len(self.c) - len(d) + 1
-        if n <= 0:
-            return None if self.c else self
-        re, im = [c[0] for c in self.c], [c[1] for c in self.c]
-        lr, li = d[-1]
-        norm = lr * lr + li * li
-        q = [(0, 0)] * n
-        for k in range(n - 1, -1, -1):
-            xr, xi = re[k + len(d) - 1], im[k + len(d) - 1]
-            qr, er = divmod(xr * lr + xi * li, norm)
-            qi, ei = divmod(xi * lr - xr * li, norm)
-            if er or ei:
-                return None
-            if qr or qi:
-                q[k] = (qr, qi)
-                for j, (dr, di) in enumerate(d, k):
-                    re[j] -= qr * dr - qi * di
-                    im[j] -= qr * di + qi * dr
-        if any(re[:len(d) - 1]) or any(im[:len(d) - 1]):
-            return None
-        return ZiPoly(q)
+        """self / den when den divides self in Z[i], else None."""
+        n = den.re * den.re + den.im * den.im
+        if not n:
+            raise ZeroDivisionError("division by zero in Z[i]")
+        qr, er = divmod(self.re * den.re + self.im * den.im, n)
+        qi, ei = divmod(self.im * den.re - self.re * den.im, n)
+        return None if er or ei else Zi(qr, qi)
 
 
-def _dense_coeff_list(f, name, t):
+def _rows(f, name, t):
     """The coefficients of the numerator f.den * f in `name`, highest degree
-    first, as ZiPoly in t.  Every other variable of f is unused; t is None
-    when the coefficients are constants."""
+    first, each as {degree in t: (re, im)}.  Every other variable of f is
+    unused; t is None when the coefficients are constants."""
     i = f.vars.index(name)
     j = None if t is None else f.vars.index(t)
     rows = {}
     for exps, c in f.num.items():
         rows.setdefault(exps[i], {})[0 if j is None else exps[j]] = c
-    return [ZiPoly([row.get(k, (0, 0)) for k in range(max(row, default=-1) + 1)])
-            for row in (rows.get(d, {}) for d in range(max(rows), -1, -1))]
+    return [rows.get(d, {}) for d in range(max(rows), -1, -1)]
 
 
-def _from_dense(r, vars, t, s):
-    """The Poly over `vars` of the ZiPoly r in t (None: a constant), over
-    the integer denominator s."""
-    j = None if t is None else vars.index(t)
-    return Poly._make(vars, {tuple(k if w == j else 0 for w in range(len(vars))): c
-                             for k, c in enumerate(r.c) if c != (0, 0)}, s)
+def _at_power_of_two(row, k):
+    """The row {degree in t: (re, im)} at t = 2^k."""
+    return Zi(sum(re << (k * e) for e, (re, _) in row.items()),
+              sum(im << (k * e) for e, (_, im) in row.items()))
+
+
+def _balanced_digits(z, k):
+    """The digits (re, im), lowest first, of the Zi z = sum c_j 2^(k*j),
+    with both parts of each c_j in [-2^(k-1), 2^(k-1)); k >= 2."""
+    re, im, out = z.re, z.im, []
+    while re or im:
+        # the low k bits, less 2^k when the top one of them is set
+        c = [(n & ((1 << k) - 1)) - ((n & (1 << (k - 1))) << 1) for n in (re, im)]
+        out.append(tuple(c))
+        re, im = (re - c[0]) >> k, (im - c[1]) >> k
+    return out
 
 
 # ------------------------------------------------------------- resultants
@@ -985,7 +966,7 @@ def _pseudo_rem_list(a, b):
 
 
 def _div_or_raise(num, den):
-    q = num.exact_div(den) if isinstance(num, ZiPoly) else exact_div(num, den)
+    q = num.exact_div(den) if isinstance(num, Zi) else exact_div(num, den)
     if q is None or isinstance(q, Poly) and q.den != 1:
         raise ArithmeticError("subresultant exact division failed")
     return q
@@ -994,7 +975,7 @@ def _div_or_raise(num, den):
 def _subresultant_prs(A, B):
     """The subresultant PRS of descending coefficient lists, len(A) >=
     len(B) (Collins, JACM 14, 1967; Cohen, Alg. 3.3.7 without the content
-    step), over the ring of their entries, Poly or ZiPoly.  Yields (A, B, h)
+    step), over the ring of their entries, Poly or Zi.  Yields (A, B, h)
     for the input pair and each later pair; the last pair has a constant B
     or a zero pseudo-remainder."""
     g = h = A[0] ** 0
@@ -1039,8 +1020,20 @@ def resultant(a, b, eliminate):
     fixed row convention (a-rows on top), sign included, computed by the
     subresultant PRS over the ring of the other variables, on the numerators
     sa*a and sb*b: Res(sa*a, sb*b) = sa^deg(b) * sb^deg(a) * Res(a, b).
+
     When at most one other variable t is used and neither input is Laurent,
-    that ring is the dense Z[i][t]."""
+    the PRS runs on Gaussian-integer scalars instead (Kronecker substitution):
+    evaluation commutes with the determinant, so r = Res(A, B) in Z[i][t]
+    has r(2^k) = Res(A(2^k), B(2^k)), and r is read back from the balanced
+    base-2^k digits of the real and imaginary parts of r(2^k).  That is exact
+    by this invariant: with ||c||_1 the sum of |re| + |im| over the
+    coefficients of a row c_j in t, and
+        H^2 = (sum_j ||a_j||_1^2)^deg(B) * (sum_j ||b_j||_1^2)^deg(A),
+    Hadamard's inequality bounds |r| on |t| = 1, and so every coefficient
+    of r, by H (Collins, JACM 18, 1971); k is chosen with 2^(k-1) > H.  Both
+    degrees are positive, so H is at least every input coefficient, no
+    leading coefficient vanishes at 2^k, the formal degrees survive the
+    evaluation, and the digits are exactly the coefficients of r."""
     if a.is_zero() or b.is_zero():
         raise ValueError("resultant of a zero polynomial")
     da = a.degree_in(eliminate) if eliminate in a.vars else 0
@@ -1058,8 +1051,15 @@ def resultant(a, b, eliminate):
             raise ValueError(f"Laurent polynomial {a if a.is_laurent() else b} in resultant") from None
         return Poly._make(r.vars, r.num, s)
     t = rest.pop() if rest else None
-    A, B = (_dense_coeff_list(f, eliminate, t) for f in (a, b))
-    return _from_dense(_prs_resultant(A, B), tuple(w for w in a.vars if w != eliminate), t, s)
+    A, B = (_rows(f, eliminate, t) for f in (a, b))
+    norms = [sum(sum(abs(re) + abs(im) for re, im in row.values()) ** 2 for row in R)
+             for R in (A, B)]
+    # 2^(k-1) > H, with H^2 < 2^(db * bits(norm_a) + da * bits(norm_b))
+    k = (db * norms[0].bit_length() + da * norms[1].bit_length() + 1) // 2 + 1
+    r = _prs_resultant(*([_at_power_of_two(row, k) for row in R] for R in (A, B)))
+    vars = tuple(w for w in a.vars if w != eliminate)
+    return Poly._make(vars, {tuple(e if w == t else 0 for w in vars): c
+                             for e, c in enumerate(_balanced_digits(r, k)) if c != (0, 0)}, s)
 
 
 def _reject_negative_powers(a, b, name):

@@ -25,6 +25,20 @@ def fail_certification_solves(monkeypatch):
     monkeypatch.setattr(roots, "find_roots_batch", fail)
 
 
+@pytest.fixture()
+def dense_only(monkeypatch):
+    """Fails a test whose remainder sequence runs on Poly entries instead of
+    Gaussian-integer scalars."""
+    from planejac import poly
+    real = poly._subresultant_prs
+
+    def checked(A, B):
+        assert all(isinstance(c, poly.Zi) for c in A + B)
+        return real(A, B)
+
+    monkeypatch.setattr(poly, "_subresultant_prs", checked)
+
+
 @pytest.fixture(scope="session")
 def ml_map():
     """The canonical dominant non-invertible example (coefficient-2 variant)."""

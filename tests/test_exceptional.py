@@ -18,7 +18,7 @@ from planejac.cli import load_map_file
 from planejac.poly import (Poly, PolyMap, compose_map, compose_maps, divides, exact_div,
                            jacobian, poly_gcd, squarefree_part)
 
-from support import UV, XY, pe, random_automorphism, random_point
+from support import UV, XY, pe, random_automorphism, random_point, random_poly
 
 MAPS = os.path.join(os.path.dirname(__file__), "..", "maps")
 
@@ -273,12 +273,20 @@ def test_exact_count_matches_sympy_on_makar_limanov(ml_map, ml_map_printed):
         assert counts == expected[name]
 
 
-def test_exact_count_matches_sympy_at_random_points():
+@pytest.fixture(scope="module")
+def random_count_maps():
+    """(maps with their critical values, the generator that drew them), made
+    before the function-scoped `dense_only` patches the remainder sequence:
+    critical values run bivariate gcds on Poly entries."""
     rng = random.Random(307)
     maps = [PolyMap(pe("x^2"), pe("y"))]
     maps += [random_automorphism(rng, max_total_deg=6)[0] for _ in range(3)]
-    for F in maps:
-        crit = critical_values(F).defining
+    return [(F, critical_values(F).defining) for F in maps], rng
+
+
+def test_exact_count_matches_sympy_at_random_points(random_count_maps, dense_only):
+    maps, rng = random_count_maps
+    for F, crit in maps:
         checked = 0
         while checked < 3:
             u0, v0 = random_point(rng)
@@ -312,6 +320,26 @@ def test_critical_values_product_map_empty():
 def test_critical_values_ml(ml_map):
     crit = critical_values(ml_map)
     assert crit.defining == pe("u^3 + v^2", UV)
+
+
+def test_critical_values_drop_curves_contracted_to_points(ml_map):
+    # B = (x + y^2, y) has JB = 1, so F o B has the critical values of F.  H
+    # contracts the line {x = 0} to (0, 0), and H o B the parabola
+    # {x + y^2 = 0}, which is no line; likewise makar_limanov and seed 1 of
+    # tools/seeded_maps.py.  Their images are points, and must not turn
+    # into the lines {u = 0} and {v = 0}
+    rng = random.Random(1)
+    seed1 = PolyMap(*(random_poly(rng, max_deg=2, n_terms=4, int_coeffs=True)
+                      for _ in range(2)))
+    B = PolyMap(pe("x + y^2"), pe("y"))
+    H = PolyMap(pe("x^2*y"), pe("x^3*y^2 + x"))
+    assert compose_maps(H, B).p == pe("y^5 + 2*x*y^3 + x^2*y")
+    assert critical_values(H).defining == pe("u^2 - 1/4*v^2", UV)
+    assert critical_values(ml_map).defining == pe("u^3 + v^2", UV)
+    for F in (H, ml_map, seed1):
+        want = critical_values(F).defining
+        assert want.total_degree() >= 2
+        assert critical_values(compose_maps(F, B)).defining == want, F
 
 
 def _critical_point_images(F, seed=71, lines=8):

@@ -6,7 +6,7 @@ import pytest
 
 from planejac import poly
 from planejac.gaussian import GR_ONE, GaussianRational
-from planejac.poly import (ParseError, Poly, PolyMap, ZiPoly, compose_map,
+from planejac.poly import (ParseError, Poly, PolyMap, Zi, compose_map,
                            compose_maps, det_bareiss, divides, jacobian,
                            parse_expression, poly_gcd,
                            resultant, squarefree_part)
@@ -416,18 +416,6 @@ def _random_xy_in_y(rng, deg):
     return f
 
 
-@pytest.fixture()
-def dense_only(monkeypatch):
-    """Fails a test whose remainder sequence runs on Poly entries."""
-    real = poly._subresultant_prs
-
-    def checked(A, B):
-        assert all(isinstance(c, ZiPoly) for c in A + B)
-        return real(A, B)
-
-    monkeypatch.setattr(poly, "_subresultant_prs", checked)
-
-
 def _swap_xy(f):
     return Poly(XY, {(j, i): c for (i, j), c in f.terms.items()})
 
@@ -476,19 +464,78 @@ def test_dense_resultant_of_univariate_and_sharing_pairs(dense_only):
         assert _sylvester_det(f, g, "y").is_zero()
 
 
+def _big(rng):
+    """A constant Gaussian integer with both parts within 10 of +-10^30."""
+    return Poly.const(GaussianRational(rng.choice((-1, 1)) * (10 ** 30 + rng.randint(-10, 10)),
+                                       rng.choice((-1, 1)) * (10 ** 30 + rng.randint(-10, 10))),
+                      XY)
+
+
+def test_dense_resultant_reads_back_every_coefficient(dense_only):
+    # r(2^k) read back as balanced base-2^k digits: coefficients near
+    # +-10^30 in both parts with mixed signs, so that digits borrow across
+    # slots; zero middle rows; rows constant in x next to rows that are not
+    rng = random.Random(89)
+    xv, yv = Poly.var("x", XY), Poly.var("y", XY)
+    for _ in range(12):
+        a = (_big(rng) * xv ** 2 + _big(rng)) * yv ** 3 + _big(rng) * yv + _big(rng) * xv
+        b = _big(rng) * yv ** 2 + (_big(rng) * xv ** 3 - _big(rng) * xv) * yv + _big(rng)
+        c = _big(rng) * yv ** 4 + _big(rng)  # both middle rows zero, all constant in x
+        for f, g in ((a, b), (b, a), (a, c), (c, b)):
+            r = resultant(f, g, "y")
+            assert r == _sylvester_det(f, g, "y"), (f, g)
+            f, g = _swap_xy(f), _swap_xy(g)
+            assert resultant(f, g, "x") == _sylvester_det(f, g, "x"), (f, g)
+    assert max(abs(c.a) for c in r.terms.values()) > 10 ** 150
+    # a top coefficient with one part zero: more digits in one part than in
+    # the other
+    for top, bottom in ((GaussianRational(0, 10 ** 30), 10 ** 30 + 1),
+                        (10 ** 30 + 1, GaussianRational(0, -10 ** 30))):
+        f, g = yv - Poly.const(top, XY) * xv ** 2, yv - Poly.const(bottom, XY) * xv
+        r = resultant(f, g, "y")
+        assert r == _sylvester_det(f, g, "y") and r.degree_in("x") == 2
+
+
+def test_dense_resultant_of_zero_and_of_constants(dense_only):
+    rng = random.Random(97)
+    xv, yv = Poly.var("x", XY), Poly.var("y", XY)
+    for _ in range(6):
+        s, t, w = _big(rng), _big(rng), _big(rng)
+        # Res_y(y + s*x, y + s*x + t) = t: large, constant, from rows in x
+        f, g = yv + s * xv, yv + s * xv + t
+        assert resultant(f, g, "y") == t == _sylvester_det(f, g, "y")
+        # a shared factor y + s*x + w: the resultant is 0
+        h = yv + s * xv + w
+        f, g = h * (t * yv ** 2 + xv), h * (yv - t * xv ** 2)
+        assert resultant(f, g, "y").is_zero() and _sylvester_det(f, g, "y").is_zero()
+
+
+def test_balanced_digits_round_trip():
+    rng = random.Random(101)
+    for k in (2, 3, 7, 64):
+        for _ in range(50):
+            digits = [tuple(rng.randrange(-2 ** (k - 1), 2 ** (k - 1)) for _ in "ri")
+                      for _ in range(rng.randint(1, 9))]
+            digits[-1] = (digits[-1][0], digits[-1][1] or 1)
+            z = Zi(*(sum(c[part] << (k * j) for j, c in enumerate(digits)) for part in (0, 1)))
+            assert poly._balanced_digits(z, k) == digits
+    assert poly._balanced_digits(Zi(0), 5) == []
+
+
 def test_dense_division_is_checked():
-    t1 = ZiPoly([(1, 0), (1, 0)])  # 1 + t
-    t2 = ZiPoly([(0, 1), (0, 0), (2, -1)])  # i + (2 - i) t^2
-    c = ZiPoly([(1, 1)])  # 1 + i
-    prod = t1 * t2 * c
-    assert poly._div_or_raise(prod, t2 * c).c == t1.c
-    assert poly._div_or_raise(prod, t1).c == (t2 * c).c
-    for num, den in ((ZiPoly([(1, 0)]), ZiPoly([(2, 0)])),  # 1 / 2
-                     (t2, c),  # i / (1 + i) is not in Z[i]
-                     (prod - ZiPoly([(1, 0)]), t1),  # a remainder of -1
-                     (t1, t2)):  # lower degree
+    a, b, c = Zi(3, 4), Zi(2, -1), Zi(1, 1)  # 3 + 4i, 2 - i, 1 + i
+    prod = a * b * c
+    q = poly._div_or_raise(prod, b * c)
+    assert (q.re, q.im) == (3, 4)
+    q = poly._div_or_raise(prod, a)
+    assert (q.re, q.im) == ((b * c).re, (b * c).im)
+    for num, den in ((Zi(1), Zi(2)),  # 1 / 2
+                     (Zi(0, 1), c),  # i / (1 + i) = (1 + i)/2 is not in Z[i]
+                     (prod - Zi(1), a)):  # a remainder of -1
         with pytest.raises(ArithmeticError, match="subresultant exact division failed"):
             poly._div_or_raise(num, den)
+    with pytest.raises(ZeroDivisionError):
+        poly._div_or_raise(a, Zi(0))
 
 
 def test_sylvester_shape():
