@@ -15,14 +15,12 @@ from dataclasses import asdict, dataclass
 from importlib import resources
 
 import click
-import jsonschema
 
 from . import exceptional as exc
-from . import lattice as lat
 from . import series as ser
+from ._kernels import VIOLATION_TOL, RootFindingError
 from .gaussian import GaussianRational
 from .poly import PolyMap, jacobian, parse_expression
-from .roots import RootFindingError
 
 EXIT_VIOLATIONS = 3
 #: the failures of an analysis that end a command with `error: ...`, exit 1
@@ -37,7 +35,7 @@ class RunConfig:
     ring_m: int = 1
     trials: int = 3
     samples: int = 5
-    tol: float = lat.VIOLATION_TOL
+    tol: float = VIOLATION_TOL
 
 
 class MapFileError(RuntimeError):
@@ -92,19 +90,90 @@ def _schema():
         return json.load(fh)
 
 
+class ReportSchemaError(Exception):
+    """A report that breaks the report schema, or a schema that the report
+    checker does not interpret: a fault of the program, caught nowhere."""
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _same(a, b):
+    return a == b and isinstance(a, bool) == isinstance(b, bool)  # True is not 1
+
+
+#: the Draft-7 types: 1.0 is an integer, and True is no number
+_TYPES = {"object": lambda x: isinstance(x, dict), "array": lambda x: isinstance(x, list),
+          "string": lambda x: isinstance(x, str), "boolean": lambda x: isinstance(x, bool),
+          "null": lambda x: x is None, "number": _is_number,
+          "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer())}
+#: keyword -> test of an instance x against the keyword's value v; each
+#: keyword holds for the instances of other types than its own, as in Draft 7
+_TESTS = {
+    "type": lambda x, v: any(_TYPES[n](x) for n in ([v] if isinstance(v, str) else v)),
+    "enum": lambda x, v: any(_same(x, e) for e in v),
+    "const": _same,
+    "required": lambda x, v: not isinstance(x, dict) or set(v) <= set(x),
+    "minimum": lambda x, v: not _is_number(x) or x >= v,
+    "exclusiveMinimum": lambda x, v: not _is_number(x) or x > v,
+    "minItems": lambda x, v: not isinstance(x, list) or len(x) >= v,
+    "maxItems": lambda x, v: not isinstance(x, list) or len(x) <= v,
+}
+_KEYWORDS = {*_TESTS, "properties", "additionalProperties", "items", "allOf", "if", "then",
+             "$schema", "title"}  # the last two are annotations
+
+
+def _supported(s):
+    """The schema s, once `_violation` interprets every keyword in it as
+    Draft 7 does; raises ReportSchemaError otherwise."""
+    if not isinstance(s, dict):
+        raise ReportSchemaError(f"the report checker does not interpret the subschema {s!r}")
+    types = s.get("type", [])
+    bad = set(s) - _KEYWORDS | set([types] if isinstance(types, str) else types) - set(_TYPES)
+    if s.get("additionalProperties", False) is not False:
+        bad.add("additionalProperties")
+    if bad:
+        raise ReportSchemaError(f"the report checker does not interpret {sorted(bad)}")
+    for sub in [*s.get("properties", {}).values(), *s.get("allOf", []),
+                *(s[k] for k in ("items", "if", "then") if k in s)]:
+        _supported(sub)
+    return s
+
+
+def _violation(s, x, at="report"):
+    """Where and how x first breaks the schema s, or None."""
+    for k, v in s.items():
+        if k in _TESTS and not _TESTS[k](x, v):
+            return f"{at} breaks {k}: {v!r}"
+    props, subs = s.get("properties", {}), [(sub, x, at) for sub in s.get("allOf", [])]
+    if isinstance(x, dict):
+        if "additionalProperties" in s and not set(x) <= set(props):
+            return f"{at} has unexpected {sorted(set(x) - set(props))}"
+        subs += [(props[k], x[k], f"{at}.{k}") for k in props if k in x]
+    if isinstance(x, list) and "items" in s:
+        subs += [(s["items"], y, f"{at}[{i}]") for i, y in enumerate(x)]
+    if "if" in s and "then" in s and _violation(s["if"], x, at) is None:
+        subs.append((s["then"], x, at))
+    return next(filter(None, (_violation(*sub) for sub in subs)), None)
+
+
 @functools.cache
 def _validator():
-    """The Draft-7 validator of the report schema, built once per process;
-    the schema itself is checked by the test suite."""
-    return jsonschema.Draft7Validator(_schema())
+    """The report schema, built once per process after `_supported` has
+    checked that the checker interprets every keyword in it."""
+    return _supported(_schema())
 
 
 def emit(command, meta, config, result, pretty, summary_lines, exit_code=0):
-    """Validate and print the report, and return the command's exit code.
-    The result must hold JSON values only: a non-finite float raises
-    ValueError."""
+    """Check the report against the schema, print it, and return the
+    command's exit code.  A report that breaks the schema raises
+    ReportSchemaError, and the result must hold JSON values only: a
+    non-finite float raises ValueError.  Either leaves stdout empty."""
     report = {"command": command, "map": meta, "config": asdict(config), "result": result}
-    _validator().validate(report)
+    why = _violation(_validator(), report)
+    if why:
+        raise ReportSchemaError(why)
     if pretty:
         out = json.dumps(report, sort_keys=True, allow_nan=False, indent=2)
     else:
@@ -311,6 +380,7 @@ def exceptional(mapfile, **kw):
 @with_config("box", "ring_m", "seed", "trials", "samples")
 def fibers(mapfile, k_text, **kw):
     """Ring lattice points on the fiber P = k inside the box."""
+    from . import lattice as lat
     cfg = _config(kw)
     F, curve, meta = _load(mapfile)
     try:
@@ -339,6 +409,7 @@ def fibers(mapfile, k_text, **kw):
 @with_config("box", "ring_m", "seed", "trials", "samples", "tol")
 def verify(mapfile, which, **kw):
     """Inequality and bound verification sweeps over the lattice box."""
+    from . import lattice as lat
     cfg = _config(kw)
     F, curve, meta = _load(mapfile)
     try:

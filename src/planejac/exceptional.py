@@ -18,7 +18,6 @@ from .gaussian import GaussianRational
 from .poly import (Poly, PolyMap, _coeff_list, cont_pp_static, divides, exact_div,
                    jacobian, poly_gcd, resultant_allow_constant, squarefree_decomposition,
                    squarefree_part)
-from .roots import find_roots
 
 #: largest height max(|a|, |b|, d) of the t = (a + bi)/d tried as one
 #: coordinate of a point on a candidate component
@@ -234,6 +233,7 @@ def _nearby_rational(z):
 def _univariate_roots(f):
     """Complex roots of a univariate or constant Poly f, from its exact
     coefficients; none when f is zero or constant."""
+    from .roots import find_roots  # here, so that `check` needs no NumPy
     if f.is_constant():
         return ()
     (free,) = f.vars

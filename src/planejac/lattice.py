@@ -15,17 +15,16 @@ with one zero rule for the coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import VIOLATION_TOL
 from .gaussian import GaussianRational, lattice_point
 from .poly import Poly
 from .roots import find_roots_grouped
-
-#: tolerance on all <= 1 comparisons; the quantities of interest sit far away
-VIOLATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,9 +106,12 @@ _FIBER_BLOCK = 1 << 16
 _LOG_MARGIN = 1e-12
 
 
+@functools.lru_cache(maxsize=8)
 def _box_powers(box, top):
     """The powers t^k = A + B*i*sqrt(m), k = 0..top, of the box's values t
-    in box order, as two exact (n, top + 1) object arrays of ints."""
+    in box order, as two exact (n, top + 1) object arrays of ints, and
+    M[k] = max |A[:, k]| + |B[:, k]|.  Cached per (box, top), so the three
+    arrays are read-only."""
     a, b = np.array(list(box.coords()), dtype=object).T
     A = np.zeros((len(a), top + 1), dtype=object)
     B = np.zeros_like(A)
@@ -117,7 +119,10 @@ def _box_powers(box, top):
     for k in range(top):
         A[:, k + 1] = A[:, k] * a - box.ring_m * B[:, k] * b
         B[:, k + 1] = A[:, k] * b + B[:, k] * a
-    return A, B
+    M = (np.abs(A) + np.abs(B)).max(axis=0)
+    for X in (A, B, M):
+        X.flags.writeable = False
+    return A, B, M
 
 
 def _ring_is_zero(z, m):
@@ -169,11 +174,10 @@ def enumerate_fiber_points(P, k, box):
     m = box.ring_m
     f = P._with_vars(("x", "y")) * kq.d - kq * kq.d
     dx, dy = f.degree_in("x") or 0, f.degree_in("y") or 0
-    A, B = _box_powers(box, max(dx, dy))
+    A, B, M = _box_powers(box, max(dx, dy))
     C = np.zeros((2, dx + 1, dy + 1), dtype=object)  # Re, Im of the coefficient of x^i y^j
     for (i, j), c in f.terms.items():
         C[:, i, j] = c.a, c.b
-    M = (np.abs(A) + np.abs(B)).max(axis=0)
     bound = (1 + m) * sum((abs(c.a) + abs(c.b)) * M[i] * M[j] for (i, j), c in f.terms.items())
     if bound < 2 ** 63:
         A, B, C = A.astype(np.int64), B.astype(np.int64), C.astype(np.int64)
@@ -395,7 +399,7 @@ def _box_images(F, box):
     and T the powers t^k = A + B*i*sqrt(m) of the box's values, exact in ints."""
     ps = [(a, b, c, e) for a, b in box.coords() for c, e in box.coords()]
     top = max((max(e) for f in (F.p, F.q) for e in f.terms), default=0)
-    A, B = _box_powers(box, top)
+    A, B, _ = _box_powers(box, top)
     T = np.empty(A.shape, dtype=np.complex128)
     T.real, T.imag = A, B * math.sqrt(box.ring_m)
     C = np.zeros((2, top + 1, top + 1), dtype=np.complex128)

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-class RootFindingError(RuntimeError):
-    pass
+from ._kernels import RootFindingError
 
 
 #: relative Newton step, |step| < TOL * (1 + |z|), at which a root's polish stops

@@ -1,8 +1,11 @@
+import copy
 import gc
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import jsonschema
@@ -12,8 +15,9 @@ from click.testing import CliRunner
 import planejac
 from planejac import exceptional as exc
 from planejac import series as ser
-from planejac.cli import (EXIT_VIOLATIONS, MapFileError, RunConfig, emit, load_map_file, main,
-                          _schema)
+from planejac.cli import (ANALYSIS_ERRORS, EXIT_VIOLATIONS, MapFileError, ReportSchemaError,
+                          RunConfig, emit, load_map_file, main, _schema, _supported,
+                          _validator, _violation)
 from planejac.poly import Poly, parse_expression
 
 MAPS = os.path.join(os.path.dirname(__file__), "..", "maps")
@@ -233,8 +237,10 @@ def test_emit_rejects_a_result_that_breaks_the_schema(runner, monkeypatch):
 
     monkeypatch.setattr(ser, "automorphism_verdict", stringly)
     r = runner.invoke(main, ["invert", _map("elementary.json"), "-N", "4"])
-    assert isinstance(r.exception, jsonschema.ValidationError)
+    assert isinstance(r.exception, ReportSchemaError)
     assert r.stdout == ""
+    # a broken report is a fault of the program, never an `error:` line
+    assert not issubclass(ReportSchemaError, ANALYSIS_ERRORS)
 
 
 @pytest.mark.parametrize("path, bad", [
@@ -258,6 +264,151 @@ def test_schema_requires_exact_exceptional_samples(runner, path, bad):
         node[path[-1]] = bad
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(rep, _schema())
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
+with open(GOLDEN) as _fh:
+    #: the report of every golden invocation that prints one
+    GOLDEN_REPORTS = {k: json.loads(v["stdout"]) for k, v in json.load(_fh).items()
+                      if v["stdout"]}
+DELETE = object()
+INVERT, EXCEPTIONAL = "invert elementary.json -N 8", "exceptional makar_limanov.json"
+SAMPLE = ("result", "components", 0, "samples", 0)
+#: (golden report, path, new value or DELETE) of each report mutation; the
+#: empty path puts the whole report in a list
+MUTATIONS = {
+    "verdict-string": (INVERT, ("result", "automorphism", "value"), "yes"),
+    "verdict-int": (INVERT, ("result", "automorphism", "value"), 1),
+    "no-verdict": (INVERT, ("result", "automorphism"), DELETE),
+    "no-inverse": (INVERT, ("result", "inverse"), DELETE),
+    "no-certification": (EXCEPTIONAL, ("result", "certification"), DELETE),
+    "no-components": (EXCEPTIONAL, ("result", "components"), DELETE),
+    "components-object": (EXCEPTIONAL, ("result", "components"), {}),
+    "confirmed-string": (EXCEPTIONAL, ("result", "components", 0, "confirmed"), "yes"),
+    "point-floats": (EXCEPTIONAL, SAMPLE + ("point",), [1.0, 0.0, 1.0, 0.0]),
+    "point-1": (EXCEPTIONAL, SAMPLE + ("point",), ["1"]),
+    "point-3": (EXCEPTIONAL, SAMPLE + ("point",), ["1", "0", "2"]),
+    "point-string": (EXCEPTIONAL, SAMPLE + ("point",), "1,0"),
+    "count-negative": (EXCEPTIONAL, SAMPLE + ("count",), -1),
+    "count-0": (EXCEPTIONAL, SAMPLE + ("count",), 0),
+    "count-true": (EXCEPTIONAL, SAMPLE + ("count",), True),
+    "count-1.0": (EXCEPTIONAL, SAMPLE + ("count",), 1.0),
+    "count-1.5": (EXCEPTIONAL, SAMPLE + ("count",), 1.5),
+    **{f"{key}-{name}": ("check identity.json", ("config", key), value)
+       for key in ("seed", "order", "box", "ring_m", "trials", "samples")
+       for name, value in (("true", True), ("1.0", 1.0), ("2.5", 2.5), ("string", "3"))},
+    "order-0": ("check identity.json", ("config", "order"), 0),
+    "order-1": ("check identity.json", ("config", "order"), 1),
+    "trials-2": ("check identity.json", ("config", "trials"), 2),
+    "seed-negative": ("check identity.json", ("config", "seed"), -5),
+    "no-seed": ("check identity.json", ("config", "seed"), DELETE),
+    "tol-0": ("check identity.json", ("config", "tol"), 0),
+    "tol-tiny": ("check identity.json", ("config", "tol"), 1e-300),
+    "tol-negative": ("check identity.json", ("config", "tol"), -1e-9),
+    "tol-string": ("check identity.json", ("config", "tol"), "1e-09"),
+    "tol-true": ("check identity.json", ("config", "tol"), True),
+    "curve-none": ("check makar_limanov.json", ("map", "curve"), None),
+    "curve-int": ("check makar_limanov.json", ("map", "curve"), 5),
+    "no-curve": ("check makar_limanov.json", ("map", "curve"), DELETE),
+    "name-int": ("check identity.json", ("map", "name"), 5),
+    "no-p": ("check identity.json", ("map", "p"), DELETE),
+    "map-extra-key": ("check identity.json", ("map", "note"), "kept"),
+    "map-list": ("check identity.json", ("map",), ["identity"]),
+    "result-list": ("check identity.json", ("result",), []),
+    "extra-key": ("check identity.json", ("stats",), {}),
+    "no-result": ("check identity.json", ("result",), DELETE),
+    "command-unknown": ("check identity.json", ("command",), "plot"),
+    "command-invert": ("check identity.json", ("command",), "invert"),
+    "command-exceptional": (INVERT, ("command",), "exceptional"),
+    "command-check": (INVERT, ("command",), "check"),
+    "report-list": (INVERT, (), list),
+}
+
+
+def _mutated(name):
+    key, path, value = MUTATIONS[name]
+    rep = copy.deepcopy(GOLDEN_REPORTS[key])
+    if not path:
+        return [rep]
+    node = rep
+    for step in path[:-1]:
+        node = node[step]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return rep
+
+
+@pytest.mark.parametrize("key", GOLDEN_REPORTS)
+def test_report_checker_accepts_every_golden_report(key):
+    rep = GOLDEN_REPORTS[key]
+    assert jsonschema.Draft7Validator(_schema()).is_valid(rep)
+    assert _violation(_validator(), rep) is None
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_report_checker_agrees_with_jsonschema(name):
+    # jsonschema's Draft-7 validator is the reference for every verdict
+    rep = _mutated(name)
+    why = _violation(_validator(), rep)
+    assert (why is None) == jsonschema.Draft7Validator(_schema()).is_valid(rep), why
+
+
+@pytest.mark.parametrize("schema, x", [
+    ({"const": 1}, True), ({"const": 1}, 1.0), ({"enum": [0, "a"]}, False),
+    ({"enum": [True]}, 1), ({"type": "integer"}, 10 ** 400), ({"type": "integer"}, 1e300),
+    ({"type": "integer"}, math.inf), ({"type": "number", "minimum": 0}, True),
+    ({"minimum": 0}, True), ({"minimum": 0, "maxItems": 0}, "text"),
+    ({"required": ["a"], "minItems": 1}, ["a"]), ({"type": ["string", "null"]}, None),
+    ({"items": {"type": "string"}, "minItems": 2}, ("a",)),
+    ({"properties": {"a": {"type": "integer"}}, "additionalProperties": False}, {"a": 1.0}),
+], ids=str)
+def test_report_checker_agrees_with_jsonschema_on_small_schemas(schema, x):
+    assert (_violation(_supported(schema), x) is None) == \
+        jsonschema.Draft7Validator(schema).is_valid(x)
+
+
+def test_report_mutations_are_mostly_rejected():
+    verdicts = [_violation(_validator(), _mutated(name)) is None for name in MUTATIONS]
+    assert 5 < verdicts.count(True) < verdicts.count(False)
+
+
+@pytest.mark.parametrize("where, keyword, value", [
+    (("properties", "map", "properties", "name"), "pattern", "^[a-z]"),
+    ((), "additionalProperties", True),
+    (("properties", "config"), "dependencies", {"tol": ["order"]}),
+    (("properties", "result"), "type", "integr"),
+    (("allOf", 0), "else", {}),
+])
+def test_report_checker_refuses_a_keyword_it_does_not_interpret(where, keyword, value):
+    schema = _schema()
+    node = schema
+    for step in where:
+        node = node[step]
+    node[keyword] = value
+    with pytest.raises(ReportSchemaError, match="does not interpret"):
+        _supported(schema)
+    assert _supported(_schema()) == _schema()
+
+
+def test_check_and_invert_import_neither_numpy_nor_jsonschema():
+    script = (
+        "import sys\n"
+        "from planejac import cli\n"
+        f"for args in ({['check', _map('makar_limanov.json')]!r},\n"
+        f"             {['invert', _map('elementary.json'), '-N', '8']!r}):\n"
+        "    try:\n"
+        "        cli.main(args)\n"
+        "    except SystemExit as e:\n"
+        "        assert e.code == 0, e.code\n"
+        "print([m for m in ('numpy', 'jsonschema') if m in sys.modules], file=sys.stderr)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(planejac.__file__)))
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src})
+    assert r.returncode == 0, r.stderr
+    assert [json.loads(line)["command"] for line in r.stdout.splitlines()] == ["check", "invert"]
+    assert r.stderr.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("shift", ["1/2,1", "1,2,3", "x,1", "1+,1"])

@@ -125,7 +125,8 @@ def test_fiber_ring_path_matches_brute_force(m):
 def test_ring_arithmetic_matches_quad_elem(m):
     # the exact power table: t^k of every box value t by QuadElem products
     box = LatticeBox(3, m)
-    A, B = _box_powers(box, 6)
+    A, B, M = _box_powers(box, 6)
+    assert list(M) == [max(abs(ra[k]) + abs(rb[k]) for ra, rb in zip(A, B)) for k in range(7)]
     for (a, b), ra, rb in zip(box.coords(), A, B):
         t, p = lattice_point(a, b, m), lattice_point(1, 0, m)
         for k in range(7):
@@ -150,6 +151,21 @@ def test_ring_arithmetic_matches_quad_elem(m):
     assert want == [abs(complex(q)) < 1e-9 for q in elems]
     assert _ring_is_zero(z, m).tolist() == _ring_is_zero(z.astype(object), m).tolist() == want
     assert any(want) and not all(want)
+
+
+def test_box_powers_are_shared_read_only():
+    # one table per (box, top), reused by every fiber of the box and by
+    # _box_images, so no caller may write into it
+    box = LatticeBox(2, 2)
+    table = _box_powers(box, 4)
+    assert _box_powers(LatticeBox(2, 2), 4) is table
+    for X in table:
+        with pytest.raises(ValueError):
+            X[0] = 7
+    P = pe("x^4 + 2*y^2")
+    assert set(enumerate_fiber_points(P, 0, box).points) == set(brute_force_fiber_points(P, 0, box))
+    _box_images(PolyMap(P, pe("y")), box)
+    assert _box_powers(box, 4) is table
 
 
 def test_fiber_points_of_a_high_multiplicity_slice():
@@ -200,7 +216,7 @@ def test_fiber_contains_the_image_of_a_line_under_an_automorphism():
         lines = (out.line_fiber or {}).get("x_values", [])
         found = set(out.points) | {(tuple(x), None) for x in lines}
         # g(0, t) = sum c_k t^k at every box t, exactly: t^k = A + B*i
-        A, B = _box_powers(box, max(g.degree_in("y") or 0 for g in (G.p, G.q)))
+        A, B, _ = _box_powers(box, max(g.degree_in("y") or 0 for g in (G.p, G.q)))
 
         def on_axis(g):
             re, im = np.zeros(len(A), dtype=object), np.zeros(len(A), dtype=object)

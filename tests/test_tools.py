@@ -59,3 +59,15 @@ def test_same_answers_reports_differing_and_one_sided_lines(monkeypatch, tmp_pat
     new.write_text(old.read_text().replace('"seconds": 20, "status": "timeout"',
                                            '"seconds": 1, "status": "ok"'))
     assert same_answers.main([str(old), str(new)]) == 0
+
+
+def test_cli_times_runs_one_command_once(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(TOOLS)
+    import cli_times
+    identity = os.path.join(cli_times.ROOT, "maps", "identity.json")
+    assert cli_times.main(["-n", "1", "--map", identity, "check"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    line = json.loads(line)
+    assert list(line) == ["command", "map", "runs", "seconds", "exit_codes"]
+    assert line["command"] == "check" and line["map"] == "identity.json"
+    assert line["runs"] == 1 and line["exit_codes"] == [0] and line["seconds"] > 0
