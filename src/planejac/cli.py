@@ -58,6 +58,8 @@ def load_map_file(path):
     for key, kind in (("name", str), ("p", str), ("q", str), ("curve", (str, type(None)))):
         if not isinstance(data.get(key), kind):
             raise MapFileError(f"map file {path}: field '{key}' is not a string")
+    if not isinstance(data.get("integral", False), bool):
+        raise MapFileError(f"map file {path}: field 'integral' is not true or false")
     variables = data.get("variables", ["x", "y"])
     if not (isinstance(variables, list) and all(isinstance(w, str) for w in variables)):
         raise MapFileError(f"map file {path}: field 'variables' is not a list of names")

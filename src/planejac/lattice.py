@@ -2,7 +2,7 @@
 fibers P = k, the metrics Dist (upper bounds: the max-distance to numeric
 curve points) and d-hat (exact numeric over finite root sets), inequality
 sweeps over lattice boxes, fiber count bounds, the unit-disk lattice fact,
-and the Laurent identities of the canonical non-invertible example.
+and the Laurent closed forms of the canonical example, as polynomial identities.
 
 Lattices are Z + Z*i*sqrt(m) for square-free m >= 1; m = 1 is the Gaussian
 integers.  Fibers are exact: P - k is evaluated in integer arithmetic of
@@ -23,7 +23,7 @@ import numpy as np
 
 from ._kernels import VIOLATION_TOL
 from .gaussian import GaussianRational, lattice_point
-from .poly import Poly
+from .poly import Poly, exact_div
 from .roots import find_roots_grouped
 
 
@@ -168,8 +168,8 @@ def enumerate_fiber_points(P, k, box):
     blocks of at most _FIBER_BLOCK pairs, in int64 when a bound on every
     partial sum is below 2^63, Python ints otherwise.  A slice of degree 0 has
     no point; one that vanishes puts x on the line_fiber flag, count (2B+1)^2."""
-    if P.is_laurent() or not P.has_gaussian_integer_coeffs():
-        raise ValueError("fiber polynomial must be non-Laurent with Gaussian-integer coefficients")
+    if not P.has_gaussian_integer_coeffs():
+        raise ValueError("fiber polynomial must have Gaussian-integer coefficients")
     kq = GaussianRational.coerce(k)
     m = box.ring_m
     f = P._with_vars(("x", "y")) * kq.d - kq * kq.d
@@ -248,8 +248,6 @@ class Slice:
     the cancellation that produced it."""
 
     def __init__(self, f, free):
-        if f.is_laurent():
-            raise ValueError("slicing needs a non-Laurent polynomial")
         if len(f.vars) > 2:
             raise ValueError("a slice fixes at most one variable")
         cs = f.coeffs_in(free)
@@ -499,17 +497,15 @@ def unit_disk_lattice_count(center, tol=VIOLATION_TOL):
 
 
 # --------------------------------------------------------------------------
-# Laurent identities of the canonical example
+# closed forms of the canonical example
 
-def laurent_identity_check(F, s=None):
+def laurent_identity_check(F):
     """Exact residuals (s^2 - (xy)^-2 - P, s^3 - (xy)^-3 - Q) for
-    s = x^3 y^2 + (xy)^-1.  Zero residuals certify the closed forms; a
+    s = x^3 y^2 + (xy)^-1, as s^k - (xy)^-k = (t^k - 1) / (xy)^k with
+    t = xy*s = x^4 y^3 + 1.  Zero residuals certify the closed forms; a
     nonzero residual pinpoints a mismatched component."""
     V = ("x", "y")
-    if s is None:
-        s = Poly(V, {(3, 2): GaussianRational(1), (-1, -1): GaussianRational(1)})
-    inv2 = Poly(V, {(-2, -2): GaussianRational(1)})
-    inv3 = Poly(V, {(-3, -3): GaussianRational(1)})
-    r_p = s * s - inv2 - F.p._with_vars(V)
-    r_q = s * s * s - inv3 - F.q._with_vars(V)
-    return r_p, r_q
+    t = Poly(V, {(4, 3): 1, (0, 0): 1})
+    xy = Poly(V, {(1, 1): 1})
+    return tuple(exact_div(t ** k - 1, xy ** k) - f._with_vars(V)
+                 for k, f in ((2, F.p), (3, F.q)))

@@ -1,7 +1,6 @@
-"""Sparse exact polynomials over Q(i), Laurent-capable, with the symbolic
-operations the rest of the toolkit is built on: derivatives, Jacobians,
-composition, exact division, gcd, square-free parts, and fraction-free
-resultants.
+"""Sparse exact polynomials over Q(i), with the symbolic operations the
+rest of the toolkit is built on: derivatives, Jacobians, composition,
+exact division, gcd, square-free parts, and fraction-free resultants.
 
 One kernel: a polynomial is Gaussian-integer numerators, (re, im) int pairs,
 over one shared integer denominator, in a unique reduced form, and all its
@@ -60,15 +59,18 @@ class ParseError(ValueError):
 class Poly:
     """Sparse polynomial: `num` maps exponent tuples to nonzero (re, im) int
     pairs over the shared denominator `den` > 0, and gcd(den, every part) = 1,
-    so the form is canonical.  Negative exponents mark Laurent mode."""
+    so the form is canonical.  Every exponent is nonnegative."""
 
     __slots__ = ("vars", "num", "den")
 
     def __init__(self, vars, terms=None):
-        """From {exponents: GaussianRational or int}; equal exponents add."""
+        """From {exponents: GaussianRational or int}; equal exponents add,
+        and a negative exponent is a ValueError."""
         clean = {}
         for exps, c in (terms or {}).items():
             exps, c = tuple(int(e) for e in exps), GaussianRational.coerce(c)
+            if min(exps, default=0) < 0:
+                raise ValueError(f"negative exponent in {exps}")
             clean[exps] = clean[exps] + c if exps in clean else c
         clean = {e: c for e, c in clean.items() if c}
         # over the lcm of reduced denominators the form is already reduced
@@ -114,9 +116,6 @@ class Poly:
 
     def is_zero(self):
         return not self.num
-
-    def is_laurent(self):
-        return any(e < 0 for exps in self.num for e in exps)
 
     def is_constant(self):
         return not any(any(exps) for exps in self.num)
@@ -227,8 +226,7 @@ class Poly:
         """Full or partial substitution.  values maps variable name to
         GaussianRational / int / QuadElem / complex / Poly.  Exact inputs give
         exact outputs; Poly values go to `substitute`, and then every value
-        must be a Poly.  Laurent exponents require invertible (nonzero)
-        scalar values."""
+        must be a Poly."""
         if any(isinstance(v, Poly) for v in values.values()):
             return substitute((self,), values)[0]
         if any(w not in values for w in self.vars):
@@ -239,8 +237,6 @@ class Poly:
             for exps, (re, im) in self.num.items():
                 t = complex(re / self.den, im / self.den)
                 for v, e in zip(vals, exps):
-                    if e < 0 and v == 0:
-                        raise ZeroDivisionError("Laurent evaluation at zero coordinate")
                     t *= v ** e
                 total += t
             return total
@@ -249,8 +245,6 @@ class Poly:
             vals = [values[w] if isinstance(values[w], QuadElem) else quad._coerce(GaussianRational.coerce(values[w])) for w in self.vars]
             total = quad._coerce(0)
             for exps, (re, im) in self.num.items():
-                if any(e < 0 for e in exps):
-                    raise ZeroDivisionError("Laurent evaluation is not supported in quadratic rings")
                 t = quad._coerce(GaussianRational(re, im, self.den))
                 for v, e in zip(vals, exps):
                     for _ in range(e):
@@ -368,10 +362,9 @@ def _lincomb(vars, parts):
 
 def _mul_num(a, b, order=None):
     """The numerators of the product of the numerators a and b.  With an
-    order (series, whose exponents are nonnegative), only its terms of total
-    degree at most `order`: the terms of b go by degree, and an exponent
-    tuple e is keyed by the int sum(e_i * (order + 1)**i), so that keys add
-    as exponents do."""
+    order, as for series, only its terms of total degree at most `order`:
+    the terms of b go by degree, and an exponent tuple e is keyed by the int
+    sum(e_i * (order + 1)**i), so that keys add as exponents do."""
     acc = {}
     if order is None:
         for e1, (r1, i1) in a.items():
@@ -412,8 +405,6 @@ def substitute(fs, values, order=None):
     products number the largest w1-degree plus the w2-degree of each f."""
     if not all(isinstance(v, Poly) for v in values.values()):
         raise TypeError("mixed scalar/poly composition: pass scalars as constant Poly")
-    if any(g.is_laurent() for g in chain(fs, values.values())):
-        raise ValueError("polynomial substitution with a Laurent polynomial")
     names = sorted(set().union(*(f.used_vars() for f in fs)), key=_rank)
     if len(names) > 2:
         raise ValueError(f"substitution into a polynomial in {', '.join(names)}")
@@ -451,9 +442,7 @@ def substitute(fs, values, order=None):
 
 def _power_table(v, exps):
     """({e: (re, im)}, s) with v**e = (re + im*i)/s for each e in exps."""
-    if not v and min(exps | {0}) < 0:
-        raise ZeroDivisionError("Laurent evaluation at zero coordinate")
-    pw = {e: _power(v, e, GR_ONE) if e >= 0 else GR_ONE / _power(v, -e, GR_ONE) for e in exps}
+    pw = {e: _power(v, e, GR_ONE) for e in exps}
     s = lcm(*(w.d for w in pw.values()))
     return {e: (w.a * (s // w.d), w.b * (s // w.d)) for e, w in pw.items()}, s
 
@@ -496,8 +485,8 @@ def parse_expression(text, variables=("x", "y")):
 
     Accepted term syntax: signed coefficient (integer, integer 'i', or a
     parenthesized Gaussian literal like (1+2i), optionally /den), '*'-joined
-    monomials var or var^int (negative exponents put the result in Laurent
-    mode).  Parsing then printing then parsing is a fixed point.
+    monomials var or var^n with n >= 0; a negative exponent is a ParseError
+    at its position.  Parsing then printing then parsing is a fixed point.
     """
     vars = tuple(variables)
     tokens = []
@@ -570,6 +559,8 @@ def parse_expression(text, variables=("x", "y")):
             if peek() in ("^", "**"):
                 take()
                 e = parse_int()
+                if e < 0:  # parse_int took the sign token and the digits
+                    raise ParseError(f"negative exponent {e}", tokens[state["i"] - 2][1])
             return None, (tok, e)
         raise ParseError("unexpected end of input" if tok is None
                          else f"unexpected token {tok!r}", p)
@@ -626,16 +617,14 @@ def parse_expression(text, variables=("x", "y")):
 
 
 class PolyMap:
-    """An ordered pair of non-Laurent polynomials in (x, y), with cached
-    total degrees, their gcd and shears."""
+    """An ordered pair of polynomials in (x, y), with cached total degrees,
+    their gcd and shears."""
 
     def __init__(self, p, q, name=None):
         if isinstance(p, str):
             p = parse_expression(p, ("x", "y"))
         if isinstance(q, str):
             q = parse_expression(q, ("x", "y"))
-        if p.is_laurent() or q.is_laurent():
-            raise ValueError("PolyMap components must not be Laurent")
         self.p = p._with_vars(("x", "y"))
         self.q = q._with_vars(("x", "y"))
         self.name = name
@@ -686,8 +675,8 @@ def exact_div(g, f):
     elimination on the numerators, whose top term falls at every step (the
     order is translation-invariant): with s*G = Q*F + R throughout, Q and R
     stay Gaussian-integer, and s grows only where a quotient coefficient
-    needs it (never when F divides G in Z[i][vars]).  Raises ValueError at a
-    negative quotient exponent on Laurent input, which it does not decide."""
+    needs it (never when F divides G in Z[i][vars]).  A quotient term with a
+    negative exponent means no quotient."""
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     g, f = g._align(f)
@@ -701,8 +690,6 @@ def exact_div(g, f):
         top = max(r, key=key)
         d = tuple(map(sub, top, top_f))
         if any(e < 0 for e in d):
-            if g.is_laurent() or f.is_laurent():
-                raise ValueError(f"Laurent polynomial {g if g.is_laurent() else f} in exact_div")
             return None
         xr, xi = r.pop(top)
         # x / lc(F) = (cr + ci*i) / n
@@ -739,8 +726,6 @@ def poly_gcd(f, g):
     contents; over Z[i] on the dense ring when only one variable is used,
     where a monomial c*t^k meets the other input in t^min(k, ord_t)."""
     f, g = f._align(g)
-    if f.is_laurent() or g.is_laurent():
-        raise ValueError("gcd of Laurent polynomials")
     if f.is_zero():
         return g.monic()
     if g.is_zero():
@@ -797,8 +782,6 @@ def squarefree_part(f):
     coefficient is 1."""
     if f.is_zero():
         raise ValueError("square-free part of the zero polynomial")
-    if f.is_laurent():
-        raise ValueError("square-free part requires a non-Laurent polynomial")
     g = f
     for w in sorted(f.used_vars(), key=_rank):
         g = poly_gcd(g, f.diff(w))
@@ -1021,10 +1004,10 @@ def resultant(a, b, eliminate):
     subresultant PRS over the ring of the other variables, on the numerators
     sa*a and sb*b: Res(sa*a, sb*b) = sa^deg(b) * sb^deg(a) * Res(a, b).
 
-    When at most one other variable t is used and neither input is Laurent,
-    the PRS runs on Gaussian-integer scalars instead (Kronecker substitution):
-    evaluation commutes with the determinant, so r = Res(A, B) in Z[i][t]
-    has r(2^k) = Res(A(2^k), B(2^k)), and r is read back from the balanced
+    When at most one other variable t is used, the PRS runs on
+    Gaussian-integer scalars instead (Kronecker substitution): evaluation
+    commutes with the determinant, so r = Res(A, B) in Z[i][t] has
+    r(2^k) = Res(A(2^k), B(2^k)), and r is read back from the balanced
     base-2^k digits of the real and imaginary parts of r(2^k).  That is exact
     by this invariant: with ||c||_1 the sum of |re| + |im| over the
     coefficients of a row c_j in t, and
@@ -1043,12 +1026,8 @@ def resultant(a, b, eliminate):
     a, b = a._align(b)
     s = a.den ** db * b.den ** da
     rest = (a.used_vars() | b.used_vars()) - {eliminate}
-    if len(rest) > 1 or a.is_laurent() or b.is_laurent():
-        _reject_negative_powers(a, b, eliminate)
-        try:
-            r = _prs_resultant(*(_coeff_list(Poly._make(f.vars, f.num), eliminate) for f in (a, b)))
-        except ValueError:  # only a Laurent exact_div raises it
-            raise ValueError(f"Laurent polynomial {a if a.is_laurent() else b} in resultant") from None
+    if len(rest) > 1:
+        r = _prs_resultant(*(_coeff_list(Poly._make(f.vars, f.num), eliminate) for f in (a, b)))
         return Poly._make(r.vars, r.num, s)
     t = rest.pop() if rest else None
     A, B = (_rows(f, eliminate, t) for f in (a, b))
@@ -1062,12 +1041,6 @@ def resultant(a, b, eliminate):
                              for e, c in enumerate(_balanced_digits(r, k)) if c != (0, 0)}, s)
 
 
-def _reject_negative_powers(a, b, name):
-    """The Sylvester matrix has no column for a negative power of `name`."""
-    if any(e[f.vars.index(name)] < 0 for f in (a, b) if name in f.vars for e in f.num):
-        raise ValueError(f"resultant of a Laurent polynomial in {name}")
-
-
 def resultant_allow_constant(a, b, eliminate):
     """Internal variant: Res(a, b) = a^deg(b) when deg_elim(a) = 0 (and 1 when
     both degrees vanish), matching the classical convention.  Elimination
@@ -1077,7 +1050,6 @@ def resultant_allow_constant(a, b, eliminate):
     da, db = da or 0, db or 0
     if da > 0 and db > 0:
         return resultant(a, b, eliminate)
-    _reject_negative_powers(a, b, eliminate)
     if da == 0 and db == 0:
         return Poly.const(1, a.vars)
     if da == 0:

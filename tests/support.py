@@ -24,12 +24,11 @@ def pe(text, variables=XY):
     return parse_expression(text, variables)
 
 
-def random_poly(rng, vars=XY, max_deg=3, n_terms=4, laurent=False, int_coeffs=False):
+def random_poly(rng, vars=XY, max_deg=3, n_terms=4, int_coeffs=False):
     """Seeded random sparse polynomial for property tests."""
     terms = {}
-    lo = -2 if laurent else 0
     for _ in range(rng.randint(1, n_terms)):
-        e = tuple(rng.randint(lo, max_deg) for _ in vars)
+        e = tuple(rng.randint(0, max_deg) for _ in vars)
         if int_coeffs:
             c = GaussianRational(rng.randint(-5, 5), rng.randint(-5, 5))
         else:

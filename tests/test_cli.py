@@ -58,6 +58,8 @@ BAD_MAP_FILES = {
     "int-curve": {"name": "int-curve", "p": "x", "q": "y", "curve": 7},
     "int-variables": {"name": "int-variables", "p": "x", "q": "y", "variables": 5},
     "int-name": {"name": 5, "p": "x", "q": "y"},
+    "string-integral": {"name": "c", "p": "1/2*x", "q": "2*y", "integral": "no"},
+    "int-integral": {"name": "c", "p": "x", "q": "y", "integral": 1},
 }
 
 
@@ -73,6 +75,21 @@ def test_load_map_file_errors(tmp_path):
         bad.write_text(json.dumps(doc))
         with pytest.raises(MapFileError):
             load_map_file(str(bad))
+
+
+@pytest.mark.parametrize("value", ["no", 1])
+def test_integral_must_be_true_or_false(tmp_path, value):
+    mf = tmp_path / "bad.json"
+    mf.write_text(json.dumps({"name": "c", "p": "1/2*x", "q": "2*y", "integral": value}))
+    with pytest.raises(MapFileError, match="field 'integral' is not true or false"):
+        load_map_file(str(mf))
+
+
+def test_laurent_curve_names_the_negative_exponent(tmp_path):
+    mf = tmp_path / "bad.json"
+    mf.write_text(json.dumps({"name": "c", "p": "x", "q": "y", "curve": "u^-1"}))
+    with pytest.raises(MapFileError, match=r"bad curve field: negative exponent -1 \(at position 2\)"):
+        load_map_file(str(mf))
 
 
 @pytest.mark.parametrize("doc", BAD_MAP_FILES.values(), ids=BAD_MAP_FILES.keys())

@@ -18,7 +18,7 @@ from planejac.lattice import (LatticeBox, Slice, _box_images, _box_powers, _firs
                               unit_disk_lattice_count, verify_dhat_inequality,
                               verify_dist_inequality)
 from planejac.exceptional import PlaneCurveSet
-from planejac.poly import PolyMap
+from planejac.poly import ParseError, PolyMap
 from planejac.roots import RootFindingError
 
 from support import UV, pe, random_automorphism, random_poly, slice_rows
@@ -47,8 +47,11 @@ def test_fiber_line_degenerate():
 
 
 def test_fiber_rejects_nonintegral():
-    with pytest.raises(ValueError):
-        enumerate_fiber_points(pe("x^-1*y"), 1, LatticeBox(1))
+    with pytest.raises(ValueError, match="Gaussian-integer"):
+        enumerate_fiber_points(pe("1/2*x*y"), 1, LatticeBox(1))
+    # a Laurent fiber polynomial is refused where it is parsed
+    with pytest.raises(ParseError, match="negative exponent"):
+        pe("x^-1*y")
 
 
 def test_fiber_other_ring():
@@ -585,6 +588,15 @@ def test_laurent_identity_flags_variant(ml_map_printed):
     r_p, r_q = laurent_identity_check(ml_map_printed)
     assert r_p == pe("x^2*y")
     assert r_q.is_zero()
+
+
+def test_laurent_identity_residuals_are_the_perturbation(ml_map):
+    # (P + g, Q + h) misses the closed forms by exactly (-g, -h)
+    rng = random.Random(101)
+    for _ in range(10):
+        g, h = random_poly(rng, max_deg=4, n_terms=5), random_poly(rng, max_deg=4, n_terms=5)
+        r_p, r_q = laurent_identity_check(PolyMap(ml_map.p + g, ml_map.q + h))
+        assert (r_p, r_q) == (-g, -h), (g, h)
 
 
 # ------------------------------------------------------- shapes
