@@ -10,3 +10,12 @@ VIOLATION_TOL = 1e-9
 
 class RootFindingError(RuntimeError):
     pass
+
+
+def to_complex(c):
+    """complex(c) of an exact value c for the numeric layers; a c beyond the
+    float range is a RootFindingError naming it, not an OverflowError."""
+    try:
+        return complex(c)
+    except OverflowError:
+        raise RootFindingError(f"{c} is beyond the float range") from None

@@ -417,46 +417,37 @@ def verify(mapfile, which, **kw):
     try:
         box = lat.LatticeBox(cfg.box, cfg.ring_m)
         curve, deg = _curve_and_degree(F, curve, cfg)
-    except ANALYSIS_ERRORS as e:
-        _fail(e)
-    code = 0
-    if which == "dist":
-        result = lat.verify_dist_inequality(F, curve, box, tol=cfg.tol)
-        bad = len(result["unconfirmed"])
-        if bad:
-            code = EXIT_VIOLATIONS
-        line = f"{meta['name']}: dist sweep B={cfg.box}, {bad} unconfirmed of {result['checked']}"
-    elif which == "dhat":
-        result = lat.verify_dhat_inequality(F, curve, box, tol=cfg.tol)
-        bad = len(result["violations"])
-        if bad:
-            code = EXIT_VIOLATIONS
-        line = f"{meta['name']}: dhat sweep B={cfg.box}, {bad} violations of {result['checked']}"
-    else:
-        try:
+        if which == "dist":
+            result = lat.verify_dist_inequality(F, curve, box, tol=cfg.tol)
+        elif which == "dhat":
+            result = lat.verify_dhat_inequality(F, curve, box, tol=cfg.tol)
+        else:
             if deg is None:
                 deg = _degree(F, cfg)
             b4, b5 = lat.fiber_count_bounds(F, deg.deg_geo, curve)
-        except ANALYSIS_ERRORS as e:
-            _fail(e)
-        sweep = []
-        exceeded = False
-        for k in ("0", "1", "-1", "2", "-2", "i"):
-            kq = _parse_gaussian_constant(k)
-            fset = lat.enumerate_fiber_points(F.p, kq, box)
-            n = fset.count()
-            over = n > min(b4, b5)
-            exceeded = exceeded or over
-            sweep.append({"k": k, "count": n, "line_fiber": fset.line_fiber is not None,
-                          "exceeds": over})
+            sweep = []
+            for k in ("0", "1", "-1", "2", "-2", "i"):
+                fset = lat.enumerate_fiber_points(F.p, _parse_gaussian_constant(k), box)
+                sweep.append({"k": k, "count": fset.count(),
+                              "line_fiber": fset.line_fiber is not None,
+                              "exceeds": fset.count() > min(b4, b5)})
+    except ANALYSIS_ERRORS as e:
+        _fail(e)
+    if which == "dist":
+        bad = len(result["unconfirmed"])
+        line = f"{meta['name']}: dist sweep B={cfg.box}, {bad} unconfirmed of {result['checked']}"
+    elif which == "dhat":
+        bad = len(result["violations"])
+        line = f"{meta['name']}: dhat sweep B={cfg.box}, {bad} violations of {result['checked']}"
+    else:
         result = {"bound4": b4, "bound5": b5, "deg_geo": deg.deg_geo,
                   "curve_degree": curve.degree, "sweep": sweep}
-        if exceeded:
-            code = EXIT_VIOLATIONS
+        bad = sum(s["exceeds"] for s in sweep)
         line = (f"{meta['name']}: bounds {b4} / {b5}, "
                 f"max count {max(s['count'] for s in sweep)}")
     result["curve"] = curve.to_json()
-    return emit("verify", meta, cfg, result, not kw["output_json"], [line], exit_code=code)
+    return emit("verify", meta, cfg, result, not kw["output_json"], [line],
+                exit_code=EXIT_VIOLATIONS if bad else 0)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice, product
 
+from ._kernels import RootFindingError, to_complex
 from .gaussian import GaussianRational
 from .poly import (Poly, PolyMap, _coeff_list, cont_pp_static, divides, exact_div,
                    jacobian, poly_gcd, resultant_allow_constant, squarefree_decomposition,
@@ -25,6 +27,9 @@ POINT_HEIGHT = 6
 #: largest denominator of the real and imaginary parts of the Gaussian
 #: rational proposed from a numeric root; the proposal is checked exactly
 POINT_DENOMINATOR = 10 ** 4
+#: targets t of the point search whose two slices share one grouped root
+#: solve; a whole height (32 targets at height 2) builds slices it never needs
+SLICE_CHUNK = 8
 
 UV = ("u", "v")
 
@@ -142,6 +147,16 @@ _SHEAR_LAMBDAS = (
 )
 
 
+def _constant_leads(F, lam):
+    """Whether P_lam and Q_lam have positive degree in y and constant leading
+    coefficients in y.  Subtracting a constant target changes neither."""
+    for f in F.sheared(lam):
+        d = f.degree_in("y")
+        if not d or not f.coeffs_in("y")[d].is_constant():
+            return False
+    return True
+
+
 def _preimage_count_exact(F, u0, v0):
     """Number of solutions of F = (u0, v0) for a Gaussian-rational target.
 
@@ -150,16 +165,17 @@ def _preimage_count_exact(F, u0, v0):
     intersection multiplicities above it.  So a square-free r means every
     solution is simple and has its own x, and deg r counts them; the first
     such shear gives the count.  Off the critical values every solution is
-    simple, and a shear that separates their x-coordinates exists.  Raises
+    simple, and a shear that separates their x-coordinates exists.  Which
+    shears have those leading coefficients does not depend on the target, so
+    each is tested once per map, beside its composition.  Raises
     InfiniteFiberError when r vanishes, and ExceptionalError when no shear
     of _SHEAR_LAMBDAS gives a square-free r."""
     for lam in _SHEAR_LAMBDAS:
+        if lam not in F._constant_leads:
+            F._constant_leads[lam] = _constant_leads(F, lam)
+        if not F._constant_leads[lam]:
+            continue
         p, q = (f - Poly.const(w, ("x", "y")) for f, w in zip(F.sheared(lam), (u0, v0)))
-        dp, dq = p.degree_in("y"), q.degree_in("y")
-        if dp <= 0 or dq <= 0:
-            continue
-        if not (p.coeffs_in("y")[dp].is_constant() and q.coeffs_in("y")[dq].is_constant()):
-            continue
         r = resultant_allow_constant(p, q, "y")
         if r.is_zero():
             raise InfiniteFiberError(f"fiber is infinite at ({u0}, {v0})")
@@ -230,35 +246,72 @@ def _nearby_rational(z):
                             re.denominator * im.denominator)
 
 
+def _numeric(f):
+    """The descending complex coefficients of a univariate Poly f; none when
+    f is constant."""
+    if f.is_constant():
+        return []
+    (free,) = f.vars
+    return [to_complex(c.constant_value()) for c in _coeff_list(f, free)]
+
+
 def _univariate_roots(f):
     """Complex roots of a univariate or constant Poly f, from its exact
     coefficients; none when f is zero or constant."""
     from .roots import find_roots  # here, so that `check` needs no NumPy
-    if f.is_constant():
-        return ()
-    (free,) = f.vars
-    return find_roots([complex(c.constant_value()) for c in _coeff_list(f, free)])
+    coeffs = _numeric(f)
+    return find_roots(coeffs) if coeffs else ()
+
+
+def _slice_roots(slices):
+    """The complex roots of each univariate Poly of ``slices``, in order, from
+    one grouped solve.  When that fails, each slice is solved alone as it is
+    reached, so only a slice that is reached can fail."""
+    import numpy as np
+
+    from .roots import find_roots_grouped
+    try:
+        rows = [_numeric(f) for f in slices]
+        width = max(1, *map(len, rows))
+        flat, counts = find_roots_grouped([[0j] * (width - len(r)) + r for r in rows])
+    except RootFindingError:
+        return map(_univariate_roots, slices)
+    return np.split(flat, np.cumsum(np.maximum(counts, 0))[:-1])
+
+
+def _vanishes(f, w):
+    """Whether the univariate Poly f is 0 at the Gaussian rational
+    w = (a + bi)/d: Horner's rule on d^deg(f) * f(w), in Gaussian integers."""
+    re = im = 0
+    s = 1
+    for k in range(f.total_degree(), -1, -1):
+        cr, ci = f.num.get((k,), (0, 0))
+        re, im = re * w.a - im * w.b + cr * s, re * w.b + im * w.a + ci * s
+        s *= w.d
+    return not (re or im)
 
 
 def _component_counts(F, comp, avoid, samples):
     """``samples`` Gaussian-rational points of comp with their exact
     preimage counts.  Each t by increasing height is tried as u0 with the
-    slice comp(t, v), then as v0 with comp(u, t).  Each root of the slice
+    slice comp(t, v), then as v0 with comp(u, t); the slices of SLICE_CHUNK
+    targets at a time share one grouped root solve.  Each root of a slice
     proposes a nearby Gaussian rational, taken in the exact order (-Im, Re),
-    whatever the order of the roots.  It is kept when comp vanishes there,
-    ``avoid`` does not, and the fiber is finite."""
+    whatever the order of the roots.  It is kept when the slice vanishes
+    there exactly, ``avoid`` does not, and the fiber is finite."""
     seen, points = set(), []
-    for t in _gaussian_rationals(POINT_HEIGHT):
-        for t_is_v in (False, True):
-            roots = _univariate_roots(comp.evaluate({"v" if t_is_v else "u": t}))
+    targets = _gaussian_rationals(POINT_HEIGHT)
+    while chunk := list(islice(targets, SLICE_CHUNK)):
+        slices = [comp.evaluate({fixed: t}) for t in chunk for fixed in UV]
+        for (t, t_is_v), f, roots in zip(product(chunk, (False, True)), slices,
+                                         _slice_roots(slices)):
             for w in sorted(map(_nearby_rational, roots),
                             key=lambda w: (-Fraction(w.b, w.d), Fraction(w.a, w.d))):
                 pt = (w, t) if t_is_v else (t, w)
                 if pt in seen:
                     continue
                 seen.add(pt)
-                at = dict(zip(UV, pt))
-                if comp.evaluate(at) or not avoid.evaluate(at):
+                if not _vanishes(f, w) or not avoid.evaluate(dict(zip(UV, pt))):
                     continue
                 try:
                     points.append((pt, _preimage_count_exact(F, *pt)))

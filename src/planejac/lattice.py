@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import VIOLATION_TOL
+from ._kernels import VIOLATION_TOL, to_complex
 from .gaussian import GaussianRational, lattice_point
 from .poly import Poly, exact_div
 from .roots import find_roots_grouped
@@ -256,7 +256,7 @@ class Slice:
         self.A = np.zeros((top + 1, width), dtype=np.complex128)
         for d, c in cs.items():
             for exps, a in c.terms.items():
-                self.A[top - d, sum(exps)] += complex(a)
+                self.A[top - d, sum(exps)] += to_complex(a)
         self.absA = np.abs(self.A)
 
     def numeric(self, values):
@@ -403,7 +403,7 @@ def _box_images(F, box):
     C = np.zeros((2, top + 1, top + 1), dtype=np.complex128)
     for k, f in enumerate((F.p, F.q)):
         for (i, j), c in f.terms.items():
-            C[k, i, j] = complex(c)
+            C[k, i, j] = to_complex(c)
     return ps, (T @ C @ T.T).reshape(2, -1).T + 0.0  # + 0.0: no -0.0 parts
 
 

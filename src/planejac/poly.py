@@ -618,7 +618,7 @@ def parse_expression(text, variables=("x", "y")):
 
 class PolyMap:
     """An ordered pair of polynomials in (x, y), with cached total degrees,
-    their gcd and shears."""
+    their gcd, shears and the shears' leading coefficients in y."""
 
     def __init__(self, p, q, name=None):
         if isinstance(p, str):
@@ -635,6 +635,9 @@ class PolyMap:
         else:
             self.deg_gcd = None
         self._shears = {}
+        # lam -> whether the shear suits exact preimage counts, filled by
+        # exceptional._preimage_count_exact
+        self._constant_leads = {}
 
     def sheared(self, lam):
         """(P, Q) o (x + lam*y, y), composed once per lam."""

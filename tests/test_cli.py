@@ -654,6 +654,53 @@ def test_verify_bounds_sweep(runner):
     assert all(not s["exceeds"] for s in rep["result"]["sweep"])
 
 
+# a coefficient beyond the float range reaches the numerics: in the map, at
+# the certification slices and the box images, and in the curve, at the
+# sweeps' slices
+_HUGE = "1" + "0" * 400
+_HUGE_MAP = {"name": "huge", "p": f"x + {_HUGE}", "q": "x*y"}
+_HUGE_CURVE = {"name": "huge-curve", "p": "x", "q": "y", "curve": f"u^2 - {_HUGE}*v"}
+
+
+@pytest.mark.parametrize("doc, args", [
+    (_HUGE_MAP, ["exceptional"]),
+    (_HUGE_MAP, ["verify", "bounds", "-B", "1"]),
+    (_HUGE_CURVE, ["verify", "dist", "-B", "1"]),
+    (_HUGE_CURVE, ["verify", "dhat", "-B", "1"]),
+    ({**_HUGE_MAP, "curve": "u*v - 1"}, ["verify", "dist", "-B", "1"]),
+], ids=["exceptional", "verify-bounds", "verify-dist", "verify-dhat", "box-images"])
+def test_a_coefficient_beyond_the_float_range_is_an_error(runner, tmp_path, doc, args):
+    mf = tmp_path / "huge.json"
+    mf.write_text(json.dumps(doc))
+    r = runner.invoke(main, [args[0], str(mf), *args[1:]])
+    assert r.exit_code == 1 and r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.endswith(" is beyond the float range\n")
+    assert _HUGE in r.stderr
+    assert isinstance(r.exception, SystemExit)  # no traceback
+
+
+def test_verify_bounds_of_a_map_with_fractions_is_an_error(runner, tmp_path):
+    # the bounds sweep enumerates exact fibers, which need Gaussian integers
+    mf = tmp_path / "half.json"
+    mf.write_text(json.dumps({"name": "half", "p": "1/2*x", "q": "y"}))
+    r = runner.invoke(main, ["verify", str(mf), "bounds", "-B", "1"])
+    assert r.exit_code == 1 and r.stdout == ""
+    assert r.stderr == "error: fiber polynomial must have Gaussian-integer coefficients\n"
+    assert isinstance(r.exception, SystemExit)  # no traceback
+
+
+def test_fibers_with_a_coefficient_beyond_the_float_range(runner, tmp_path):
+    # the fiber is exact; only the bounds need the numerics
+    mf = tmp_path / "huge.json"
+    mf.write_text(json.dumps(_HUGE_MAP))
+    r = runner.invoke(main, ["fibers", str(mf), "-B", "1"])
+    assert r.exit_code == 0
+    res = _payload(r)["result"]
+    assert res["count"] == 0 and res["bound4"] is None and res["bound5"] is None
+    assert "note: bound4 and bound5 are null: " in r.stderr
+    assert r.stderr.rstrip().endswith(" is beyond the float range")
+
+
 @pytest.mark.parametrize("args", [
     ["invert", _map("elementary.json"), "-N", "4", "-W", "8"],  # no --window option
     ["invert", _map("elementary.json"), "-N", "0"],

@@ -2,6 +2,7 @@ import os
 import random
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,6 +164,130 @@ def test_shears_are_composed_once_per_map(ml_map, monkeypatch):
     for lam in lams:
         sub = {"x": xv + Poly.const(lam, XY) * yv, "y": yv}
         assert F.sheared(lam) == (F.p.evaluate(sub), F.q.evaluate(sub))
+
+
+def test_shears_are_tested_for_counts_once_per_map(ml_map, monkeypatch):
+    # the leading coefficients in y of P_lam and Q_lam do not depend on the
+    # target, so one pass tests each lam once, in order, for all its counts
+    F = PolyMap(ml_map.p, ml_map.q)
+    tested, counts = [], []
+    real_test, real_count = exc._constant_leads, exc._preimage_count_exact
+
+    def test(F, lam):
+        tested.append(lam)
+        return real_test(F, lam)
+
+    def count(F, u0, v0):
+        counts.append((u0, v0))
+        return real_count(F, u0, v0)
+
+    monkeypatch.setattr(exc, "_constant_leads", test)
+    monkeypatch.setattr(exc, "_preimage_count_exact", count)
+    report = exceptional_report(F)
+    assert len(counts) == 3 + 5 and report.degree.deg_geo == 4
+    assert tested == list(exc._SHEAR_LAMBDAS[:len(tested)]) and tested
+
+
+# ------------------------------------------------ the point search, and its oracle
+
+def _component_counts_one_slice_at_a_time(F, comp, avoid, samples, reached=None):
+    """The point search of ``exc._component_counts`` with one root solve per
+    slice, as each slice is reached; ``reached`` collects the slices."""
+    seen, points = set(), []
+    for t in exc._gaussian_rationals(exc.POINT_HEIGHT):
+        for t_is_v in (False, True):
+            f = comp.evaluate({"v" if t_is_v else "u": t})
+            if reached is not None:
+                reached.append((f, len(points)))
+            for w in sorted(map(exc._nearby_rational, exc._univariate_roots(f)),
+                            key=lambda w: (-Fraction(w.b, w.d), Fraction(w.a, w.d))):
+                pt = (w, t) if t_is_v else (t, w)
+                if pt in seen:
+                    continue
+                seen.add(pt)
+                at = dict(zip(UV, pt))
+                if comp.evaluate(at) or not avoid.evaluate(at):
+                    continue
+                try:
+                    points.append((pt, exc._preimage_count_exact(F, *pt)))
+                except InfiniteFiberError:
+                    continue
+                if len(points) == samples:
+                    return points
+    raise ExceptionalError(f"found {len(points)} of {samples} points on component {comp}")
+
+
+def _unit_symmetric(F, eps):
+    """F o (eps x, eps y)."""
+    x, y = (Poly.const(eps, XY) * Poly.var(w, XY) for w in XY)
+    return compose_maps(F, PolyMap(x, y))
+
+
+def _seeded_map(seed):
+    """Seed `seed` of tools/seeded_maps.py."""
+    rng = random.Random(seed)
+    return PolyMap(*(random_poly(rng, max_deg=2, n_terms=4, int_coeffs=True) for _ in XY))
+
+
+_UNITS = [GaussianRational(1), GaussianRational(0, 1), GaussianRational(-1),
+          GaussianRational(0, -1)]
+
+
+def test_grouped_point_search_matches_one_slice_at_a_time(monkeypatch):
+    shipped = [load_map_file(os.path.join(MAPS, name))[0] for name in sorted(os.listdir(MAPS))]
+    maps = [_unit_symmetric(F, eps) for F in shipped for eps in _UNITS]
+    sampled = 0
+    for F in maps + [_seeded_map(s) for s in (1, 3, 5)]:
+        cand, crit = nonproper_candidates(F), critical_values(F)
+        deg_geo = topological_degree(F, avoid=cand.defining * crit.defining).deg_geo
+        grouped = certify_nonproper(F, cand, deg_geo=deg_geo, critical=crit)
+        with monkeypatch.context() as m:
+            m.setattr(exc, "_component_counts", _component_counts_one_slice_at_a_time)
+            alone = certify_nonproper(F, cand, deg_geo=deg_geo, critical=crit)
+        assert grouped == alone, F
+        sampled += sum(len(v["samples"]) for v in grouped)
+    assert sampled >= 5 * 8  # both makar_limanov maps under 4 units, and more
+
+
+def _failing_on(monkeypatch, f):
+    """Make ``find_roots_batch`` raise on a row of the exact univariate f, as
+    the kernel sees it (no trailing zeros); returns the list of failures."""
+    bad = np.trim_zeros(np.array([complex(c.constant_value())
+                                  for c in poly._coeff_list(f, f.vars[0])]), "b")
+    real, failed = roots.find_roots_batch, []
+
+    def failing(C):
+        if any(np.array_equal(row, bad) for row in np.asarray(C)):
+            failed.append(bad)
+            raise roots.RootFindingError("root iteration did not converge")
+        return real(C)
+
+    monkeypatch.setattr(roots, "find_roots_batch", failing)
+    return failed
+
+
+def test_point_search_fails_only_at_a_slice_it_reaches(ml_map, monkeypatch):
+    cand, crit = nonproper_candidates(ml_map), critical_values(ml_map)
+    ((_, comp),) = cand.component_polys
+    reached = []
+    expected = _component_counts_one_slice_at_a_time(ml_map, comp, crit.defining, 5, reached)
+    slices = [f for f, _ in reached]
+    # the slice after the last one reached shares its grouped solve
+    t = list(exc._gaussian_rationals(exc.POINT_HEIGHT))[len(slices) // 2]
+    after = comp.evaluate({"v": t}) if len(slices) % 2 else comp.evaluate({"u": t})
+    assert len(slices) % (2 * exc.SLICE_CHUNK) and after not in slices
+    with monkeypatch.context() as m:
+        failed = _failing_on(m, after)
+        assert exc._component_counts(ml_map, comp, crit.defining, 5) == expected
+        assert failed  # the grouped solve met the failure and fell back
+    # the slice that proposed the first point fails the search
+    before = slices[next(i for i, (_, found) in enumerate(reached) if found) - 1]
+    assert slices.count(before) == 1
+    with monkeypatch.context() as m:
+        failed = _failing_on(m, before)
+        with pytest.raises(roots.RootFindingError):
+            exc._component_counts(ml_map, comp, crit.defining, 5)
+        assert failed
 
 
 def test_certify_rejects_proper_curve():

@@ -3,6 +3,8 @@
 import json
 import multiprocessing
 import os
+import shutil
+import sys
 
 TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
 
@@ -14,9 +16,31 @@ def test_seeded_maps_runs_one_seed_in_a_child_process(monkeypatch):
     import seeded_maps
     line = seeded_maps.run_seed(multiprocessing.get_context("spawn"), 3)
     assert list(line) == ["seed", "seconds", "status", "defining", "curve", "deg_geo",
-                          "degree_counts", "verdict_counts"]
+                          "degree_targets", "degree_counts", "verdict_points", "verdict_counts"]
     assert line["seed"] == 3 and line["status"] == "ok"
     assert line["seconds"] < seeded_maps.TIMEOUT_S
+    assert len(line["degree_targets"]) == len(line["degree_counts"]) == 3
+    assert [len(p) for p in line["verdict_points"]] == [len(c) for c in line["verdict_counts"]]
+    assert all(len(pt) == 2 and all(isinstance(w, str) for w in pt)
+               for p in line["verdict_points"] for pt in p)
+
+
+def test_seeded_maps_imports_planejac_from_the_src_checkout(monkeypatch, tmp_path, capsys):
+    # a copy of planejac whose exceptional_report raises: the seed's line
+    # carries that error, so the child imported the copy
+    monkeypatch.syspath_prepend(TOOLS)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends the checkout
+    import seeded_maps
+    shutil.copytree(os.path.join(seeded_maps.ROOT, "src", "planejac"),
+                    tmp_path / "src" / "planejac", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "planejac" / "exceptional.py", "a") as f:
+        f.write("\n\ndef exceptional_report(F):\n    raise RuntimeError('the other checkout')\n")
+    monkeypatch.setattr(seeded_maps, "SEEDS", [3])
+    seeded_maps.main(["--src", str(tmp_path)])
+    (line,) = capsys.readouterr().out.splitlines()
+    line = json.loads(line)
+    assert line["seed"] == 3 and line["status"] == "error"
+    assert line["error"] == "RuntimeError: the other checkout"
 
 
 def test_fiber_boxes_runs_one_case_in_a_child_process(monkeypatch):

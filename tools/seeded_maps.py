@@ -1,9 +1,10 @@
 """The exceptional pipeline on 60 seeded maps, one JSON line per seed.
 
-    python3 tools/seeded_maps.py > seeded.jsonl
+    python3 tools/seeded_maps.py [--src DIR] > seeded.jsonl
 
-Run from anywhere; planejac is imported from the checkout's src and the
-generator from tests/support.py.  Seed s gives the map (P, Q) of two
+Run from anywhere; planejac is imported from the src of the checkout DIR
+(default: this one) and the generator from this checkout's tests/support.py,
+so two checkouts run on the same maps.  Seed s gives the map (P, Q) of two
 ``random_poly(rng, max_deg=2, n_terms=4, int_coeffs=True)`` draws with
 ``rng = random.Random(s)``, for s = 0..59.  Each map runs
 ``exceptional_report`` in its own process, stopped after TIMEOUT_S seconds
@@ -12,15 +13,17 @@ of work; "seconds" is that work's time, without the process's imports.
 Every line has "seed", "status" and "seconds".  The status is "ok",
 "zero-jacobian", "timeout" or "error" (with the exception in "error").  An
 "ok" line also has the critical-value curve ("defining", that is
-``critical_values(F).defining``), A_F ("curve"), "deg_geo", the preimage
-counts of the degree samples ("degree_counts") and those of each
-certification verdict ("verdict_counts").  Comparing the files of two
-checkouts line by line, without "seconds", checks that they compute the same
-answers.
+``critical_values(F).defining``), A_F ("curve"), "deg_geo", the targets
+and preimage counts of the degree samples ("degree_targets",
+"degree_counts"), and the sample points and counts of each certification
+verdict ("verdict_points", "verdict_counts").  Comparing the files of two
+checkouts line by line, without "seconds" (tools/same_answers.py), checks
+that they compute the same answers from the same points.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import multiprocessing
@@ -62,7 +65,9 @@ def _prepare(seed):
             "defining": str(report.critical.defining),
             "curve": str(report.curve.defining),
             "deg_geo": report.degree.deg_geo,
+            "degree_targets": [[str(u), str(v)] for (u, v), _ in report.degree.samples],
             "degree_counts": [c for _, c in report.degree.samples],
+            "verdict_points": [[s["point"] for s in v["samples"]] for v in report.verdicts],
             "verdict_counts": [[s["count"] for s in v["samples"]] for v in report.verdicts],
         }
     return work
@@ -103,8 +108,12 @@ def run_seed(ctx, seed):
     return {"seed": seed, **run_in_child(ctx, _prepare, seed)}
 
 
-def main():
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=ROOT, metavar="DIR",
+                        help="the checkout whose planejac runs (default: this one)")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [os.path.join(args.src, "src"), os.path.join(ROOT, "tests")]
     ctx = multiprocessing.get_context("spawn")
     for seed in SEEDS:
         print(json.dumps(run_seed(ctx, seed)), flush=True)
