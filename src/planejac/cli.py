@@ -34,7 +34,6 @@ class RunConfig:
     box: int = 4
     ring_m: int = 1
     trials: int = 3
-    samples: int = 5
     tol: float = VIOLATION_TOL
 
 
@@ -223,8 +222,6 @@ config_options = {
     "box": click.option("--box", "-B", type=int, default=RunConfig.box, show_default=True),
     "ring_m": click.option("--ring-m", type=int, default=RunConfig.ring_m, show_default=True),
     "trials": click.option("--trials", "-T", type=int, default=RunConfig.trials, show_default=True),
-    "samples": click.option("--samples", "-S", type=int, default=RunConfig.samples,
-                            show_default=True),
     "tol": click.option("--tol", type=click.FloatRange(min=0, min_open=True),
                         callback=_finite, default=RunConfig.tol, show_default=True),
 }
@@ -334,7 +331,7 @@ def invert(mapfile, translate, **kw):
 
 
 def _report(F, cfg):
-    return exc.exceptional_report(F, samples=cfg.samples, seed=cfg.seed, trials=cfg.trials)
+    return exc.exceptional_report(F, seed=cfg.seed, trials=cfg.trials)
 
 
 def _curve_and_degree(F, curve, cfg):
@@ -352,7 +349,7 @@ def _degree(F, cfg):
 
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
-@with_config("seed", "trials", "samples")
+@with_config("seed", "trials")
 def exceptional(mapfile, **kw):
     """Non-proper candidates, certification, critical values, degree."""
     cfg = _config(kw)
@@ -368,8 +365,8 @@ def exceptional(mapfile, **kw):
         "nonproper_candidates": rep.candidates.to_json(),
         "critical_values": rep.critical.to_json(),
         "deg_geo": rep.degree.to_json(),
-        "certification": f"exact preimage counts at {cfg.samples} Gaussian-rational points"
-                         " per component",
+        "certification": "one exact preimage count over the points of a Gaussian-rational"
+                         " slice per component",
     }
     return emit("exceptional", meta, cfg, result, not kw["output_json"],
                 [f"{meta['name']}: A_F defined by {result['defining']} "
@@ -379,7 +376,7 @@ def exceptional(mapfile, **kw):
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
 @click.option("-k", "k_text", default="0", show_default=True, help="fiber level (Gaussian integer)")
-@with_config("box", "ring_m", "seed", "trials", "samples")
+@with_config("box", "ring_m", "seed", "trials")
 def fibers(mapfile, k_text, **kw):
     """Ring lattice points on the fiber P = k inside the box."""
     from . import lattice as lat
@@ -408,7 +405,7 @@ def fibers(mapfile, k_text, **kw):
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
 @click.argument("which", type=click.Choice(["dist", "dhat", "bounds"]))
-@with_config("box", "ring_m", "seed", "trials", "samples", "tol")
+@with_config("box", "ring_m", "seed", "trials", "tol")
 def verify(mapfile, which, **kw):
     """Inequality and bound verification sweeps over the lattice box."""
     from . import lattice as lat

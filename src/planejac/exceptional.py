@@ -1,7 +1,7 @@
 """Exceptional value sets of dominant plane polynomial maps: resultant-based
-non-proper candidates, their certification by exact preimage counts at
-Gaussian-rational points, critical-value curves, topological degree, and
-line-curve intersection counts.
+non-proper candidates, their certification by one exact preimage count over
+a conjugate orbit of points per component, critical-value curves,
+topological degree, and line-curve intersection counts.
 
 A curve in the value plane is carried as ONE square-free defining polynomial
 in (u, v) plus provenance tags; comparisons against known answers use
@@ -12,24 +12,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import islice, product
 
-from ._kernels import RootFindingError, to_complex
+from ._kernels import to_complex
 from .gaussian import GaussianRational
 from .poly import (Poly, PolyMap, _coeff_list, cont_pp_static, divides, exact_div,
                    jacobian, poly_gcd, resultant_allow_constant, squarefree_decomposition,
-                   squarefree_part)
+                   squarefree_part, substitute)
 
-#: largest height max(|a|, |b|, d) of the t = (a + bi)/d tried as one
-#: coordinate of a point on a candidate component
-POINT_HEIGHT = 6
-#: largest denominator of the real and imaginary parts of the Gaussian
-#: rational proposed from a numeric root; the proposal is checked exactly
-POINT_DENOMINATOR = 10 ** 4
-#: targets t of the point search whose two slices share one grouped root
-#: solve; a whole height (32 targets at height 2) builds slices it never needs
-SLICE_CHUNK = 8
+#: largest height max(|a|, |b|, d) of the value t = (a + bi)/d at which a
+#: candidate component is sliced
+SLICE_HEIGHT = 6
 
 UV = ("u", "v")
 
@@ -157,33 +149,41 @@ def _constant_leads(F, lam):
     return True
 
 
-def _preimage_count_exact(F, u0, v0):
-    """Number of solutions of F = (u0, v0) for a Gaussian-rational target.
+def _solution_count(F, a, b):
+    """Number of solutions of {a(P) = 0, b(Q) = 0} for square-free a in u and
+    b in v: the union of the fibers of F over the points (alpha, beta) with
+    a(alpha) = b(beta) = 0.
 
-    After a shear that gives P - u0 and Q - v0 constant leading coefficients
-    in y, a root of r = Res_y has the multiplicity of the sum of the
-    intersection multiplicities above it.  So a square-free r means every
-    solution is simple and has its own x, and deg r counts them; the first
-    such shear gives the count.  Off the critical values every solution is
-    simple, and a shear that separates their x-coordinates exists.  Which
-    shears have those leading coefficients does not depend on the target, so
-    each is tested once per map, beside its composition.  Raises
-    InfiniteFiberError when r vanishes, and ExceptionalError when no shear
-    of _SHEAR_LAMBDAS gives a square-free r."""
+    After a shear that gives P and Q, so a(P) and b(Q), constant leading
+    coefficients in y, a root of r = Res_y(a(P), b(Q)) has the multiplicity
+    of the sum of the intersection multiplicities above it.  So a square-free
+    r means every solution is simple and has its own x, and deg r counts
+    them; the first such shear gives the count.  Off the critical values,
+    as a and b are square-free, every solution is simple, and a shear that separates their x-coordinates
+    exists.  Which shears have those leading coefficients depends on
+    neither a nor b, so each is tested once per map, beside its
+    composition.  Raises InfiniteFiberError when r vanishes, and
+    ExceptionalError when no shear of _SHEAR_LAMBDAS gives a square-free r."""
     for lam in _SHEAR_LAMBDAS:
         if lam not in F._constant_leads:
             F._constant_leads[lam] = _constant_leads(F, lam)
         if not F._constant_leads[lam]:
             continue
-        p, q = (f - Poly.const(w, ("x", "y")) for f, w in zip(F.sheared(lam), (u0, v0)))
+        p, q = (substitute((c,), {w: f})[0] for c, w, f in zip((a, b), UV, F.sheared(lam)))
         r = resultant_allow_constant(p, q, "y")
         if r.is_zero():
-            raise InfiniteFiberError(f"fiber is infinite at ({u0}, {v0})")
+            raise InfiniteFiberError(f"a fiber over {a} = 0, {b} = 0 is infinite")
         if r.is_constant():
             return 0
         if poly_gcd(r, r.diff("x")).is_constant():
             return r.total_degree()
-    raise ExceptionalError(f"no shear separates the solutions over ({u0}, {v0})")
+    raise ExceptionalError(f"no shear separates the solutions over {a} = 0, {b} = 0")
+
+
+def _preimage_count_exact(F, u0, v0):
+    """Number of solutions of F = (u0, v0) for a Gaussian-rational target."""
+    return _solution_count(F, *(Poly.var(w, (w,)) - Poly.const(c, (w,))
+                                for w, c in zip(UV, (u0, v0))))
 
 
 def _random_rational(rng):
@@ -238,120 +238,77 @@ def _gaussian_rationals(height):
                         yield t
 
 
-def _nearby_rational(z):
-    """A Gaussian rational next to the complex z, with real and imaginary
-    denominators at most POINT_DENOMINATOR."""
-    re, im = (Fraction(c).limit_denominator(POINT_DENOMINATOR) for c in (z.real, z.imag))
-    return GaussianRational(re.numerator * im.denominator, im.numerator * re.denominator,
-                            re.denominator * im.denominator)
-
-
-def _numeric(f):
-    """The descending complex coefficients of a univariate Poly f; none when
-    f is constant."""
-    if f.is_constant():
-        return []
-    (free,) = f.vars
-    return [to_complex(c.constant_value()) for c in _coeff_list(f, free)]
-
-
 def _univariate_roots(f):
     """Complex roots of a univariate or constant Poly f, from its exact
     coefficients; none when f is zero or constant."""
-    from .roots import find_roots  # here, so that `check` needs no NumPy
-    coeffs = _numeric(f)
-    return find_roots(coeffs) if coeffs else ()
+    if f.is_constant():
+        return ()
+    from .roots import find_roots  # here, so that only `line_intersections` needs NumPy
+    (free,) = f.vars
+    return find_roots([to_complex(c.constant_value()) for c in _coeff_list(f, free)])
 
 
-def _slice_roots(slices):
-    """The complex roots of each univariate Poly of ``slices``, in order, from
-    one grouped solve.  When that fails, each slice is solved alone as it is
-    reached, so only a slice that is reached can fail."""
-    import numpy as np
+def _slice_count(F, comp, avoid):
+    """The slice of comp that certification counts, as its report entry.
 
-    from .roots import find_roots_grouped
-    try:
-        rows = [_numeric(f) for f in slices]
-        width = max(1, *map(len, rows))
-        flat, counts = find_roots_grouped([[0j] * (width - len(r)) + r for r in rows])
-    except RootFindingError:
-        return map(_univariate_roots, slices)
-    return np.split(flat, np.cumsum(np.maximum(counts, 0))[:-1])
-
-
-def _vanishes(f, w):
-    """Whether the univariate Poly f is 0 at the Gaussian rational
-    w = (a + bi)/d: Horner's rule on d^deg(f) * f(w), in Gaussian integers."""
-    re = im = 0
-    s = 1
-    for k in range(f.total_degree(), -1, -1):
-        cr, ci = f.num.get((k,), (0, 0))
-        re, im = re * w.a - im * w.b + cr * s, re * w.b + im * w.a + ci * s
-        s *= w.d
-    return not (re or im)
-
-
-def _component_counts(F, comp, avoid, samples):
-    """``samples`` Gaussian-rational points of comp with their exact
-    preimage counts.  Each t by increasing height is tried as u0 with the
-    slice comp(t, v), then as v0 with comp(u, t); the slices of SLICE_CHUNK
-    targets at a time share one grouped root solve.  Each root of a slice
-    proposes a nearby Gaussian rational, taken in the exact order (-Im, Re),
-    whatever the order of the roots.  It is kept when the slice vanishes
-    there exactly, ``avoid`` does not, and the fiber is finite."""
-    seen, points = set(), []
-    targets = _gaussian_rationals(POINT_HEIGHT)
-    while chunk := list(islice(targets, SLICE_CHUNK)):
-        slices = [comp.evaluate({fixed: t}) for t in chunk for fixed in UV]
-        for (t, t_is_v), f, roots in zip(product(chunk, (False, True)), slices,
-                                         _slice_roots(slices)):
-            for w in sorted(map(_nearby_rational, roots),
-                            key=lambda w: (-Fraction(w.b, w.d), Fraction(w.a, w.d))):
-                pt = (w, t) if t_is_v else (t, w)
-                if pt in seen:
-                    continue
-                seen.add(pt)
-                if not _vanishes(f, w) or not avoid.evaluate(dict(zip(UV, pt))):
-                    continue
-                try:
-                    points.append((pt, _preimage_count_exact(F, *pt)))
-                except InfiniteFiberError:
-                    continue  # the image of a contracted curve
-                if len(points) == samples:
-                    return points
+    The slice fixes v, or u when comp has u-degree 0, at the first t of
+    _gaussian_rationals(SLICE_HEIGHT) where c0, comp restricted there, keeps
+    its degree m in the free coordinate, is square-free, and shares no root
+    with ``avoid`` restricted there.  Then c0 = 0 holds at the m distinct
+    points of comp on the slice, all off ``avoid``, and "count" is the number
+    of their preimages, the solutions of {c0(P) = 0, Q = t} (or of
+    {P = t, c0(Q) = 0}).  A t whose slice meets the image of a contracted
+    curve has an infinite fiber, and is passed over."""
+    fixed, free = ("v", "u") if comp.degree_in("u") else ("u", "v")
+    m = comp.degree_in(free)
+    for t in _gaussian_rationals(SLICE_HEIGHT):
+        c0 = comp.evaluate({fixed: t})
+        if (c0.degree_in(free) < m or not poly_gcd(c0, c0.diff(free)).is_constant()
+                or not poly_gcd(c0, avoid.evaluate({fixed: t})).is_constant()):
+            continue
+        line = Poly.var(fixed, (fixed,)) - Poly.const(t, (fixed,))
+        try:
+            count = _solution_count(F, *((c0, line) if fixed == "v" else (line, c0)))
+        except InfiniteFiberError:
+            continue
+        return {"fixed": fixed, "value": str(t), "points": m, "count": count}
     raise ExceptionalError(
-        f"found {len(points)} of {samples} Gaussian-rational points of height at most "
-        f"{POINT_HEIGHT} on component {comp}"
-    )
+        f"no slice at a Gaussian rational of height at most {SLICE_HEIGHT} "
+        f"suits component {comp}")
 
 
-def certify_nonproper(F, curve, samples=5, *, deg_geo, critical):
+def certify_nonproper(F, curve, *, deg_geo, critical):
     """Per-component verdicts: a candidate component C is confirmed
-    non-proper when the exact preimage count is below deg_geo at each of
-    ``samples`` Gaussian-rational points of C off the other candidates and
-    off ``critical``, the critical-value curve.  Off J_F and the critical
-    values a point has deg_geo preimages, and a point of J_F off the
-    critical values has fewer (Jelonek, Ann. Polon. Math. 58, 1993), so each
-    count decides whether the factor of C through its point lies in J_F.  A C
-    inside the critical-value curve (so in A_F) has no point off it to count:
-    it takes no samples, is not confirmed, and is marked ``inside_critical``."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    non-proper when the exact preimage count over the m points of one slice
+    of C (``_slice_count``), off the other candidates and off ``critical``,
+    the critical-value curve, is below m * deg_geo.  Off J_F and the
+    critical values a point has deg_geo preimages, and a point of J_F off
+    the critical values has fewer (Jelonek, Ann. Polon. Math. 58, 1993), so
+    the count is below m * deg_geo exactly when some point of the slice lies
+    in J_F.  Such a point is a smooth point of C on no other candidate, and
+    J_F is a curve inside the candidates, so the factor of C through the
+    point lies in J_F.  When C is irreducible over Q(i), its factors over C
+    are conjugate, J_F is defined over Q(i), and the one slice decides all
+    of C.  When C is reducible over Q(i), the verdict covers the union: C is
+    confirmed when a factor through the slice lies in J_F, though another
+    may not, and no verdict splits C without factoring it over Q(i).  A C
+    inside the critical-value curve (so in A_F) has no point off it to
+    count: its slice is None, it is not confirmed, and it is marked
+    ``inside_critical``."""
     comps = curve.component_polys or (
         [] if curve.is_empty() else [("candidate", curve.defining)]
     )
     verdicts = []
     for tag, comp in comps:
         inside = divides(comp, critical.defining)
-        counted = [] if inside else _component_counts(
-            F, comp, exact_div(curve.defining, comp) * critical.defining, samples)
+        sliced = None if inside else _slice_count(
+            F, comp, exact_div(curve.defining, comp) * critical.defining)
         verdicts.append({
             "tag": tag,
             "component": str(comp),
-            "confirmed": not inside and all(c < deg_geo for _, c in counted),
+            "confirmed": sliced is not None and sliced["count"] < sliced["points"] * deg_geo,
             "inside_critical": inside,
-            "samples": [{"point": [str(u0), str(v0)], "count": c}
-                        for (u0, v0), c in counted],
+            "slice": sliced,
         })
     return verdicts
 
@@ -478,7 +435,7 @@ class ExceptionalReport:
     curve: PlaneCurveSet
 
 
-def exceptional_report(F, samples=5, seed=0, trials=3):
+def exceptional_report(F, seed=0, trials=3):
     """Run each stage once: candidates and critical values, the degree with
     their product as its avoid locus, then the certification verdicts.  A_F
     is the square-free product of the confirmed non-proper components and
@@ -489,8 +446,7 @@ def exceptional_report(F, samples=5, seed=0, trials=3):
     crit = critical_values(F)
     degree = topological_degree(F, trials=trials, seed=seed + 1,
                                 avoid=cand.defining * crit.defining)
-    verdicts = certify_nonproper(F, cand, samples=samples, deg_geo=degree.deg_geo,
-                                 critical=crit)
+    verdicts = certify_nonproper(F, cand, deg_geo=degree.deg_geo, critical=crit)
     product = Poly.const(1, UV)
     provenance = []
     for v, (_, comp) in zip(verdicts, cand.component_polys):
@@ -503,9 +459,9 @@ def exceptional_report(F, samples=5, seed=0, trials=3):
     return ExceptionalReport(cand, crit, degree, verdicts, PlaneCurveSet(product, provenance))
 
 
-def exceptional_set(F, samples=5, seed=0):
+def exceptional_set(F, seed=0):
     """A_F: the curve of ``exceptional_report``."""
-    return exceptional_report(F, samples, seed).curve
+    return exceptional_report(F, seed).curve
 
 
 def line_intersections(curve, k):

@@ -279,13 +279,6 @@ class Poly:
     def _gl_key(exps):
         return (sum(exps), exps)
 
-    def leading(self):
-        """(exponents, coefficient) of the graded-lex leading term."""
-        if not self.num:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.num, key=Poly._gl_key)
-        return exps, GaussianRational(*self.num[exps], self.den)
-
     def monic(self):
         """Scale so the graded-lex leading coefficient is 1."""
         if not self.num:
@@ -636,7 +629,7 @@ class PolyMap:
             self.deg_gcd = None
         self._shears = {}
         # lam -> whether the shear suits exact preimage counts, filled by
-        # exceptional._preimage_count_exact
+        # exceptional._solution_count
         self._constant_leads = {}
 
     def sheared(self, lam):

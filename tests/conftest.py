@@ -13,10 +13,9 @@ def _warm_kernels():
 
 
 @pytest.fixture()
-def fail_certification_solves(monkeypatch):
+def fail_root_solves(monkeypatch):
     """Every root solve raises, in ``roots.find_roots_batch``, the one
-    kernel.  Certification proposes its points on a candidate component by
-    slice roots, so the exceptional pipeline meets the failure there."""
+    kernel."""
     from planejac import roots
 
     def fail(C):

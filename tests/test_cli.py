@@ -18,7 +18,7 @@ from planejac import series as ser
 from planejac.cli import (ANALYSIS_ERRORS, EXIT_VIOLATIONS, MapFileError, ReportSchemaError,
                           RunConfig, emit, load_map_file, main, _schema, _supported,
                           _validator, _violation)
-from planejac.poly import Poly, parse_expression
+from planejac.poly import Poly, parse_expression, poly_gcd
 
 MAPS = os.path.join(os.path.dirname(__file__), "..", "maps")
 UV = (Poly.var("u", ("u", "v")), Poly.var("v", ("u", "v")))
@@ -264,11 +264,15 @@ def test_emit_rejects_a_result_that_breaks_the_schema(runner, monkeypatch):
     (("certification",), None),
     (("components",), None),
     (("components", 0, "confirmed"), "yes"),
-    (("components", 0, "samples", 0, "point"), [1.0, 0.0, 1.0, 0.0]),
-    (("components", 0, "samples", 0, "point"), ["1"]),
-    (("components", 0, "samples", 0, "count"), -1),
+    (("deg_geo", "samples", 0, "target"), [1.0, 0.0, 1.0, 0.0]),
+    (("deg_geo", "samples", 0, "target"), ["1"]),
+    (("components", 0, "slice", "count"), -1),
+    (("components", 0, "slice"), None),
+    (("components", 0, "slice", "value"), [1.0, 0.0]),
+    (("components", 0, "slice", "fixed"), "w"),
+    (("components", 0, "slice", "points"), 0),
 ], ids=["no-certification", "no-components", "confirmed-string", "point-floats",
-        "point-short", "count-negative"])
+        "point-short", "count-negative", "no-slice", "value-floats", "fixed-w", "points-0"])
 def test_schema_requires_exact_exceptional_samples(runner, path, bad):
     rep = _payload(runner.invoke(main, ["exceptional", _map("makar_limanov.json")]))
     jsonschema.validate(rep, _schema())
@@ -290,7 +294,8 @@ with open(GOLDEN) as _fh:
                       if v["stdout"]}
 DELETE = object()
 INVERT, EXCEPTIONAL = "invert elementary.json -N 8", "exceptional makar_limanov.json"
-SAMPLE = ("result", "components", 0, "samples", 0)
+SLICE = ("result", "components", 0, "slice")
+TARGET = ("result", "deg_geo", "samples", 0, "target")
 #: (golden report, path, new value or DELETE) of each report mutation; the
 #: empty path puts the whole report in a list
 MUTATIONS = {
@@ -302,15 +307,24 @@ MUTATIONS = {
     "no-components": (EXCEPTIONAL, ("result", "components"), DELETE),
     "components-object": (EXCEPTIONAL, ("result", "components"), {}),
     "confirmed-string": (EXCEPTIONAL, ("result", "components", 0, "confirmed"), "yes"),
-    "point-floats": (EXCEPTIONAL, SAMPLE + ("point",), [1.0, 0.0, 1.0, 0.0]),
-    "point-1": (EXCEPTIONAL, SAMPLE + ("point",), ["1"]),
-    "point-3": (EXCEPTIONAL, SAMPLE + ("point",), ["1", "0", "2"]),
-    "point-string": (EXCEPTIONAL, SAMPLE + ("point",), "1,0"),
-    "count-negative": (EXCEPTIONAL, SAMPLE + ("count",), -1),
-    "count-0": (EXCEPTIONAL, SAMPLE + ("count",), 0),
-    "count-true": (EXCEPTIONAL, SAMPLE + ("count",), True),
-    "count-1.0": (EXCEPTIONAL, SAMPLE + ("count",), 1.0),
-    "count-1.5": (EXCEPTIONAL, SAMPLE + ("count",), 1.5),
+    "point-floats": (EXCEPTIONAL, TARGET, [1.0, 0.0, 1.0, 0.0]),
+    "point-1": (EXCEPTIONAL, TARGET, ["1"]),
+    "point-3": (EXCEPTIONAL, TARGET, ["1", "0", "2"]),
+    "point-string": (EXCEPTIONAL, TARGET, "1,0"),
+    "no-slice": (EXCEPTIONAL, SLICE, DELETE),
+    "slice-null": (EXCEPTIONAL, SLICE, None),
+    "slice-list": (EXCEPTIONAL, SLICE, []),
+    "value-floats": (EXCEPTIONAL, SLICE + ("value",), [1.0, 0.0]),
+    "value-int": (EXCEPTIONAL, SLICE + ("value",), 1),
+    "fixed-w": (EXCEPTIONAL, SLICE + ("fixed",), "w"),
+    "no-fixed": (EXCEPTIONAL, SLICE + ("fixed",), DELETE),
+    "points-0": (EXCEPTIONAL, SLICE + ("points",), 0),
+    "points-1.5": (EXCEPTIONAL, SLICE + ("points",), 1.5),
+    "count-negative": (EXCEPTIONAL, SLICE + ("count",), -1),
+    "count-0": (EXCEPTIONAL, SLICE + ("count",), 0),
+    "count-true": (EXCEPTIONAL, SLICE + ("count",), True),
+    "count-1.0": (EXCEPTIONAL, SLICE + ("count",), 1.0),
+    "count-1.5": (EXCEPTIONAL, SLICE + ("count",), 1.5),
     **{f"{key}-{name}": ("check identity.json", ("config", key), value)
        for key in ("seed", "order", "box", "ring_m", "trials", "samples")
        for name, value in (("true", True), ("1.0", 1.0), ("2.5", 2.5), ("string", "3"))},
@@ -414,7 +428,8 @@ def test_check_and_invert_import_neither_numpy_nor_jsonschema():
         "import sys\n"
         "from planejac import cli\n"
         f"for args in ({['check', _map('makar_limanov.json')]!r},\n"
-        f"             {['invert', _map('elementary.json'), '-N', '8']!r}):\n"
+        f"             {['invert', _map('elementary.json'), '-N', '8']!r},\n"
+        f"             {['exceptional', _map('makar_limanov_printed.json')]!r}):\n"
         "    try:\n"
         "        cli.main(args)\n"
         "    except SystemExit as e:\n"
@@ -424,7 +439,8 @@ def test_check_and_invert_import_neither_numpy_nor_jsonschema():
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                        env={**os.environ, "PYTHONPATH": src})
     assert r.returncode == 0, r.stderr
-    assert [json.loads(line)["command"] for line in r.stdout.splitlines()] == ["check", "invert"]
+    assert [json.loads(line)["command"] for line in r.stdout.splitlines()] == \
+        ["check", "invert", "exceptional"]
     assert r.stderr.splitlines()[-1] == "[]"
 
 
@@ -459,26 +475,29 @@ def test_exceptional_ml(runner):
     assert rep["result"]["deg_geo"]["value"] == 4
     assert rep["result"]["components"][0]["confirmed"]
     assert rep["result"]["certification"] == \
-        "exact preimage counts at 5 Gaussian-rational points per component"
+        "one exact preimage count over the points of a Gaussian-rational slice per component"
 
 
 @pytest.mark.parametrize("name", ["makar_limanov.json", "makar_limanov_printed.json"])
 def test_exceptional_sample_points_are_exact_evidence(runner, name):
-    # every reported point parses, lies exactly on its component, is off the
-    # critical-value curve, and counts fewer than deg_geo = 4 preimages
+    # each component is sampled on its reported slice: restricted there it
+    # keeps its degree, "points", is square-free and shares no root with the
+    # critical-value curve, and those points count fewer than
+    # points * deg_geo preimages, deg_geo = 4
     r = runner.invoke(main, ["exceptional", _map(name)])
     assert r.exit_code == 0
     res = _payload(r)["result"]
     crit = parse_expression(res["critical_values"]["defining"], ("u", "v"))
     assert res["deg_geo"]["value"] == 4 and res["components"]
     for comp in res["components"]:
-        poly = parse_expression(comp["component"], ("u", "v"))
-        assert comp["confirmed"] and len(comp["samples"]) == 5
-        for s in comp["samples"]:
-            u0, v0 = (parse_expression(t, ()).constant_value() for t in s["point"])
-            assert not poly.evaluate({"u": u0, "v": v0})
-            assert crit.evaluate({"u": u0, "v": v0})
-            assert s["count"] < 4
+        sl = comp["slice"]
+        t = parse_expression(sl["value"], ()).constant_value()
+        free = "u" if sl["fixed"] == "v" else "v"
+        c0, crit0 = (f.evaluate({sl["fixed"]: t})
+                     for f in (parse_expression(comp["component"], ("u", "v")), crit))
+        assert c0.degree_in(free) == sl["points"]
+        assert poly_gcd(c0, c0.diff(free)).is_constant() and poly_gcd(c0, crit0).is_constant()
+        assert comp["confirmed"] and sl["count"] < 4 * sl["points"]
 
 
 def test_exceptional_with_critical_lines_off_the_lattice(runner, tmp_path):
@@ -494,8 +513,8 @@ def test_exceptional_with_critical_lines_off_the_lattice(runner, tmp_path):
 
 
 def test_exceptional_printed_seed_30_gives_degree_4(runner):
-    # the seed moves only the degree's random targets; certification is the
-    # same deterministic search at every seed
+    # the seed moves only the degree's random targets; certification counts
+    # over the same slice at every seed
     r = runner.invoke(main, ["exceptional", _map("makar_limanov_printed.json"), "--seed", "30"])
     assert r.exit_code == 0, r.stderr
     assert _payload(r)["result"]["deg_geo"]["value"] == 4
@@ -559,11 +578,10 @@ def test_exceptional_non_dominant_errors(runner, tmp_path):
     assert r.exit_code == 1
 
 
-def test_exceptional_failed_root_solve_is_an_error(runner, fail_certification_solves):
+def test_exceptional_makes_no_root_solve(runner, fail_root_solves):
     r = runner.invoke(main, ["exceptional", _map("makar_limanov.json")])
-    assert r.exit_code == 1
-    assert "error: root iteration did not converge" in r.stderr
-    assert isinstance(r.exception, SystemExit)  # no traceback
+    assert r.exit_code == 0, r.stderr
+    assert _payload(r)["result"]["defining"] == "u^6 - v^4"
 
 
 # --------------------------------------------------------------- fibers
@@ -663,12 +681,10 @@ _HUGE_CURVE = {"name": "huge-curve", "p": "x", "q": "y", "curve": f"u^2 - {_HUGE
 
 
 @pytest.mark.parametrize("doc, args", [
-    (_HUGE_MAP, ["exceptional"]),
-    (_HUGE_MAP, ["verify", "bounds", "-B", "1"]),
     (_HUGE_CURVE, ["verify", "dist", "-B", "1"]),
     (_HUGE_CURVE, ["verify", "dhat", "-B", "1"]),
     ({**_HUGE_MAP, "curve": "u*v - 1"}, ["verify", "dist", "-B", "1"]),
-], ids=["exceptional", "verify-bounds", "verify-dist", "verify-dhat", "box-images"])
+], ids=["verify-dist", "verify-dhat", "box-images"])
 def test_a_coefficient_beyond_the_float_range_is_an_error(runner, tmp_path, doc, args):
     mf = tmp_path / "huge.json"
     mf.write_text(json.dumps(doc))
@@ -690,15 +706,28 @@ def test_verify_bounds_of_a_map_with_fractions_is_an_error(runner, tmp_path):
 
 
 def test_fibers_with_a_coefficient_beyond_the_float_range(runner, tmp_path):
-    # the fiber is exact; only the bounds need the numerics
+    # the fiber and the bounds are exact: A_F = {u = 10^400}, deg_geo = 1
     mf = tmp_path / "huge.json"
     mf.write_text(json.dumps(_HUGE_MAP))
     r = runner.invoke(main, ["fibers", str(mf), "-B", "1"])
     assert r.exit_code == 0
     res = _payload(r)["result"]
-    assert res["count"] == 0 and res["bound4"] is None and res["bound5"] is None
-    assert "note: bound4 and bound5 are null: " in r.stderr
-    assert r.stderr.rstrip().endswith(" is beyond the float range")
+    assert res["count"] == 0 and res["bound4"] == 5 and res["bound5"] == 0
+    assert "note:" not in r.stderr
+
+
+def test_exceptional_and_bounds_take_coefficients_beyond_the_float_range(runner, tmp_path):
+    # the exceptional pipeline converts nothing to floats
+    mf = tmp_path / "huge.json"
+    mf.write_text(json.dumps(_HUGE_MAP))
+    r = runner.invoke(main, ["exceptional", str(mf)])
+    assert r.exit_code == 0, r.stderr
+    res = _payload(r)["result"]
+    assert res["defining"] == f"u - {_HUGE}" and res["deg_geo"]["value"] == 1
+    assert [c["confirmed"] for c in res["components"]] == [True]
+    r = runner.invoke(main, ["verify", str(mf), "bounds", "-B", "1"])
+    assert r.exit_code == 0, r.stderr
+    assert _payload(r)["result"]["bound4"] == 5
 
 
 @pytest.mark.parametrize("args", [

@@ -28,7 +28,7 @@ MAP_FILES = ("elementary.json", "identity.json", "makar_limanov.json",
 # (command, arguments after the map file)
 COMMANDS = (
     ("exceptional", ()),
-    ("exceptional", ("--seed", "3", "-S", "3")),
+    ("exceptional", ("--seed", "3")),
     ("fibers", ("-k", "3", "-B", "2")),
     ("verify", ("dist", "-B", "1")),
     ("verify", ("dhat", "-B", "2")),

@@ -1,7 +1,6 @@
 import os
 import random
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +15,9 @@ from planejac.exceptional import (ExceptionalError, InfiniteFiberError, PlaneCur
 from planejac.gaussian import GaussianRational
 from planejac import poly, roots
 from planejac.cli import load_map_file
-from planejac.poly import (Poly, PolyMap, compose_map, compose_maps, divides, exact_div,
-                           jacobian, poly_gcd, squarefree_part)
+from planejac.poly import (Poly, PolyMap, _coeff_list, compose_map, compose_maps, divides,
+                           exact_div, jacobian, poly_gcd, resultant_allow_constant,
+                           squarefree_part)
 
 from support import UV, XY, pe, random_automorphism, random_point, random_poly
 
@@ -81,13 +81,13 @@ def test_degree_invariant_under_elementary_precomposition():
 # ------------------------------------------------------------- certification
 
 def test_certify_ml_component_confirmed(ml_map):
+    # the slice v = -1 - i meets u^3 - v^2 in 3 points, of 2 preimages each
     cand = nonproper_candidates(ml_map)
-    verdicts = certify_nonproper(ml_map, cand, samples=5, deg_geo=4,
-                                 critical=critical_values(ml_map))
+    verdicts = certify_nonproper(ml_map, cand, deg_geo=4, critical=critical_values(ml_map))
     assert len(verdicts) == 1
     v = verdicts[0]
     assert v["confirmed"]
-    assert all(s["count"] < 4 for s in v["samples"])
+    assert v["slice"] == {"fixed": "v", "value": "(-1-1i)", "points": 3, "count": 6}
 
 
 def test_certify_empty_candidate_set():
@@ -97,35 +97,36 @@ def test_certify_empty_candidate_set():
 
 
 def test_certify_vertical_line_confirmed():
-    # (x, xy) contracts {x = 0} to (0, 0): the search meets that point at
-    # t = 0, skips its infinite fiber, and takes the next t
-    F = PolyMap(pe("x"), pe("x*y"))
+    # (x, xy - 1 - i) contracts {x = 0} to (0, -1 - i): the first slice
+    # v = -1 - i meets that point, whose fiber is infinite, so certification
+    # takes the next t, where {x = 0, xy - 1 - i = -1} has no solution
+    F = PolyMap(pe("x"), pe("x*y - (1+1i)"))
     with pytest.raises(InfiniteFiberError):
-        exc._preimage_count_exact(F, GaussianRational(0), GaussianRational(0))
-    verdicts = certify_nonproper(F, nonproper_candidates(F), samples=5, deg_geo=1,
+        exc._preimage_count_exact(F, GaussianRational(0), GaussianRational(-1, -1))
+    verdicts = certify_nonproper(F, nonproper_candidates(F), deg_geo=1,
                                  critical=critical_values(F))
-    assert len(verdicts) == 1
-    assert verdicts[0]["confirmed"]
-    assert [s["point"] for s in verdicts[0]["samples"]] == [
-        ["0", "(-1-1i)"], ["0", "-1"], ["0", "(-1+1i)"], ["0", "-1i"], ["0", "1i"]]
-    assert all(s["count"] == 0 for s in verdicts[0]["samples"])
+    assert verdicts == [{"tag": "nonproper-candidate:res_x", "component": "u",
+                         "confirmed": True, "inside_critical": False,
+                         "slice": {"fixed": "v", "value": "-1", "points": 1, "count": 0}}]
 
 
-def test_certify_printed_counts_3_without_warnings(ml_map_printed):
-    # every sample of the printed map counts 3 exactly, and the root solves
-    # that propose the points raise no RuntimeWarning
+def test_certify_printed_counts_3_without_warnings(ml_map_printed, monkeypatch):
+    # the 3 points of the slice count 3 preimages each, 9 in all, and no
+    # root is solved numerically
+    def fail(C):
+        raise AssertionError("certification solved a polynomial numerically")
+
+    monkeypatch.setattr(roots, "find_roots_batch", fail)
     cand = nonproper_candidates(ml_map_printed)
     crit = critical_values(ml_map_printed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        verdicts = certify_nonproper(ml_map_printed, cand, samples=5, deg_geo=4, critical=crit)
+    verdicts = certify_nonproper(ml_map_printed, cand, deg_geo=4, critical=crit)
     assert [v["component"] for v in verdicts] == ["u^3 - v^2"]
-    assert [s["count"] for s in verdicts[0]["samples"]] == [3, 3, 3, 3, 3]
+    assert verdicts[0]["slice"] == {"fixed": "v", "value": "(-1-1i)", "points": 3, "count": 9}
     assert verdicts[0]["confirmed"]
 
 
 def test_certify_builds_no_resultant_in_four_variables(ml_map_printed, monkeypatch):
-    # every count is a resultant in (x, y) of the map at its exact target
+    # every count is a resultant in (x, y) of the map at its exact slice
     cand = nonproper_candidates(ml_map_printed)
     crit = critical_values(ml_map_printed)
     calls = []
@@ -136,9 +137,9 @@ def test_certify_builds_no_resultant_in_four_variables(ml_map_printed, monkeypat
         return real(p, q, name)
 
     monkeypatch.setattr(exc, "resultant_allow_constant", recording)
-    verdicts = certify_nonproper(ml_map_printed, cand, samples=5, deg_geo=4, critical=crit)
+    verdicts = certify_nonproper(ml_map_printed, cand, deg_geo=4, critical=crit)
     assert calls and set(calls) == {(("x", "y"), ("x", "y"), "y")}
-    assert [s["count"] for s in verdicts[0]["samples"]] == [3, 3, 3, 3, 3]
+    assert verdicts[0]["slice"]["count"] == 9
 
 
 def test_shears_are_composed_once_per_map(ml_map, monkeypatch):
@@ -171,35 +172,49 @@ def test_shears_are_tested_for_counts_once_per_map(ml_map, monkeypatch):
     # target, so one pass tests each lam once, in order, for all its counts
     F = PolyMap(ml_map.p, ml_map.q)
     tested, counts = [], []
-    real_test, real_count = exc._constant_leads, exc._preimage_count_exact
+    real_test, real_count = exc._constant_leads, exc._solution_count
 
     def test(F, lam):
         tested.append(lam)
         return real_test(F, lam)
 
-    def count(F, u0, v0):
-        counts.append((u0, v0))
-        return real_count(F, u0, v0)
+    def count(F, a, b):
+        counts.append((a, b))
+        return real_count(F, a, b)
 
     monkeypatch.setattr(exc, "_constant_leads", test)
-    monkeypatch.setattr(exc, "_preimage_count_exact", count)
+    monkeypatch.setattr(exc, "_solution_count", count)
     report = exceptional_report(F)
-    assert len(counts) == 3 + 5 and report.degree.deg_geo == 4
+    assert len(counts) == 3 + 1 and report.degree.deg_geo == 4
     assert tested == list(exc._SHEAR_LAMBDAS[:len(tested)]) and tested
 
 
-# ------------------------------------------------ the point search, and its oracle
+# ------------------------------------- a reference: the search for rational points
 
-def _component_counts_one_slice_at_a_time(F, comp, avoid, samples, reached=None):
-    """The point search of ``exc._component_counts`` with one root solve per
-    slice, as each slice is reached; ``reached`` collects the slices."""
+#: the point search takes its targets t by height up to REFERENCE_HEIGHT,
+#: and rounds each numeric root to real and imaginary denominators up to
+#: REFERENCE_DENOMINATOR
+REFERENCE_HEIGHT, REFERENCE_DENOMINATOR = 6, 10 ** 4
+
+
+def _nearby_rational(z):
+    """A Gaussian rational next to the complex z."""
+    re, im = (Fraction(c).limit_denominator(REFERENCE_DENOMINATOR) for c in (z.real, z.imag))
+    return GaussianRational(re.numerator * im.denominator, im.numerator * re.denominator,
+                            re.denominator * im.denominator)
+
+
+def _point_search(F, comp, avoid, samples=5):
+    """``samples`` Gaussian-rational points of comp with their exact
+    preimage counts.  Each t by increasing height is tried as u0 with the
+    slice comp(t, v), then as v0 with comp(u, t), one root solve per slice.
+    Each root proposes a nearby Gaussian rational, kept when comp vanishes
+    there exactly, ``avoid`` does not, and the fiber is finite."""
     seen, points = set(), []
-    for t in exc._gaussian_rationals(exc.POINT_HEIGHT):
+    for t in exc._gaussian_rationals(REFERENCE_HEIGHT):
         for t_is_v in (False, True):
             f = comp.evaluate({"v" if t_is_v else "u": t})
-            if reached is not None:
-                reached.append((f, len(points)))
-            for w in sorted(map(exc._nearby_rational, exc._univariate_roots(f)),
+            for w in sorted(map(_nearby_rational, exc._univariate_roots(f)),
                             key=lambda w: (-Fraction(w.b, w.d), Fraction(w.a, w.d))):
                 pt = (w, t) if t_is_v else (t, w)
                 if pt in seen:
@@ -215,6 +230,18 @@ def _component_counts_one_slice_at_a_time(F, comp, avoid, samples, reached=None)
                 if len(points) == samples:
                     return points
     raise ExceptionalError(f"found {len(points)} of {samples} points on component {comp}")
+
+
+def _reference_flags(F, curve, deg_geo, critical):
+    """(confirmed, inside_critical) of each component of curve by the point
+    search: confirmed when all 5 points count fewer than deg_geo."""
+    flags = []
+    for _, comp in curve.component_polys:
+        inside = divides(comp, critical.defining)
+        counted = [] if inside else _point_search(
+            F, comp, exact_div(curve.defining, comp) * critical.defining)
+        flags.append((not inside and all(c < deg_geo for _, c in counted), inside))
+    return flags
 
 
 def _unit_symmetric(F, eps):
@@ -233,98 +260,115 @@ _UNITS = [GaussianRational(1), GaussianRational(0, 1), GaussianRational(-1),
           GaussianRational(0, -1)]
 
 
-def test_grouped_point_search_matches_one_slice_at_a_time(monkeypatch):
+def test_orbit_verdicts_match_the_point_search():
     shipped = [load_map_file(os.path.join(MAPS, name))[0] for name in sorted(os.listdir(MAPS))]
     maps = [_unit_symmetric(F, eps) for F in shipped for eps in _UNITS]
-    sampled = 0
+    compared = 0
     for F in maps + [_seeded_map(s) for s in (1, 3, 5)]:
         cand, crit = nonproper_candidates(F), critical_values(F)
         deg_geo = topological_degree(F, avoid=cand.defining * crit.defining).deg_geo
-        grouped = certify_nonproper(F, cand, deg_geo=deg_geo, critical=crit)
-        with monkeypatch.context() as m:
-            m.setattr(exc, "_component_counts", _component_counts_one_slice_at_a_time)
-            alone = certify_nonproper(F, cand, deg_geo=deg_geo, critical=crit)
-        assert grouped == alone, F
-        sampled += sum(len(v["samples"]) for v in grouped)
-    assert sampled >= 5 * 8  # both makar_limanov maps under 4 units, and more
-
-
-def _failing_on(monkeypatch, f):
-    """Make ``find_roots_batch`` raise on a row of the exact univariate f, as
-    the kernel sees it (no trailing zeros); returns the list of failures."""
-    bad = np.trim_zeros(np.array([complex(c.constant_value())
-                                  for c in poly._coeff_list(f, f.vars[0])]), "b")
-    real, failed = roots.find_roots_batch, []
-
-    def failing(C):
-        if any(np.array_equal(row, bad) for row in np.asarray(C)):
-            failed.append(bad)
-            raise roots.RootFindingError("root iteration did not converge")
-        return real(C)
-
-    monkeypatch.setattr(roots, "find_roots_batch", failing)
-    return failed
-
-
-def test_point_search_fails_only_at_a_slice_it_reaches(ml_map, monkeypatch):
-    cand, crit = nonproper_candidates(ml_map), critical_values(ml_map)
-    ((_, comp),) = cand.component_polys
-    reached = []
-    expected = _component_counts_one_slice_at_a_time(ml_map, comp, crit.defining, 5, reached)
-    slices = [f for f, _ in reached]
-    # the slice after the last one reached shares its grouped solve
-    t = list(exc._gaussian_rationals(exc.POINT_HEIGHT))[len(slices) // 2]
-    after = comp.evaluate({"v": t}) if len(slices) % 2 else comp.evaluate({"u": t})
-    assert len(slices) % (2 * exc.SLICE_CHUNK) and after not in slices
-    with monkeypatch.context() as m:
-        failed = _failing_on(m, after)
-        assert exc._component_counts(ml_map, comp, crit.defining, 5) == expected
-        assert failed  # the grouped solve met the failure and fell back
-    # the slice that proposed the first point fails the search
-    before = slices[next(i for i, (_, found) in enumerate(reached) if found) - 1]
-    assert slices.count(before) == 1
-    with monkeypatch.context() as m:
-        failed = _failing_on(m, before)
-        with pytest.raises(roots.RootFindingError):
-            exc._component_counts(ml_map, comp, crit.defining, 5)
-        assert failed
+        verdicts = certify_nonproper(F, cand, deg_geo=deg_geo, critical=crit)
+        assert [(v["confirmed"], v["inside_critical"]) for v in verdicts] == \
+            _reference_flags(F, cand, deg_geo, crit), F
+        compared += sum(not v["inside_critical"] for v in verdicts)
+    assert compared >= 8  # both makar_limanov maps under 4 units, and more
 
 
 def test_certify_rejects_proper_curve():
     # {u = 0} is not special for the identity: full fibers everywhere on it
     F = PolyMap(pe("x"), pe("y"))
     fake = PlaneCurveSet(pe("u", UV), ["supplied"])
-    verdicts = certify_nonproper(F, fake, samples=3, deg_geo=1, critical=critical_values(F))
+    verdicts = certify_nonproper(F, fake, deg_geo=1, critical=critical_values(F))
     assert not verdicts[0]["confirmed"]
-    assert [s["count"] for s in verdicts[0]["samples"]] == [1, 1, 1]
+    assert verdicts[0]["slice"] == {"fixed": "v", "value": "(-1-1i)", "points": 1, "count": 1}
 
 
-def test_certify_raises_without_gaussian_rational_points():
-    # u^2 = 2 has no Gaussian-rational point, so no count can decide it
+def test_certify_rejects_the_line_u_zero_on_makar_limanov(ml_map):
+    # criterion 2's line {u = 0}, supplied as a curve: its slice point has
+    # deg_geo = 4 preimages, as each of the point search's 5 points has
+    crit = critical_values(ml_map)
+    line = PlaneCurveSet(pe("u", UV), ["supplied"])
+    (verdict,) = certify_nonproper(ml_map, line, deg_geo=4, critical=crit)
+    assert not verdict["confirmed"] and not verdict["inside_critical"]
+    assert verdict["slice"] == {"fixed": "v", "value": "(-1-1i)", "points": 1, "count": 4}
+    assert [c for _, c in _point_search(ml_map, pe("u", UV), crit.defining)] == [4] * 5
+
+
+def test_certify_counts_a_component_without_gaussian_rational_points():
+    # u^2 = 2 and v^2 = 2 have no Gaussian-rational point; each slice meets
+    # one in its 2 conjugate points, of one preimage each under the identity
     F = PolyMap(pe("x"), pe("y"))
-    curve = PlaneCurveSet(pe("u^2 - 2", UV), ["supplied"])
-    with pytest.raises(ExceptionalError, match=r"component u\^2 - 2"):
-        certify_nonproper(F, curve, samples=1, deg_geo=1, critical=critical_values(F))
+    for comp, fixed in (("u^2 - 2", "v"), ("v^2 - 2", "u")):
+        curve = PlaneCurveSet(pe(comp, UV), ["supplied"])
+        (verdict,) = certify_nonproper(F, curve, deg_geo=1, critical=critical_values(F))
+        assert not verdict["confirmed"]
+        assert verdict["slice"] == {"fixed": fixed, "value": "(-1-1i)", "points": 2, "count": 2}
+
+
+def test_certify_raises_when_no_slice_suits(monkeypatch):
+    # u + (v + 1 + i)(v + 1)...(v - 1 - i) meets {u = 0} on each slice v = t
+    # of height 1, so no slice of that height is off the critical values
+    monkeypatch.setattr(exc, "SLICE_HEIGHT", 1)
+    F = PolyMap(pe("x"), pe("y"))
+    crit = pe("u", UV)
+    product = pe("1", UV)
+    for t in exc._gaussian_rationals(1):
+        product = product * (pe("v", UV) - Poly.const(t, UV))
+    crit = PlaneCurveSet(crit + product, ["critical-value"])
+    curve = PlaneCurveSet(pe("u", UV), ["supplied"])
+    with pytest.raises(ExceptionalError, match="height at most 1 suits component u"):
+        certify_nonproper(F, curve, deg_geo=1, critical=crit)
 
 
 def test_certify_points_avoid_other_candidates_and_critical_values():
-    # on {u = 0} the search meets v = 0, which lies on the other candidate
-    # v and on the critical-value curve u + v, and skips it
+    # a = u and b = u - v - 1 - i meet on the slice v = -1 - i, which both
+    # pass over; a meets the critical-value curve u + v + 1 on v = -1
     F = PolyMap(pe("x"), pe("y"))
-    curve = PlaneCurveSet(pe("u*v", UV), ["supplied"],
-                          [("a", pe("u", UV)), ("b", pe("v", UV))])
-    crit = PlaneCurveSet(pe("u + v", UV), ["critical-value"])
-    verdicts = certify_nonproper(F, curve, samples=9, deg_geo=1, critical=crit)
-    for v in verdicts:
-        points = [tuple(s["point"]) for s in v["samples"]]
-        assert len(set(points)) == 9
-        assert ("0", "0") not in points
-        assert all(s["count"] == 1 for s in v["samples"])
+    curve = PlaneCurveSet(pe("u^2 - u*v - (1+1i)*u", UV), ["supplied"],
+                          [("a", pe("u", UV)), ("b", pe("u - v - (1+1i)", UV))])
+    crit = PlaneCurveSet(pe("u + v + 1", UV), ["critical-value"])
+    verdicts = certify_nonproper(F, curve, deg_geo=1, critical=crit)
+    assert [v["slice"] for v in verdicts] == [
+        {"fixed": "v", "value": "(-1+1i)", "points": 1, "count": 1},
+        {"fixed": "v", "value": "-1", "points": 1, "count": 1}]
+    assert not any(v["confirmed"] for v in verdicts)
+
+
+def _sheared_leading_coefficient(F):
+    """lc_x Res_y(P_lam - u, Q_lam - v) for the first lam of 0, 1, -1, 2, ...
+    with P_top(lam, 1) Q_top(lam, 1) != 0: its zero set is the non-proper
+    set of F (Jelonek, Ann. Polon. Math. 58, 1993)."""
+    vars4 = ("x", "y", "u", "v")
+    for lam in (0, 1, -1, 2, -2, 3):
+        x = Poly.var("x", XY) + Poly.const(lam, XY) * Poly.var("y", XY)
+        sheared = [f.evaluate({"x": x, "y": Poly.var("y", XY)}) for f in (F.p, F.q)]
+        tops = [sum((Poly(XY, {e: c}) for e, c in f.terms.items() if sum(e) == f.total_degree()),
+                    Poly(XY)) for f in (F.p, F.q)]
+        if all(t.evaluate({"x": GaussianRational(lam), "y": GaussianRational(1)}) for t in tops):
+            p, q = (f._with_vars(vars4) - Poly.var(w, vars4) for f, w in zip(sheared, UV))
+            return _coeff_list(resultant_allow_constant(p, q, "y"), "x")[0]._with_vars(UV)
+    raise AssertionError("no shear of the list suits")
+
+
+def test_seed_4_component_without_rational_points_is_confirmed():
+    # u^2 + (8+10i)u - (8-47i) is two conjugate lines {u = alpha}, alpha not
+    # in Q(i): the slice meets it in 2 points, of 1 preimage each against
+    # deg_geo = 2, and the sheared resultant puts it in the non-proper set
+    F = _seeded_map(4)
+    report = exceptional_report(F)
+    assert report.degree.deg_geo == 2
+    (verdict,) = report.verdicts
+    assert verdict["component"] == "u^2 + (8+10i)*u - (8-47i)"
+    assert verdict["confirmed"] and not verdict["inside_critical"]
+    assert verdict["slice"] == {"fixed": "v", "value": "(-1-1i)", "points": 2, "count": 2}
+    comp = pe(verdict["component"], UV)
+    assert divides(comp, report.curve.defining)
+    assert divides(comp, squarefree_part(_sheared_leading_coefficient(F)))
 
 
 # seeds 12 and 14 of tools/seeded_maps.py: the only candidate (v, resp. u)
 # divides the critical-value curve, so every point of it is on the avoid
-# locus and there is nothing to sample
+# locus and there is no slice to count
 _INSIDE_CRITICAL = [
     ("(4-2i)*x*y^2 - (1-5i)*x*y + (1-5i)*x", "(-3+2i)*x^2*y^2", "v"),
     ("(5+3i)*x^2*y^2", "(-1-1i)*x*y^2 + (5+2i)*x^2", "u"),
@@ -336,14 +380,14 @@ def test_candidate_inside_the_critical_curve_takes_no_samples(p, q, comp):
     report = exceptional_report(PolyMap(p, q))
     assert divides(pe(comp, UV), report.critical.defining)
     assert report.verdicts == [{"tag": report.verdicts[0]["tag"], "component": comp,
-                                "confirmed": False, "inside_critical": True, "samples": []}]
+                                "confirmed": False, "inside_critical": True, "slice": None}]
     # A_F is the critical-value curve, which holds the candidate already
     assert report.curve.defining == report.critical.defining
 
 
 def test_verdicts_off_the_critical_curve_are_marked(ml_map):
     verdicts = exceptional_report(ml_map).verdicts
-    assert verdicts and all(v["inside_critical"] is False and v["samples"] for v in verdicts)
+    assert verdicts and all(v["inside_critical"] is False and v["slice"] for v in verdicts)
 
 
 def test_line_u_zero_has_full_fibers_and_is_not_a_candidate(ml_map):
@@ -609,7 +653,7 @@ def test_exceptional_set_ml(ml_map):
 
 
 def test_exceptional_report_reuses_its_stages(ml_map):
-    rep = exceptional_report(ml_map, samples=5, seed=0)
+    rep = exceptional_report(ml_map, seed=0)
     assert rep.candidates.defining == pe("u^3 - v^2", UV)
     assert rep.degree == topological_degree(ml_map, seed=1)
     assert rep.verdicts == certify_nonproper(ml_map, rep.candidates, deg_geo=4,
@@ -632,7 +676,7 @@ def test_exceptional_set_empty_for_random_automorphisms():
     rng = random.Random(101)
     for _ in range(20):
         M, _ = random_automorphism(rng, max_total_deg=6)
-        assert exceptional_set(M, samples=2, seed=5).is_empty()
+        assert exceptional_set(M, seed=5).is_empty()
 
 
 # --------------------------------------------------------- line intersections

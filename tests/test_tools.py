@@ -16,13 +16,13 @@ def test_seeded_maps_runs_one_seed_in_a_child_process(monkeypatch):
     import seeded_maps
     line = seeded_maps.run_seed(multiprocessing.get_context("spawn"), 3)
     assert list(line) == ["seed", "seconds", "status", "defining", "curve", "deg_geo",
-                          "degree_targets", "degree_counts", "verdict_points", "verdict_counts"]
+                          "degree_targets", "degree_counts", "verdict_slices"]
     assert line["seed"] == 3 and line["status"] == "ok"
     assert line["seconds"] < seeded_maps.TIMEOUT_S
     assert len(line["degree_targets"]) == len(line["degree_counts"]) == 3
-    assert [len(p) for p in line["verdict_points"]] == [len(c) for c in line["verdict_counts"]]
-    assert all(len(pt) == 2 and all(isinstance(w, str) for w in pt)
-               for p in line["verdict_points"] for pt in p)
+    assert all(sl is None or (list(sl) == ["fixed", "value", "points", "count"]
+                              and isinstance(sl["value"], str))
+               for sl in line["verdict_slices"])
 
 
 def test_seeded_maps_imports_planejac_from_the_src_checkout(monkeypatch, tmp_path, capsys):

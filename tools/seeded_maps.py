@@ -15,10 +15,12 @@ Every line has "seed", "status" and "seconds".  The status is "ok",
 "ok" line also has the critical-value curve ("defining", that is
 ``critical_values(F).defining``), A_F ("curve"), "deg_geo", the targets
 and preimage counts of the degree samples ("degree_targets",
-"degree_counts"), and the sample points and counts of each certification
-verdict ("verdict_points", "verdict_counts").  Comparing the files of two
-checkouts line by line, without "seconds" (tools/same_answers.py), checks
-that they compute the same answers from the same points.
+"degree_counts"), and the slice of each certification verdict
+("verdict_slices": its fixed coordinate and value, its number of points and
+their preimage count, or null inside the critical values).  Comparing the
+files of two checkouts line by line, without "seconds"
+(tools/same_answers.py), checks that they compute the same answers from the
+same points.
 """
 
 from __future__ import annotations
@@ -67,8 +69,7 @@ def _prepare(seed):
             "deg_geo": report.degree.deg_geo,
             "degree_targets": [[str(u), str(v)] for (u, v), _ in report.degree.samples],
             "degree_counts": [c for _, c in report.degree.samples],
-            "verdict_points": [[s["point"] for s in v["samples"]] for v in report.verdicts],
-            "verdict_counts": [[s["count"] for s in v["samples"]] for v in report.verdicts],
+            "verdict_slices": [v["slice"] for v in report.verdicts],
         }
     return work
 
