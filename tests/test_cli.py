@@ -325,6 +325,7 @@ MUTATIONS = {
     "count-true": (EXCEPTIONAL, SLICE + ("count",), True),
     "count-1.0": (EXCEPTIONAL, SLICE + ("count",), 1.0),
     "count-1.5": (EXCEPTIONAL, SLICE + ("count",), 1.5),
+    # "samples" is no setting: config refuses it as an extra key
     **{f"{key}-{name}": ("check identity.json", ("config", key), value)
        for key in ("seed", "order", "box", "ring_m", "trials", "samples")
        for name, value in (("true", True), ("1.0", 1.0), ("2.5", 2.5), ("string", "3"))},
