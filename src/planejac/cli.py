@@ -11,7 +11,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from importlib import resources
 
 import click
@@ -25,16 +24,6 @@ from .poly import PolyMap, jacobian, parse_expression
 EXIT_VIOLATIONS = 3
 #: the failures of an analysis that end a command with `error: ...`, exit 1
 ANALYSIS_ERRORS = (exc.ExceptionalError, RootFindingError, ValueError)
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    order: int = 16
-    box: int = 4
-    ring_m: int = 1
-    trials: int = 3
-    tol: float = VIOLATION_TOL
 
 
 class MapFileError(RuntimeError):
@@ -59,14 +48,10 @@ def load_map_file(path):
             raise MapFileError(f"map file {path}: field '{key}' is not a string")
     if not isinstance(data.get("integral", False), bool):
         raise MapFileError(f"map file {path}: field 'integral' is not true or false")
-    variables = data.get("variables", ["x", "y"])
-    if not (isinstance(variables, list) and all(isinstance(w, str) for w in variables)):
-        raise MapFileError(f"map file {path}: field 'variables' is not a list of names")
-    variables = tuple(variables)
+    if data.get("variables", ["x", "y"]) != ["x", "y"]:
+        raise MapFileError(f"map file {path}: field 'variables' is not [\"x\", \"y\"]")
     try:
-        p = parse_expression(data["p"], variables)
-        q = parse_expression(data["q"], variables)
-        F = PolyMap(p, q)
+        F = PolyMap(parse_expression(data["p"]), parse_expression(data["q"]))
     except ValueError as e:
         raise MapFileError(f"map file {path}: {e}")
     if data.get("integral") and not F.is_integral():
@@ -168,10 +153,11 @@ def _validator():
 
 def emit(command, meta, config, result, pretty, summary_lines, exit_code=0):
     """Check the report against the schema, print it, and return the
-    command's exit code.  A report that breaks the schema raises
-    ReportSchemaError, and the result must hold JSON values only: a
-    non-finite float raises ValueError.  Either leaves stdout empty."""
-    report = {"command": command, "map": meta, "config": asdict(config), "result": result}
+    command's exit code.  `config` holds the command's options, each under
+    its own key.  A report that breaks the schema raises ReportSchemaError,
+    and the result must hold JSON values only: a non-finite float raises
+    ValueError.  Either leaves stdout empty."""
+    report = {"command": command, "map": meta, "config": config, "result": result}
     why = _violation(_validator(), report)
     if why:
         raise ReportSchemaError(why)
@@ -214,37 +200,25 @@ def _finite(ctx, param, value):
     return value
 
 
-#: the option of each RunConfig field; a command takes those it reads
-config_options = {
-    "seed": click.option("--seed", type=int, default=RunConfig.seed, show_default=True),
-    "order": click.option("--order", "-N", type=click.IntRange(min=1), default=RunConfig.order,
-                          show_default=True),
-    "box": click.option("--box", "-B", type=int, default=RunConfig.box, show_default=True),
-    "ring_m": click.option("--ring-m", type=int, default=RunConfig.ring_m, show_default=True),
-    "trials": click.option("--trials", "-T", type=int, default=RunConfig.trials, show_default=True),
-    "tol": click.option("--tol", type=click.FloatRange(min=0, min_open=True),
-                        callback=_finite, default=RunConfig.tol, show_default=True),
-}
+#: the lattice box of fibers and verify
+box_options = [
+    click.option("--box", "-B", type=int, default=4, show_default=True),
+    click.option("--ring-m", type=int, default=1, show_default=True),
+]
 output_options = [
     click.option("--json", "output_json", flag_value=True, default=True, help="compact JSON (default)"),
     click.option("--pretty", "output_json", flag_value=False, help="indented JSON"),
 ]
 
 
-def with_config(*names):
-    """Give a command the options of the named RunConfig fields, and
+def with_options(*options):
+    """Give a command `options`, each one a key of its report's config, and
     --json / --pretty."""
     def decorate(f):
-        for opt in reversed([config_options[n] for n in names] + output_options):
+        for opt in reversed([*options, *output_options]):
             f = opt(f)
         return f
     return decorate
-
-
-def _config(kw):
-    """The RunConfig of a command's options; the fields it takes no option
-    for keep their defaults."""
-    return RunConfig(**{k: kw[k] for k in config_options if k in kw})
 
 
 @click.group()
@@ -273,10 +247,9 @@ def _load(mapfile):
 
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
-@with_config()
-def check(mapfile, **kw):
+@with_options()
+def check(mapfile, output_json):
     """Jacobian and degree report for a map file."""
-    cfg = _config(kw)
     F, _, meta = _load(mapfile)
     jf = jacobian(F)
     is_unit = jf.is_constant() and jf.constant_value() == GaussianRational(1)
@@ -289,34 +262,32 @@ def check(mapfile, **kw):
         "deg_gcd": F.deg_gcd,
         "integral": F.is_integral(),
     }
-    return emit("check", meta, cfg, result, not kw["output_json"],
+    return emit("check", meta, {}, result, not output_json,
                 [f"{meta['name']}: JF = {result['jacobian']}"
                  + (" (unit Jacobian)" if is_unit else "")])
 
 
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
-@click.option("--translate", default=None, callback=_translation,
-              help="a,b to translate by before inverting (Gaussian integer constants)")
-@with_config("order")
-def invert(mapfile, translate, **kw):
+@with_options(
+    click.option("--translate", default=None, callback=_translation,
+                 help="a,b to translate by before inverting (Gaussian integer constants)"),
+    click.option("--order", "-N", type=click.IntRange(min=1), default=16, show_default=True))
+def invert(mapfile, translate, order, output_json):
     """Truncated formal local inverse and the exact automorphism verdict."""
-    cfg = _config(kw)
     F, _, meta = _load(mapfile)
     try:
         if translate:
             F = ser.translate_map(F, *translate)
         # the inverse of an automorphism has degree at most max(deg P, deg Q)
-        order = cfg.order
-        if ser.has_constant_jacobian(F):
-            order = max(order, F.deg_p, F.deg_q)
-        G = ser.local_inverse(F, order)
+        G = ser.local_inverse(F, max(order, F.deg_p, F.deg_q)
+                              if ser.has_constant_jacobian(F) else order)
     except ValueError as e:
         _fail(e)
     verdict, resid = ser.automorphism_verdict(F, G)
     # the report shows the series, and its round trip, through degree N
-    g1, g2 = (ser.TruncSeries2(cfg.order, g.terms) for g in (G.g1, G.g2))
-    top = max((sum(e) for r in (resid.g1, resid.g2) for e in r.terms if sum(e) <= cfg.order),
+    g1, g2 = (ser.TruncSeries2(order, g.terms) for g in (G.g1, G.g2))
+    top = max((sum(e) for r in (resid.g1, resid.g2) for e in r.terms if sum(e) <= order),
               default=0)
     result = {
         "inverse": {"g1": g1.to_json(), "g2": g2.to_json()},
@@ -324,38 +295,32 @@ def invert(mapfile, translate, **kw):
         "roundtrip_residual": "0" if top == 0 else f"nonzero at degree {top}",
         "automorphism": verdict,
     }
-    return emit("invert", meta, cfg, result, not kw["output_json"],
-                [f"{meta['name']}: inverse to order {cfg.order}, "
+    config = {"order": order, "translate": translate and [str(c) for c in translate]}
+    return emit("invert", meta, config, result, not output_json,
+                [f"{meta['name']}: inverse to order {order}, "
                  f"residual {result['roundtrip_residual']}",
                  f"automorphism: {'yes' if verdict['value'] else 'no'} ({verdict['reason']})"])
 
 
-def _report(F, cfg):
-    return exc.exceptional_report(F, seed=cfg.seed, trials=cfg.trials)
-
-
-def _curve_and_degree(F, curve, cfg):
-    """A_F and its DegreeReport from one pipeline pass, or a supplied curve
-    and None (its degree is left to `_degree`, when it is needed)."""
-    if curve is not None:
-        return curve, None
-    rep = _report(F, cfg)
-    return rep.curve, rep.degree
-
-
-def _degree(F, cfg):
-    return exc.topological_degree(F, trials=cfg.trials, seed=cfg.seed + 1)
+def _curve_and_degree(F, curve, degree):
+    """A_F and its DegreeReport from one pipeline pass; or the supplied
+    curve, and the map's DegreeReport when `degree` is true (else None)."""
+    if curve is None:
+        rep = exc.exceptional_report(F)
+        return rep.curve, rep.degree
+    # the targets of exceptional_report at seed 0, whose degree takes seed 1
+    return curve, exc.topological_degree(F, seed=1) if degree else None
 
 
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
-@with_config("seed", "trials")
-def exceptional(mapfile, **kw):
+@with_options(click.option("--seed", type=int, default=0, show_default=True,
+                          help="picks the random targets of the degree"))
+def exceptional(mapfile, seed, output_json):
     """Non-proper candidates, certification, critical values, degree."""
-    cfg = _config(kw)
     F, _, meta = _load(mapfile)
     try:
-        rep = _report(F, cfg)
+        rep = exc.exceptional_report(F, seed=seed)
     except ANALYSIS_ERRORS as e:
         _fail(e)
     result = {
@@ -368,63 +333,59 @@ def exceptional(mapfile, **kw):
         "certification": "one exact preimage count over the points of a Gaussian-rational"
                          " slice per component",
     }
-    return emit("exceptional", meta, cfg, result, not kw["output_json"],
+    return emit("exceptional", meta, {"seed": seed}, result, not output_json,
                 [f"{meta['name']}: A_F defined by {result['defining']} "
                  f"(deg_geo = {rep.degree.deg_geo})"])
 
 
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
-@click.option("-k", "k_text", default="0", show_default=True, help="fiber level (Gaussian integer)")
-@with_config("box", "ring_m", "seed", "trials")
-def fibers(mapfile, k_text, **kw):
+@with_options(click.option("-k", "k_text", default="0", show_default=True,
+                          help="fiber level (Gaussian integer)"), *box_options)
+def fibers(mapfile, k_text, box, ring_m, output_json):
     """Ring lattice points on the fiber P = k inside the box."""
     from . import lattice as lat
-    cfg = _config(kw)
     F, curve, meta = _load(mapfile)
     try:
         kq = _parse_gaussian_constant(k_text)
-        box = lat.LatticeBox(cfg.box, cfg.ring_m)
-        fset = lat.enumerate_fiber_points(F.p, kq, box)
+        fset = lat.enumerate_fiber_points(F.p, kq, lat.LatticeBox(box, ring_m))
     except (ValueError, click.BadParameter) as e:
         _fail(e)
     result = fset.to_json()
     result["bound4"] = result["bound5"] = None
-    lines = [f"{meta['name']}: {result['count']} fiber points at k = {k_text}, B = {cfg.box}"]
+    lines = [f"{meta['name']}: {result['count']} fiber points at k = {k_text}, B = {box}"]
     try:
-        curve, deg = _curve_and_degree(F, curve, cfg)
+        curve, deg = _curve_and_degree(F, curve, degree=curve is None or not curve.is_empty())
         if not curve.is_empty():
-            if deg is None:
-                deg = _degree(F, cfg)
             result["bound4"], result["bound5"] = lat.fiber_count_bounds(F, deg.deg_geo, curve)
     except ANALYSIS_ERRORS as e:
         lines.append(f"note: bound4 and bound5 are null: {e}")
-    return emit("fibers", meta, cfg, result, not kw["output_json"], lines)
+    return emit("fibers", meta, {"k": str(kq), "box": box, "ring_m": ring_m}, result,
+                not output_json, lines)
 
 
 @main.command()
 @click.argument("mapfile", type=click.Path(exists=True))
 @click.argument("which", type=click.Choice(["dist", "dhat", "bounds"]))
-@with_config("box", "ring_m", "seed", "trials", "tol")
-def verify(mapfile, which, **kw):
+@with_options(*box_options, click.option(
+    "--tol", type=click.FloatRange(min=0, min_open=True), callback=_finite,
+    default=VIOLATION_TOL, show_default=True))
+def verify(mapfile, which, tol, box, ring_m, output_json):
     """Inequality and bound verification sweeps over the lattice box."""
     from . import lattice as lat
-    cfg = _config(kw)
     F, curve, meta = _load(mapfile)
     try:
-        box = lat.LatticeBox(cfg.box, cfg.ring_m)
-        curve, deg = _curve_and_degree(F, curve, cfg)
+        grid = lat.LatticeBox(box, ring_m)
+        curve, deg = _curve_and_degree(F, curve, degree=which == "bounds")
         if which == "dist":
-            result = lat.verify_dist_inequality(F, curve, box, tol=cfg.tol)
+            result = lat.verify_dist_inequality(F, curve, grid, tol=tol)
         elif which == "dhat":
-            result = lat.verify_dhat_inequality(F, curve, box, tol=cfg.tol)
+            result = lat.verify_dhat_inequality(F, curve, grid, tol=tol)
         else:
-            if deg is None:
-                deg = _degree(F, cfg)
             b4, b5 = lat.fiber_count_bounds(F, deg.deg_geo, curve)
             sweep = []
             for k in ("0", "1", "-1", "2", "-2", "i"):
-                fset = lat.enumerate_fiber_points(F.p, _parse_gaussian_constant(k), box)
+                fset = lat.enumerate_fiber_points(F.p, _parse_gaussian_constant(k), grid)
                 sweep.append({"k": k, "count": fset.count(),
                               "line_fiber": fset.line_fiber is not None,
                               "exceeds": fset.count() > min(b4, b5)})
@@ -432,10 +393,10 @@ def verify(mapfile, which, **kw):
         _fail(e)
     if which == "dist":
         bad = len(result["unconfirmed"])
-        line = f"{meta['name']}: dist sweep B={cfg.box}, {bad} unconfirmed of {result['checked']}"
+        line = f"{meta['name']}: dist sweep B={box}, {bad} unconfirmed of {result['checked']}"
     elif which == "dhat":
         bad = len(result["violations"])
-        line = f"{meta['name']}: dhat sweep B={cfg.box}, {bad} violations of {result['checked']}"
+        line = f"{meta['name']}: dhat sweep B={box}, {bad} violations of {result['checked']}"
     else:
         result = {"bound4": b4, "bound5": b5, "deg_geo": deg.deg_geo,
                   "curve_degree": curve.degree, "sweep": sweep}
@@ -443,7 +404,8 @@ def verify(mapfile, which, **kw):
         line = (f"{meta['name']}: bounds {b4} / {b5}, "
                 f"max count {max(s['count'] for s in sweep)}")
     result["curve"] = curve.to_json()
-    return emit("verify", meta, cfg, result, not kw["output_json"], [line],
+    return emit("verify", meta, {"box": box, "ring_m": ring_m, "tol": tol}, result,
+                not output_json, [line],
                 exit_code=EXIT_VIOLATIONS if bad else 0)
 
 

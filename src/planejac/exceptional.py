@@ -22,6 +22,9 @@ from .poly import (Poly, PolyMap, _coeff_list, cont_pp_static, divides, exact_di
 #: largest height max(|a|, |b|, d) of the value t = (a + bi)/d at which a
 #: candidate component is sliced
 SLICE_HEIGHT = 6
+#: random targets at which topological_degree counts preimages: off the
+#: candidate locus each exact count is deg_geo, so the counts must agree
+DEGREE_TRIALS = 3
 
 UV = ("u", "v")
 
@@ -73,13 +76,10 @@ class PlaneCurveSet:
 class DegreeReport:
     deg_geo: int
     samples: list  # [(target (u0, v0) as strings, count)]
-    agreed: bool
 
     def to_json(self):
         return {
             "value": self.deg_geo,
-            "agreed": self.agreed,
-            "trials": len(self.samples),
             "samples": [
                 {"target": [str(u), str(v)], "count": c} for (u, v), c in self.samples
             ],
@@ -193,14 +193,13 @@ def _random_rational(rng):
     return GaussianRational(a, b, d)
 
 
-def topological_degree(F, trials=3, seed=0, avoid=None):
-    """deg_geo F: the common preimage count at `trials` random Gaussian-rational
-    targets, rejecting those on the candidate exceptional locus exactly (the
-    count at a target is exact, so nearness to the locus does not matter).
-    `avoid` is that locus's defining polynomial in (u, v) when the caller has
-    it; otherwise it is computed from the candidates and critical values."""
-    if trials < 3:
-        raise ValueError("need at least 3 trials")
+def topological_degree(F, seed=0, avoid=None):
+    """deg_geo F: the common preimage count at DEGREE_TRIALS random
+    Gaussian-rational targets, rejecting those on the candidate exceptional
+    locus exactly (the count at a target is exact, so nearness to the locus
+    does not matter).  `avoid` is that locus's defining polynomial in (u, v)
+    when the caller has it; otherwise it is computed from the candidates and
+    critical values.  The seed picks the targets, never the degree."""
     if jacobian(F).is_zero():
         raise ExceptionalError("map is not dominant")
     if avoid is None:
@@ -208,7 +207,7 @@ def topological_degree(F, trials=3, seed=0, avoid=None):
     rng = random.Random(seed)
     samples = []
     attempts = 0
-    while len(samples) < trials:
+    while len(samples) < DEGREE_TRIALS:
         if attempts > 60:
             raise ExceptionalError("could not find generic targets off the candidate locus")
         attempts += 1
@@ -218,12 +217,11 @@ def topological_degree(F, trials=3, seed=0, avoid=None):
             continue
         samples.append(((u0, v0), _preimage_count_exact(F, u0, v0)))
     counts = sorted({c for _, c in samples})
-    agreed = len(counts) == 1
-    if not agreed:
+    if len(counts) != 1:
         raise ExceptionalError(
             f"preimage counts disagree across trials: {counts}; targets {samples}"
         )
-    return DegreeReport(deg_geo=counts[0], samples=samples, agreed=True)
+    return DegreeReport(deg_geo=counts[0], samples=samples)
 
 
 def _gaussian_rationals(height):
@@ -435,17 +433,17 @@ class ExceptionalReport:
     curve: PlaneCurveSet
 
 
-def exceptional_report(F, seed=0, trials=3):
+def exceptional_report(F, seed=0):
     """Run each stage once: candidates and critical values, the degree with
     their product as its avoid locus, then the certification verdicts.  A_F
     is the square-free product of the confirmed non-proper components and
-    the critical-value components, with provenance."""
+    the critical-value components, with provenance.  The seed picks the
+    degree's random targets, and nothing else: each count there is exact."""
     if jacobian(F).is_zero():
         raise ExceptionalError("map is not dominant")
     cand = nonproper_candidates(F)
     crit = critical_values(F)
-    degree = topological_degree(F, trials=trials, seed=seed + 1,
-                                avoid=cand.defining * crit.defining)
+    degree = topological_degree(F, seed=seed + 1, avoid=cand.defining * crit.defining)
     verdicts = certify_nonproper(F, cand, deg_geo=degree.deg_geo, critical=crit)
     product = Poly.const(1, UV)
     provenance = []
@@ -459,9 +457,9 @@ def exceptional_report(F, seed=0, trials=3):
     return ExceptionalReport(cand, crit, degree, verdicts, PlaneCurveSet(product, provenance))
 
 
-def exceptional_set(F, seed=0):
+def exceptional_set(F):
     """A_F: the curve of ``exceptional_report``."""
-    return exceptional_report(F, seed).curve
+    return exceptional_report(F).curve
 
 
 def line_intersections(curve, k):

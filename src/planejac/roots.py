@@ -5,9 +5,9 @@ A row's start values are -c1/c0 at degree 1, stable closed forms at degrees
 2 and 3, and from degree 4 the eigenvalues of the companion matrix, which
 are backward stable roots (Edelman & Murakami, Math. Comp. 64, 1995).  One
 vectorized Newton polish and one residual test then serve every degree and
-every entry point: ``find_roots`` is a one-row call of ``find_roots_batch``,
-and ``find_roots_grouped`` solves rows of mixed shapes with one
-``find_roots_batch`` call per trimmed degree.
+every entry point: ``find_roots_grouped`` solves rows of mixed shapes with
+one ``find_roots_batch`` call per trimmed degree, and ``find_roots`` is its
+one-row case.
 
 This module only solves: its callers specialize.  The exact layers pass
 the coefficients of ``Poly.evaluate`` slices to ``find_roots``; the lattice
@@ -146,21 +146,20 @@ def find_roots_batch(C):
 
 def find_roots(coeffs):
     """All complex roots of the polynomial with descending complex
-    coefficients: exact leading zeros are dropped, exact trailing zeros are
-    roots at the origin, and the rest is a one-row ``find_roots_batch``.
+    coefficients: the one-row ``find_roots_grouped``, so exact leading zeros
+    are dropped and exact trailing zeros are roots at the origin.
     Deterministic.  Raises RootFindingError for the zero polynomial and when
     the roots do not settle."""
     c = np.asarray(coeffs, dtype=np.complex128)
-    nz = np.flatnonzero(c != 0)  # NaN is nonzero: it reaches the batch test
-    if nz.size == 0:
-        raise RootFindingError("zero polynomial has no finite root set")
-    origin = np.zeros(c.shape[0] - 1 - nz[-1], dtype=np.complex128)
-    c = c[nz[0]:nz[-1] + 1]
-    return np.concatenate([find_roots_batch(c[None, :])[0], origin])
+    if c.size:
+        roots, (count,) = find_roots_grouped(c[None, :])
+        if count >= 0:
+            return roots
+    raise RootFindingError("zero polynomial has no finite root set")
 
 
 def find_roots_grouped(C, nonzero=None):
-    """``find_roots`` of each row of C (n, d+1, descending), one
+    """All complex roots of each row of C (n, d+1, descending), one
     ``find_roots_batch`` call per trimmed degree: a row drops its entries
     before the first one marked in ``nonzero`` (default C != 0), and its
     exactly zero trailing entries are roots at 0.  Returns all roots in row

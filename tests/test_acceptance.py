@@ -175,7 +175,7 @@ def test_criterion_08_fiber_count_bounds(ml_map, ml_curve, capsys):
             excluded.append(str(k))
             continue
         counts[str(k)] = enumerate_fiber_points(ml_map.p, k, box6).count()
-    ok = (deg.agreed and deg.deg_geo == 4 and b4 == 80 and b5 == 160
+    ok = (deg.deg_geo == 4 and b4 == 80 and b5 == 160
           and excluded == ["0"]
           and all(n <= min(b4, b5) for n in counts.values()))
     _report(capsys, 8, ok,

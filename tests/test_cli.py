@@ -16,8 +16,8 @@ import planejac
 from planejac import exceptional as exc
 from planejac import series as ser
 from planejac.cli import (ANALYSIS_ERRORS, EXIT_VIOLATIONS, MapFileError, ReportSchemaError,
-                          RunConfig, emit, load_map_file, main, _schema, _supported,
-                          _validator, _violation)
+                          emit, load_map_file, main, _schema, _supported, _validator,
+                          _violation)
 from planejac.poly import Poly, parse_expression, poly_gcd
 
 MAPS = os.path.join(os.path.dirname(__file__), "..", "maps")
@@ -57,6 +57,9 @@ BAD_MAP_FILES = {
     "int-p": {"name": "int-p", "p": 5, "q": "y"},
     "int-curve": {"name": "int-curve", "p": "x", "q": "y", "curve": 7},
     "int-variables": {"name": "int-variables", "p": "x", "q": "y", "variables": 5},
+    "variables-st": {"name": "st", "p": "s", "q": "t", "variables": ["s", "t"]},
+    "variables-xyz": {"name": "xyz", "p": "x", "q": "y", "variables": ["x", "y", "z"]},
+    "variables-yx": {"name": "yx", "p": "x", "q": "y", "variables": ["y", "x"]},
     "int-name": {"name": 5, "p": "x", "q": "y"},
     "string-integral": {"name": "c", "p": "1/2*x", "q": "2*y", "integral": "no"},
     "int-integral": {"name": "c", "p": "x", "q": "y", "integral": 1},
@@ -83,6 +86,16 @@ def test_integral_must_be_true_or_false(tmp_path, value):
     mf.write_text(json.dumps({"name": "c", "p": "1/2*x", "q": "2*y", "integral": value}))
     with pytest.raises(MapFileError, match="field 'integral' is not true or false"):
         load_map_file(str(mf))
+
+
+@pytest.mark.parametrize("name", [k for k in BAD_MAP_FILES if "variables" in k])
+def test_variables_other_than_x_and_y_name_the_field(tmp_path, name):
+    mf = tmp_path / "bad.json"
+    mf.write_text(json.dumps(BAD_MAP_FILES[name]))
+    with pytest.raises(MapFileError, match=r"""field 'variables' is not \["x", "y"\]"""):
+        load_map_file(str(mf))
+    mf.write_text(json.dumps({"name": name, "p": "x", "q": "y", "variables": ["x", "y"]}))
+    assert load_map_file(str(mf))[0].deg_p == 1
 
 
 def test_laurent_curve_names_the_negative_exponent(tmp_path):
@@ -218,6 +231,28 @@ def test_invert_translated_ml_matches_fixed_point_loop(runner):
         1: (-5, 0, 4)}
 
 
+@pytest.mark.parametrize("args, config", [
+    (["check", _map("identity.json")], {}),
+    (["invert", _map("elementary.json"), "-N", "4"], {"order": 4, "translate": None}),
+    (["invert", _map("makar_limanov.json"), "--translate", "1,1", "-N", "2"],
+     {"order": 2, "translate": ["1", "1"]}),
+    (["invert", _map("identity.json"), "--translate", "i,-2", "-N", "2"],
+     {"order": 2, "translate": ["1i", "-2"]}),
+    (["exceptional", _map("identity.json"), "--seed", "7"], {"seed": 7}),
+    (["fibers", _map("identity.json"), "-k", "1+1i", "-B", "2"],
+     {"k": "(1+1i)", "box": 2, "ring_m": 1}),
+    (["verify", _map("identity.json"), "dhat", "-B", "1", "--ring-m", "2", "--tol", "1e-6"],
+     {"box": 1, "ring_m": 2, "tol": 1e-6}),
+], ids=["check", "invert", "invert-translate", "invert-translate-i", "exceptional", "fibers",
+        "verify"])
+def test_config_holds_exactly_the_options_of_its_command(runner, args, config):
+    r = runner.invoke(main, args)
+    assert r.exit_code == 0, r.stderr
+    rep = _payload(r)
+    assert rep["config"] == config
+    jsonschema.validate(rep, _schema())
+
+
 def test_schema_requires_the_invert_verdict(runner):
     rep = _payload(runner.invoke(main, ["invert", _map("elementary.json"), "-N", "4"]))
     jsonschema.validate(rep, _schema())
@@ -241,7 +276,7 @@ def test_emit_rejects_a_non_finite_float(capsys, pretty, value):
     # a report holds JSON values only: nothing turns a float into null
     meta = {"name": "m", "p": "x", "q": "y", "curve": None}
     with pytest.raises(ValueError):
-        emit("check", meta, RunConfig(), {"value": value}, pretty, [])
+        emit("check", meta, {}, {"value": value}, pretty, [])
     assert capsys.readouterr().out == ""
 
 
@@ -294,6 +329,10 @@ with open(GOLDEN) as _fh:
                       if v["stdout"]}
 DELETE = object()
 INVERT, EXCEPTIONAL = "invert elementary.json -N 8", "exceptional makar_limanov.json"
+FIBERS, VERIFY = "fibers identity.json -k 3 -B 2", "verify identity.json dist -B 1"
+#: the golden report whose config a mutation of each config key breaks
+CONFIG_REPORT = {"seed": EXCEPTIONAL, "order": INVERT, "box": FIBERS, "ring_m": VERIFY,
+                 "trials": EXCEPTIONAL, "samples": EXCEPTIONAL}
 SLICE = ("result", "components", 0, "slice")
 TARGET = ("result", "deg_geo", "samples", 0, "target")
 #: (golden report, path, new value or DELETE) of each report mutation; the
@@ -325,20 +364,45 @@ MUTATIONS = {
     "count-true": (EXCEPTIONAL, SLICE + ("count",), True),
     "count-1.0": (EXCEPTIONAL, SLICE + ("count",), 1.0),
     "count-1.5": (EXCEPTIONAL, SLICE + ("count",), 1.5),
-    # "samples" is no setting: config refuses it as an extra key
-    **{f"{key}-{name}": ("check identity.json", ("config", key), value)
+    # each key on a report of the command that takes its option; "trials"
+    # and "samples" are no option of any command, so config refuses them
+    **{f"{key}-{name}": (CONFIG_REPORT[key], ("config", key), value)
        for key in ("seed", "order", "box", "ring_m", "trials", "samples")
        for name, value in (("true", True), ("1.0", 1.0), ("2.5", 2.5), ("string", "3"))},
-    "order-0": ("check identity.json", ("config", "order"), 0),
-    "order-1": ("check identity.json", ("config", "order"), 1),
-    "trials-2": ("check identity.json", ("config", "trials"), 2),
-    "seed-negative": ("check identity.json", ("config", "seed"), -5),
-    "no-seed": ("check identity.json", ("config", "seed"), DELETE),
-    "tol-0": ("check identity.json", ("config", "tol"), 0),
-    "tol-tiny": ("check identity.json", ("config", "tol"), 1e-300),
-    "tol-negative": ("check identity.json", ("config", "tol"), -1e-9),
-    "tol-string": ("check identity.json", ("config", "tol"), "1e-09"),
-    "tol-true": ("check identity.json", ("config", "tol"), True),
+    "order-0": (INVERT, ("config", "order"), 0),
+    "order-1": (INVERT, ("config", "order"), 1),
+    "trials-2": (EXCEPTIONAL, ("config", "trials"), 2),
+    "trials-3": (EXCEPTIONAL, ("config", "trials"), 3),
+    "seed-negative": (EXCEPTIONAL, ("config", "seed"), -5),
+    "no-seed": (EXCEPTIONAL, ("config", "seed"), DELETE),
+    "tol-0": (VERIFY, ("config", "tol"), 0),
+    "tol-tiny": (VERIFY, ("config", "tol"), 1e-300),
+    "tol-negative": (VERIFY, ("config", "tol"), -1e-9),
+    "tol-string": (VERIFY, ("config", "tol"), "1e-09"),
+    "tol-true": (VERIFY, ("config", "tol"), True),
+    "no-tol": (VERIFY, ("config", "tol"), DELETE),
+    "no-box": (VERIFY, ("config", "box"), DELETE),
+    "box-0": (FIBERS, ("config", "box"), 0),
+    "no-ring_m": (FIBERS, ("config", "ring_m"), DELETE),
+    "k-int": (FIBERS, ("config", "k"), 3),
+    "k-list": (FIBERS, ("config", "k"), ["3", "0"]),
+    "no-k": (FIBERS, ("config", "k"), DELETE),
+    "no-order": (INVERT, ("config", "order"), DELETE),
+    "no-translate": (INVERT, ("config", "translate"), DELETE),
+    "translate-pair": (INVERT, ("config", "translate"), ["1", "(1+1i)"]),
+    "translate-1": (INVERT, ("config", "translate"), ["1"]),
+    "translate-3": (INVERT, ("config", "translate"), ["1", "1", "1"]),
+    "translate-ints": (INVERT, ("config", "translate"), [1, 1]),
+    "translate-string": (INVERT, ("config", "translate"), "1,1"),
+    # a key of another command's option
+    "check-seed": ("check identity.json", ("config", "seed"), 0),
+    "check-box": ("check identity.json", ("config", "box"), 4),
+    "invert-seed": (INVERT, ("config", "seed"), 0),
+    "exceptional-order": (EXCEPTIONAL, ("config", "order"), 16),
+    "fibers-seed": (FIBERS, ("config", "seed"), 0),
+    "fibers-tol": (FIBERS, ("config", "tol"), 1e-9),
+    "verify-seed": (VERIFY, ("config", "seed"), 0),
+    "verify-k": (VERIFY, ("config", "k"), "0"),
     "curve-none": ("check makar_limanov.json", ("map", "curve"), None),
     "curve-int": ("check makar_limanov.json", ("map", "curve"), 5),
     "no-curve": ("check makar_limanov.json", ("map", "curve"), DELETE),
@@ -739,12 +803,20 @@ def test_exceptional_and_bounds_take_coefficients_beyond_the_float_range(runner,
     ["verify", _map("makar_limanov.json"), "dhat", "-B", "1", "--tol", "nan"],
     ["verify", _map("makar_limanov.json"), "dhat", "-B", "1", "--tol", "inf"],
     ["check", _map("identity.json"), "--box", "0"],       # check reads no option
-    ["invert", _map("elementary.json"), "--trials", "2"],  # nor does invert read -T
+    ["invert", _map("elementary.json"), "--trials", "2"],  # no command takes -T
     # the degree's targets are rejected exactly, so neither reads --tol
     ["exceptional", _map("identity.json"), "--tol", "1e-9"],
     ["fibers", _map("identity.json"), "-B", "1", "--tol", "1e-9"],
+    # every count is exact: three agreeing ones need no --trials
+    ["exceptional", _map("identity.json"), "-T", "3"],
+    ["fibers", _map("identity.json"), "-B", "1", "-T", "3"],
+    ["verify", _map("identity.json"), "dist", "-B", "1", "-T", "3"],
+    # nor can the degree's targets move a fiber count or a sweep
+    ["fibers", _map("identity.json"), "-B", "1", "--seed", "1"],
+    ["verify", _map("identity.json"), "dist", "-B", "1", "--seed", "1"],
 ], ids=["invert-window", "order-0", "tol-0", "tol-negative", "tol-nan", "tol-inf", "check-box",
-        "invert-trials", "exceptional-tol", "fibers-tol"])
+        "invert-trials", "exceptional-tol", "fibers-tol", "exceptional-trials", "fibers-trials",
+        "verify-trials", "fibers-seed", "verify-seed"])
 def test_bad_or_unread_option_is_a_usage_error(runner, args):
     r = runner.invoke(main, args)
     assert r.exit_code == 2

@@ -95,3 +95,38 @@ def test_cli_times_runs_one_command_once(monkeypatch, capsys):
     assert list(line) == ["command", "map", "runs", "seconds", "exit_codes"]
     assert line["command"] == "check" and line["map"] == "identity.json"
     assert line["runs"] == 1 and line["exit_codes"] == [0] and line["seconds"] > 0
+
+
+def test_golden_diff_lists_each_differing_path(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(TOOLS)
+    import golden_diff
+
+    def case(report, stderr="", code=0):
+        return {"exit_code": code, "stderr": stderr,
+                "stdout": json.dumps(report, sort_keys=True) if report is not None else ""}
+
+    old = {"a": case({"config": {"seed": 0, "trials": 3},
+                      "result": {"n": 1, "xs": [1, 2], "flag": True}}),
+           "b": case(None, "error: x\n", 1),
+           "c": case({"result": {"n": 1}})}
+    new = {"a": case({"config": {"seed": 0, "k": "3"},
+                      "result": {"n": 1.0, "xs": [1, 3], "flag": True}}),
+           "b": case(None, "error: y\n", 1),
+           "d": case({"result": {"n": 1}})}
+    files = [tmp_path / "old.json", tmp_path / "new.json"]
+    for f, doc in zip(files, (old, new)):
+        f.write_text(json.dumps(doc))
+    found = golden_diff.compare(old, new, ["stdout.config"])
+    assert {case: [(p, ok) for p, _, _, ok in diffs] for case, diffs in found.items()} == {
+        "a": [("stdout.config.trials", True), ("stdout.config.k", True),
+              ("stdout.result.n", False), ("stdout.result.xs[1]", False)],
+        "b": [("stderr", False)], "c": [("", False)], "d": [("", False)]}
+    assert golden_diff.main([str(f) for f in files] + ["--allow", "stdout.config"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == ["a", "  stdout.config.trials: 3 -> (absent) (allowed)",
+                       '  stdout.config.k: (absent) -> "3" (allowed)', "  stdout.result.n: 1 -> 1.0"]
+    assert out[-1] == "4 cases, 4 differ; 7 differences, 5 not allowed"
+    # a prefix allows the paths below it, not a sibling that shares its text
+    assert golden_diff.allowed("stdout.result.xs[1]", ["stdout.result.xs"])
+    assert not golden_diff.allowed("stdout.configs", ["stdout.config"])
+    assert golden_diff.main([str(files[0])] * 2) == 0
